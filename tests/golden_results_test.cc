@@ -437,8 +437,10 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, TpchThreadDifferentialTest,
 // Engine-level scheduler golden fingerprints: a full engine run is hashed
 // (every latency sample's bit pattern plus every counter) into one uint64,
 // and the fingerprint must be identical under the binary-heap and
-// calendar-queue event schedulers for every covered workload. This is the
-// golden-suite form of the scheduler bit-identity contract.
+// calendar-queue event schedulers for every covered workload, and equal to
+// a committed constant so a change anywhere in the engine's stack (the
+// provisioning strategy included) that alters a result fails here. This is
+// the golden-suite form of the scheduler bit-identity contract.
 // ---------------------------------------------------------------------------
 
 uint64_t HashMix(uint64_t h, uint64_t v) {
@@ -492,6 +494,7 @@ uint64_t EngineFingerprint(SimScheduler scheduler,
 TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
   struct Covered {
     const char* label;
+    uint64_t golden;
     WorkloadOptions workload;
     EngineOptions engine;
   };
@@ -499,6 +502,7 @@ TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
   {
     Covered plain;
     plain.label = "interactive";
+    plain.golden = 0xc1e100eecaa53f9cULL;
     plain.workload.num_queries = 60;
     plain.workload.duration_ms = kMillisPerHour / 6;
     plain.workload.arrival_period_ms = kMillisPerHour / 18;
@@ -508,6 +512,7 @@ TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
   {
     Covered faulty;
     faulty.label = "faulty_mixed";
+    faulty.golden = 0xeec25634f9b83ef1ULL;
     faulty.workload.num_queries = 60;
     faulty.workload.duration_ms = kMillisPerHour / 6;
     faulty.workload.arrival_period_ms = kMillisPerHour / 18;
@@ -527,6 +532,7 @@ TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
                                                 c.workload, c.engine);
     EXPECT_NE(heap, 1469598103934665603ULL) << "empty run fingerprint";
     EXPECT_EQ(heap, calendar);
+    EXPECT_EQ(heap, c.golden) << std::hex << "0x" << heap;
   }
 }
 
