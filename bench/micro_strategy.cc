@@ -1,5 +1,5 @@
 // Microbenchmarks of the strategy stack's hot paths (google-benchmark):
-// Fenwick-backed sliding-window percentiles, the full expert family's
+// sorted sliding-window appends, the full expert family's
 // per-second evaluation, multiplicative-weights updates, allocation-model
 // stepping, and oracle computation.
 
@@ -7,7 +7,6 @@
 
 #include <cmath>
 
-#include "common/fenwick.h"
 #include "common/rng.h"
 #include "strategy/allocation_model.h"
 #include "strategy/dynamic_strategy.h"
@@ -17,37 +16,6 @@
 
 namespace cackle {
 namespace {
-
-void BM_FenwickInsertErase(benchmark::State& state) {
-  FenwickCounter counter(1 << 20);
-  Rng rng(1);
-  std::vector<int64_t> values;
-  for (int i = 0; i < 4096; ++i) {
-    values.push_back(static_cast<int64_t>(rng.NextBounded(1 << 20)));
-    counter.Insert(values.back());
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    counter.Erase(values[i % values.size()]);
-    counter.Insert(values[(i + 1) % values.size()]);
-    ++i;
-  }
-}
-BENCHMARK(BM_FenwickInsertErase);
-
-void BM_FenwickPercentile(benchmark::State& state) {
-  FenwickCounter counter(1 << 20);
-  Rng rng(2);
-  for (int i = 0; i < 3600; ++i) {
-    counter.Insert(static_cast<int64_t>(rng.NextBounded(1 << 20)));
-  }
-  double p = 1.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(counter.Percentile(p));
-    p = p >= 100.0 ? 1.0 : p + 1.0;
-  }
-}
-BENCHMARK(BM_FenwickPercentile);
 
 void BM_WorkloadHistoryAppend(benchmark::State& state) {
   WorkloadHistory history;

@@ -133,6 +133,16 @@ echo "=== bench smoke (micro_exec) ==="
   --benchmark_out_format=json
 echo "bench artifact: build-release/BENCH_micro_exec_smoke.json"
 
+# Strategy-stack smoke: the dynamic meta-strategy's per-second step,
+# sorted-window appends, allocation-model steps, MW updates and the oracle.
+# The committed before/after numbers live in bench/results/BENCH_strategy.json.
+echo "=== bench smoke (micro_strategy) ==="
+./build-release/bench/micro_strategy \
+  --benchmark_min_time=0.01 \
+  --benchmark_out=build-release/BENCH_micro_strategy_smoke.json \
+  --benchmark_out_format=json
+echo "bench artifact: build-release/BENCH_micro_strategy_smoke.json"
+
 # Kernel benchmarks with repetitions, compared against the committed
 # baseline (bench/results/.baseline_raw.json, captured before the
 # vectorized executor landed). Prints old-vs-new throughput and refreshes

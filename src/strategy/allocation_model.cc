@@ -30,13 +30,13 @@ AllocationModel::AllocationModel(int64_t startup_s, int64_t min_billing_s,
   CACKLE_CHECK_GE(min_billing_s_, 0);
 }
 
-void AllocationModel::TerminateOne() {
-  CACKLE_CHECK(!running_.empty());
-  running_.pop_front();
-}
-
-bool AllocationModel::OldestPastMinBilling() const {
-  return !running_.empty() && now_s_ - running_.front() >= min_billing_s_;
+void AllocationModel::StartVms(int64_t count) {
+  if (!running_.empty() && running_.back().start_s == now_s_) {
+    running_.back().count += count;
+  } else {
+    running_.push_back(RunningBatch{now_s_, count});
+  }
+  running_count_ += count;
 }
 
 AllocationModel::StepResult AllocationModel::Step(int64_t target,
@@ -48,9 +48,7 @@ AllocationModel::StepResult AllocationModel::Step(int64_t target,
 
   // 1. VMs whose startup delay elapsed become available.
   while (!pending_.empty() && pending_.front().ready_s <= now_s_) {
-    for (int64_t i = 0; i < pending_.front().count; ++i) {
-      running_.push_back(now_s_);
-    }
+    StartVms(pending_.front().count);
     pending_count_ -= pending_.front().count;
     pending_.pop_front();
   }
@@ -63,7 +61,7 @@ AllocationModel::StepResult AllocationModel::Step(int64_t target,
   if (target > allocated) {
     const int64_t add = target - allocated;
     if (startup_s_ == 0) {
-      for (int64_t i = 0; i < add; ++i) running_.push_back(now_s_);
+      StartVms(add);
     } else {
       pending_.push_back(PendingBatch{now_s_ + startup_s_, add});
       pending_count_ += add;
@@ -83,10 +81,15 @@ AllocationModel::StepResult AllocationModel::Step(int64_t target,
     // (Section 3), and they may be reused if demand returns.
     const int64_t busy = std::min<int64_t>(demand, available());
     int64_t idle = available() - busy;
-    while (allocated > target && idle > 0 && OldestPastMinBilling()) {
-      TerminateOne();
-      --idle;
-      --allocated;
+    while (allocated > target && idle > 0 && !running_.empty() &&
+           now_s_ - running_.front().start_s >= min_billing_s_) {
+      RunningBatch& oldest = running_.front();
+      const int64_t stop = std::min({oldest.count, allocated - target, idle});
+      oldest.count -= stop;
+      running_count_ -= stop;
+      idle -= stop;
+      allocated -= stop;
+      if (oldest.count == 0) running_.pop_front();
     }
   }
 
@@ -109,16 +112,18 @@ void AllocationModel::Finish() {
   CACKLE_CHECK(!finished_);
   pending_.clear();
   pending_count_ = 0;
-  // Final terminations still owe any unmet minimum billing.
-  while (!running_.empty()) {
-    const int64_t started = running_.front();
-    running_.pop_front();
-    const int64_t ran = now_s_ - started;
-    if (ran < min_billing_s_) {
-      vm_cost_ += static_cast<double>(min_billing_s_ - ran) * vm_price_s_;
-      total_vm_seconds_ += min_billing_s_ - ran;
-    }
+  // Final terminations still owe any unmet minimum billing. The penalty is
+  // added once per VM, oldest first: n repeated additions differ from one
+  // addition of n times the penalty in floating point.
+  for (const RunningBatch& batch : running_) {
+    const int64_t owed_s = min_billing_s_ - (now_s_ - batch.start_s);
+    if (owed_s <= 0) continue;
+    const double penalty = static_cast<double>(owed_s) * vm_price_s_;
+    for (int64_t i = 0; i < batch.count; ++i) vm_cost_ += penalty;
+    total_vm_seconds_ += owed_s * batch.count;
   }
+  running_.clear();
+  running_count_ = 0;
   finished_ = true;
 }
 

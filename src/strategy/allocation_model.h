@@ -24,8 +24,9 @@ namespace cackle {
 ///    where overflow = max(0, demand - available). (Section 4.4.3: demand
 ///    under the allocation runs on VMs, the excess on the elastic pool.)
 ///
-/// The model is incremental — O(1) amortized per second — so the dynamic
-/// meta-strategy can maintain one instance per expert.
+/// The model is incremental — O(1) amortized per second, independent of the
+/// fleet size, because VMs that started in the same second are one batch —
+/// so the dynamic meta-strategy can maintain one instance per expert.
 class AllocationModel {
  public:
   explicit AllocationModel(const CostModel* cost);
@@ -53,9 +54,7 @@ class AllocationModel {
   void Finish();
 
   int64_t now_s() const { return now_s_; }
-  int64_t available() const {
-    return static_cast<int64_t>(running_.size());
-  }
+  int64_t available() const { return running_count_; }
   int64_t pending() const { return pending_count_; }
   double vm_cost() const { return vm_cost_; }
   double elastic_cost() const { return elastic_cost_; }
@@ -70,11 +69,14 @@ class AllocationModel {
     int64_t ready_s;  // second at which these VMs become available
     int64_t count;
   };
+  struct RunningBatch {
+    int64_t start_s;  // second at which these VMs became available
+    int64_t count;
+  };
 
-  void TerminateOne();
-  /// Whether the oldest running VM has met its minimum billing time (only
-  /// such VMs are worth terminating mid-run).
-  bool OldestPastMinBilling() const;
+  /// Appends `count` VMs available from now on (merged into the newest
+  /// batch when it started this second).
+  void StartVms(int64_t count);
   /// Re-reads prices and the startup delay from the CostModel (when
   /// constructed from one), so mid-workload environment changes
   /// (Section 5.3: spot prices nearly doubling within a quarter) take
@@ -90,8 +92,9 @@ class AllocationModel {
   int64_t now_s_ = 0;
   std::deque<PendingBatch> pending_;  // ordered by ready_s
   int64_t pending_count_ = 0;
-  /// Start second of each running VM, oldest first.
-  std::deque<int64_t> running_;
+  /// Running VMs as batches of equal start second, oldest first.
+  std::deque<RunningBatch> running_;
+  int64_t running_count_ = 0;
   double vm_cost_ = 0.0;
   double elastic_cost_ = 0.0;
   int64_t total_vm_seconds_ = 0;

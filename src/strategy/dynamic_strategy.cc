@@ -13,23 +13,18 @@ namespace cackle {
 DynamicStrategy::DynamicStrategy(const CostModel* cost,
                                  DynamicStrategyOptions options)
     : cost_(cost), options_(std::move(options)),
-      experts_(BuildPercentileFamily(options_.family)), rng_(options_.seed) {
-  expert_names_.reserve(experts_.size());
-  models_.reserve(experts_.size());
-  for (const auto& e : experts_) {
-    expert_names_.push_back(e->name());
-    models_.emplace_back(cost_);
-  }
-  interval_cost_.assign(experts_.size(), 0.0);
+      family_(BuildPercentileFamily(options_.family)), rng_(options_.seed) {
+  models_.assign(family_.size(), AllocationModel(cost_));
+  interval_cost_.assign(family_.size(), 0.0);
   mw_ = std::make_unique<MultiplicativeWeights>(
-      experts_.size(), options_.epsilon, options_.weight_floor_ratio);
-  chosen_ = experts_.size() / 2;  // arbitrary deterministic initial expert
+      family_.size(), options_.epsilon, options_.weight_floor_ratio);
+  chosen_ = family_.size() / 2;  // arbitrary deterministic initial expert
 }
 
 DynamicStrategy::~DynamicStrategy() = default;
 
-const std::string& DynamicStrategy::chosen_expert_name() const {
-  return expert_names_[chosen_];
+std::string DynamicStrategy::chosen_expert_name() const {
+  return family_.Expert(chosen_).name();
 }
 
 double DynamicStrategy::ExpertCost(size_t i) const {
@@ -82,9 +77,9 @@ int64_t DynamicStrategy::Target(const WorkloadHistory& history) {
   const int64_t demand = history.Latest();
   // Evaluate every expert on this second: its target, and what it would
   // have cost (allocation under the known startup time + cost model).
-  for (size_t i = 0; i < experts_.size(); ++i) {
-    const int64_t expert_target = experts_[i]->Target(history);
-    const auto step = models_[i].Step(expert_target, demand);
+  family_.Targets(history, &expert_targets_);
+  for (size_t i = 0; i < family_.size(); ++i) {
+    const auto step = models_[i].Step(expert_targets_[i], demand);
     interval_cost_[i] += step.vm_cost + step.elastic_cost;
   }
   ++seconds_seen_;
@@ -102,15 +97,15 @@ int64_t DynamicStrategy::Target(const WorkloadHistory& history) {
       max_cost = std::max(max_cost, c);
       min_cost = std::min(min_cost, c);
     }
-    std::vector<double> penalties(experts_.size(), 0.0);
+    penalties_.assign(family_.size(), 0.0);
     if (max_cost > min_cost) {
       const double denom = min_cost > 0.0 ? min_cost : max_cost;
-      for (size_t i = 0; i < experts_.size(); ++i) {
-        penalties[i] =
+      for (size_t i = 0; i < family_.size(); ++i) {
+        penalties_[i] =
             std::min(1.0, (interval_cost_[i] - min_cost) / denom);
       }
     }
-    mw_->Update(penalties);
+    mw_->Update(penalties_);
     std::fill(interval_cost_.begin(), interval_cost_.end(), 0.0);
     const size_t next =
         options_.sample_expert ? mw_->Sample(&rng_) : mw_->Best();
@@ -119,7 +114,7 @@ int64_t DynamicStrategy::Target(const WorkloadHistory& history) {
     // The meta-strategy runs every update interval (five seconds in the
     // paper); the executed target is re-computed here and held in between,
     // which keeps the fleet from churning on per-second percentile noise.
-    last_target_ = experts_[chosen_]->Target(history);
+    last_target_ = expert_targets_[chosen_];
     // Decision snapshot (pure bookkeeping; must not affect the target).
     if (metrics_sink_ != nullptr) {
       metrics_sink_->AddCounter(metric_names::kStrategyUpdates, 1);
@@ -135,13 +130,13 @@ int64_t DynamicStrategy::Target(const WorkloadHistory& history) {
     if (tracer_sink_ != nullptr && tracer_sink_->enabled()) {
       const SpanId decision = tracer_sink_->Instant(
           "strategy.decision", seconds_seen_ * 1000);
-      tracer_sink_->Tag(decision, "expert", expert_names_[chosen_]);
+      tracer_sink_->Tag(decision, "expert", chosen_expert_name());
       tracer_sink_->Tag(decision, "target", std::to_string(last_target_));
       tracer_sink_->Tag(decision, "probability",
                         std::to_string(mw_->Probability(chosen_)));
     }
   } else if (seconds_seen_ <= 1) {
-    last_target_ = experts_[chosen_]->Target(history);
+    last_target_ = expert_targets_[chosen_];
   }
   // Multi-tenant isolation floor: never provision below what every tenant
   // needs to replay its recent burst simultaneously. Zero (a no-op on the

@@ -50,8 +50,9 @@ struct DynamicStrategyOptions {
 
 /// \brief Cackle's dynamic cost-based meta-strategy (Section 4.4).
 ///
-/// Maintains the whole percentile family as experts. Every second each
-/// expert produces a target from the workload history; a per-expert
+/// Maintains the whole percentile family as experts, held as a flat
+/// struct-of-arrays table (PercentileFamily). Every second the table yields
+/// each expert's target from the history's sorted windows; a per-expert
 /// AllocationModel turns that target history into an allocation history
 /// under the known VM startup time, and prices it against the cost model
 /// (what the expert *would* have cost had it been driving the system).
@@ -90,10 +91,10 @@ class DynamicStrategy : public ProvisioningStrategy {
   /// clock, which includes any primed-history replay).
   void SetObservability(MetricsRegistry* metrics, Tracer* tracer) override;
 
-  size_t num_experts() const { return experts_.size(); }
+  size_t num_experts() const { return family_.size(); }
   /// The expert currently driving the system.
   size_t chosen_expert() const { return chosen_; }
-  const std::string& chosen_expert_name() const;
+  std::string chosen_expert_name() const;
   /// Predicted cumulative cost of expert `i` so far.
   double ExpertCost(size_t i) const;
   const MultiplicativeWeights& weights() const { return *mw_; }
@@ -104,10 +105,13 @@ class DynamicStrategy : public ProvisioningStrategy {
  private:
   const CostModel* cost_;
   DynamicStrategyOptions options_;
-  std::vector<std::unique_ptr<ProvisioningStrategy>> experts_;
-  std::vector<std::string> expert_names_;
+  PercentileFamily family_;
+  /// This second's target of every expert (scratch, reused).
+  std::vector<int64_t> expert_targets_;
   std::vector<AllocationModel> models_;
   std::vector<double> interval_cost_;
+  /// Per-update MW penalties (scratch, reused).
+  std::vector<double> penalties_;
   std::unique_ptr<MultiplicativeWeights> mw_;
   Rng rng_;
   size_t chosen_ = 0;

@@ -68,22 +68,47 @@ int64_t PercentileStrategy::Target(const WorkloadHistory& history) {
       std::ceil(static_cast<double>(pct) * multiplier_));
 }
 
-std::vector<std::unique_ptr<ProvisioningStrategy>> BuildPercentileFamily(
-    const FamilyOptions& options) {
-  std::vector<std::unique_ptr<ProvisioningStrategy>> family;
-  for (int64_t lb : options.lookbacks_s) {
+PercentileStrategy PercentileFamily::Expert(size_t i) const {
+  return PercentileStrategy(lookbacks_s[window[i]], percentile[i],
+                            multiplier[i]);
+}
+
+void PercentileFamily::Targets(const WorkloadHistory& history,
+                               std::vector<int64_t>* targets) const {
+  targets->resize(size());
+  const std::vector<int64_t>* sorted = nullptr;
+  uint32_t slot = 0;
+  for (size_t i = 0; i < size(); ++i) {
+    if (sorted == nullptr || window[i] != slot) {
+      slot = window[i];
+      sorted = &history.SortedWindow(lookbacks_s[slot]);
+    }
+    const int64_t pct = SortedPercentile(*sorted, percentile[i]);
+    (*targets)[i] = static_cast<int64_t>(
+        std::ceil(static_cast<double>(pct) * multiplier[i]));
+  }
+}
+
+PercentileFamily BuildPercentileFamily(const FamilyOptions& options) {
+  PercentileFamily family;
+  family.lookbacks_s = options.lookbacks_s;
+  const auto add = [&family](uint32_t slot, double p, double m) {
+    CACKLE_CHECK_GT(p, 0.0);
+    CACKLE_CHECK_LE(p, 100.0);
+    family.window.push_back(slot);
+    family.percentile.push_back(p);
+    family.multiplier.push_back(m);
+  };
+  for (uint32_t slot = 0; slot < family.lookbacks_s.size(); ++slot) {
     for (int p = options.percentile_lo; p <= options.percentile_hi;
          p += options.percentile_step) {
-      family.push_back(
-          std::make_unique<PercentileStrategy>(lb, static_cast<double>(p),
-                                               1.0));
+      add(slot, static_cast<double>(p), 1.0);
     }
     for (double m : options.boost_multipliers) {
-      family.push_back(std::make_unique<PercentileStrategy>(
-          lb, options.boosted_percentile, m));
+      add(slot, options.boosted_percentile, m);
     }
   }
-  CACKLE_CHECK(!family.empty());
+  CACKLE_CHECK(family.size() > 0);
   return family;
 }
 

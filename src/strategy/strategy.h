@@ -2,7 +2,6 @@
 #define CACKLE_STRATEGY_STRATEGY_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -138,9 +137,33 @@ struct FamilyOptions {
                                            5.0,  7.0,  10.0, 15.0, 20.0};
 };
 
-/// Builds the percentile strategy family; several hundred experts with the
-/// default options.
-std::vector<std::unique_ptr<ProvisioningStrategy>> BuildPercentileFamily(
+/// \brief The percentile strategy family as a flat struct-of-arrays expert
+/// table: expert i is PercentileStrategy(lookbacks_s[window[i]],
+/// percentile[i], multiplier[i]). Several hundred experts with the default
+/// options, evaluated together by Targets().
+struct PercentileFamily {
+  /// The family's lookbacks in FamilyOptions order; window[i] indexes it.
+  std::vector<int64_t> lookbacks_s;
+  std::vector<uint32_t> window;
+  std::vector<double> percentile;
+  std::vector<double> multiplier;
+
+  size_t size() const { return window.size(); }
+
+  /// Expert `i` as a standalone strategy (its name, or a reference target).
+  PercentileStrategy Expert(size_t i) const;
+
+  /// Writes every expert's target on `history` into `targets` (resized to
+  /// size()); element i equals Expert(i).Target(history). Each window is
+  /// looked up once per run of experts sharing it.
+  void Targets(const WorkloadHistory& history,
+               std::vector<int64_t>* targets) const;
+};
+
+/// Builds the percentile strategy family: per lookback, percentiles
+/// percentile_lo..percentile_hi with multiplier 1, then the boosted
+/// percentile at each boost multiplier.
+PercentileFamily BuildPercentileFamily(
     const FamilyOptions& options = FamilyOptions());
 
 }  // namespace cackle

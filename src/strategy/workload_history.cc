@@ -12,36 +12,41 @@ const std::vector<int64_t>& WorkloadHistory::DefaultLookbacks() {
   return *lookbacks;
 }
 
-WorkloadHistory::WorkloadHistory(std::vector<int64_t> lookbacks,
-                                 int64_t demand_domain)
-    : lookbacks_(std::move(lookbacks)), domain_(demand_domain) {
+WorkloadHistory::WorkloadHistory(std::vector<int64_t> lookbacks)
+    : lookbacks_(std::move(lookbacks)) {
   CACKLE_CHECK(!lookbacks_.empty());
   std::sort(lookbacks_.begin(), lookbacks_.end());
   for (int64_t lb : lookbacks_) {
     CACKLE_CHECK_GT(lb, 0);
-    Window w;
-    w.lookback_s = lb;
-    w.counter = std::make_unique<FenwickCounter>(domain_);
-    windows_.push_back(std::move(w));
+    windows_.push_back(Window{lb, {}, 0});
   }
 }
 
 void WorkloadHistory::Append(int64_t demand) {
   CACKLE_CHECK_GE(demand, 0);
-  if (demand >= domain_) {
-    demand = domain_ - 1;
-    ++clamped_;
-  }
   history_.push_back(demand);
   const int64_t now = size();  // number of samples after append
   for (Window& w : windows_) {
-    w.counter->Insert(demand);
+    std::vector<int64_t>& s = w.sorted;
     w.sum += demand;
-    if (now > w.lookback_s) {
-      const int64_t evicted =
-          history_[static_cast<size_t>(now - w.lookback_s - 1)];
-      w.counter->Erase(evicted);
-      w.sum -= evicted;
+    if (now <= w.lookback_s) {
+      s.insert(std::upper_bound(s.begin(), s.end(), demand), demand);
+      continue;
+    }
+    const int64_t evicted =
+        history_[static_cast<size_t>(now - w.lookback_s - 1)];
+    w.sum -= evicted;
+    // Overwrite one copy of the evicted value with the new sample, shifting
+    // the elements strictly between the two by one slot.
+    const auto pos = std::lower_bound(s.begin(), s.end(), evicted);
+    if (demand > evicted) {
+      const auto end = std::lower_bound(pos + 1, s.end(), demand);
+      std::move(pos + 1, end, pos);
+      *(end - 1) = demand;
+    } else if (demand < evicted) {
+      const auto begin = std::upper_bound(s.begin(), pos, demand);
+      std::move_backward(begin, pos, pos + 1);
+      *begin = demand;
     }
   }
 }
@@ -55,10 +60,15 @@ const WorkloadHistory::Window& WorkloadHistory::FindWindow(
   __builtin_unreachable();
 }
 
+const std::vector<int64_t>& WorkloadHistory::SortedWindow(
+    int64_t lookback_s) const {
+  return FindWindow(lookback_s).sorted;
+}
+
 int64_t WorkloadHistory::Percentile(int64_t lookback_s, double p) const {
-  const Window& w = FindWindow(lookback_s);
-  if (w.counter->size() == 0) return 0;
-  return w.counter->Percentile(p);
+  CACKLE_CHECK_GT(p, 0.0);
+  CACKLE_CHECK_LE(p, 100.0);
+  return SortedPercentile(SortedWindow(lookback_s), p);
 }
 
 double WorkloadHistory::Mean(int64_t lookback_s) const {
@@ -81,9 +91,8 @@ double WorkloadHistory::Mean(int64_t lookback_s) const {
 }
 
 int64_t WorkloadHistory::Max(int64_t lookback_s) const {
-  const Window& w = FindWindow(lookback_s);
-  if (w.counter->size() == 0) return 0;
-  return w.counter->Max();
+  const std::vector<int64_t>& s = SortedWindow(lookback_s);
+  return s.empty() ? 0 : s.back();
 }
 
 }  // namespace cackle

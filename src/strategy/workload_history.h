@@ -1,35 +1,44 @@
 #ifndef CACKLE_STRATEGY_WORKLOAD_HISTORY_H_
 #define CACKLE_STRATEGY_WORKLOAD_HISTORY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/fenwick.h"
-
 namespace cackle {
+
+/// Nearest-rank p-th percentile, p in (0, 100], of the ascending `sorted`:
+/// the element at rank k >= p/100 * n (1-based, clamped to [1, n]); 0 when
+/// empty.
+inline int64_t SortedPercentile(const std::vector<int64_t>& sorted, double p) {
+  const int64_t n = static_cast<int64_t>(sorted.size());
+  if (n == 0) return 0;
+  int64_t k =
+      static_cast<int64_t>((p / 100.0) * static_cast<double>(n) + 0.9999999);
+  k = k < 1 ? 1 : (k > n ? n : k);
+  return sorted[static_cast<size_t>(k - 1)];
+}
 
 /// \brief The per-second demand history the coordinator maintains
 /// (Section 4.4.1): the maximum number of concurrently requested tasks in
 /// each second since the start of the workload.
 ///
 /// Provisioning strategies ask for aggregates over trailing windows
-/// ("lookbacks"). For each registered lookback the history maintains a
-/// Fenwick-tree index over the window so that percentile/max queries cost
-/// O(log domain) instead of O(window), which keeps the several-hundred-
-/// expert dynamic strategy cheap to re-evaluate every few seconds.
+/// ("lookbacks"). For each registered lookback the history keeps the
+/// window's samples as one sorted array, so a percentile or max is a
+/// single array load and the several-hundred-expert dynamic strategy reads
+/// every expert's percentile from six arrays each second. An append
+/// replaces the evicted sample by the new one in place, moving only the
+/// elements between their two ranks.
 class WorkloadHistory {
  public:
   /// Default lookbacks (seconds) used by the strategy family: 10 s to 1 h.
   static const std::vector<int64_t>& DefaultLookbacks();
 
-  /// `demand_domain` bounds representable demand values; larger samples are
-  /// clamped (with the clamp count observable for diagnostics).
   explicit WorkloadHistory(
-      std::vector<int64_t> lookbacks = DefaultLookbacks(),
-      int64_t demand_domain = 1 << 20);
+      std::vector<int64_t> lookbacks = DefaultLookbacks());
 
-  /// Appends one second of demand.
+  /// Appends one second of demand (any value >= 0, kept exactly).
   void Append(int64_t demand);
 
   /// Number of seconds recorded.
@@ -52,23 +61,24 @@ class WorkloadHistory {
   /// Maximum over the last `lookback_s` seconds (registered lookback only).
   int64_t Max(int64_t lookback_s) const;
 
+  /// The last min(size(), lookback_s) samples in ascending order
+  /// (registered lookback only); valid until the next Append.
+  const std::vector<int64_t>& SortedWindow(int64_t lookback_s) const;
+
   const std::vector<int64_t>& lookbacks() const { return lookbacks_; }
-  int64_t clamped_samples() const { return clamped_; }
 
  private:
   struct Window {
     int64_t lookback_s;
-    std::unique_ptr<FenwickCounter> counter;
+    std::vector<int64_t> sorted;
     int64_t sum = 0;
   };
 
   const Window& FindWindow(int64_t lookback_s) const;
 
   std::vector<int64_t> lookbacks_;
-  int64_t domain_;
   std::vector<int64_t> history_;
   std::vector<Window> windows_;
-  int64_t clamped_ = 0;
 };
 
 }  // namespace cackle
