@@ -29,6 +29,7 @@
 
 #include "cloud/cost_model.h"
 #include "engine/engine.h"
+#include "engine/scenario.h"
 #include "workload/profile_library.h"
 #include "workload/workload_generator.h"
 
@@ -478,9 +479,8 @@ uint64_t FingerprintResult(const EngineResult& r) {
   return h;
 }
 
-uint64_t EngineFingerprint(SimScheduler scheduler,
-                           const WorkloadOptions& wl,
-                           const EngineOptions& base) {
+EngineResult RunEngine(SimScheduler scheduler, const WorkloadOptions& wl,
+                       const EngineOptions& base) {
   static const ProfileLibrary* lib =
       new ProfileLibrary(ProfileLibrary::BuiltinTpch());
   static const CostModel* cost = new CostModel();
@@ -488,7 +488,7 @@ uint64_t EngineFingerprint(SimScheduler scheduler,
   EngineOptions opts = base;
   opts.sim.scheduler = scheduler;
   CackleEngine engine(cost, opts);
-  return FingerprintResult(engine.Run(gen.Generate(wl), *lib));
+  return engine.Run(gen.Generate(wl), *lib);
 }
 
 TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
@@ -497,6 +497,7 @@ TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
     uint64_t golden;
     WorkloadOptions workload;
     EngineOptions engine;
+    bool expect_storms = false;
   };
   std::vector<Covered> covered;
   {
@@ -524,13 +525,31 @@ TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
     faulty.engine.faults.elastic_straggler_slowdown = 3.0;
     covered.push_back(faulty);
   }
+  {
+    // Reclamation-storm bursts (VmFleet::InterruptN) on top of spot
+    // lifetimes and launch failures, over a shortened scenario workload.
+    auto loaded = LoadNamedScenario("reclamation_storm");
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    Covered storm;
+    storm.label = "reclamation_storm";
+    storm.golden = 0xbad54c40a5e879bdULL;
+    storm.workload = loaded->workload;
+    storm.workload.num_queries = 150;
+    storm.engine = loaded->ToEngineOptions();
+    storm.expect_storms = true;
+    covered.push_back(storm);
+  }
   for (const Covered& c : covered) {
     SCOPED_TRACE(c.label);
-    const uint64_t heap =
-        EngineFingerprint(SimScheduler::kBinaryHeap, c.workload, c.engine);
-    const uint64_t calendar = EngineFingerprint(SimScheduler::kCalendarQueue,
-                                                c.workload, c.engine);
+    const EngineResult heap_result =
+        RunEngine(SimScheduler::kBinaryHeap, c.workload, c.engine);
+    const uint64_t heap = FingerprintResult(heap_result);
+    const uint64_t calendar = FingerprintResult(
+        RunEngine(SimScheduler::kCalendarQueue, c.workload, c.engine));
     EXPECT_NE(heap, 1469598103934665603ULL) << "empty run fingerprint";
+    if (c.expect_storms) {
+      EXPECT_GT(heap_result.storm_reclaims, 0) << "no storm burst fired";
+    }
     EXPECT_EQ(heap, calendar);
     EXPECT_EQ(heap, c.golden) << std::hex << "0x" << heap;
   }
