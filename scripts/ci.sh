@@ -2,8 +2,9 @@
 # CI entry point. Stage zero is static analysis — the project-invariant lint
 # engine (tools/lint/) runs before anything is compiled and fails the script
 # on any non-baselined violation. Then three build/test configurations —
-# Release (with -Werror), AddressSanitizer+UBSan, and ThreadSanitizer — and
-# a microbenchmark smoke pass that produces BENCH_micro_exec.json. Any test
+# Release (with -Werror), AddressSanitizer+UBSan, and ThreadSanitizer — a
+# perfbench determinism self-check on engine_chaos_tenants, and a
+# microbenchmark smoke pass that produces BENCH_micro_exec.json. Any test
 # failure or sanitizer report (sanitizers run with
 # -fno-sanitize-recover=all) fails the script.
 #
@@ -123,6 +124,15 @@ CACKLE_FAST_BENCH=1 ./build-tsan/bench/chaos_matrix \
 echo "=== multitenant smoke (fast sweep, TSan build) ==="
 CACKLE_FAST_BENCH=1 CACKLE_BENCH_OUT_DIR=build-tsan \
   ./build-tsan/bench/multitenant
+
+# Chaos-path determinism end to end: perfbench builds its own Release
+# binary (into .bench_build/) and runs engine_chaos_tenants, whose
+# reclamation storms walk VmFleet's ready index and whose ~100 MB snapshot
+# goes through the buffered JsonWriter. The same seed must give
+# bit-identical simulated metrics, another seed different ones, and a
+# traced run the same ones as an untraced run.
+echo "=== perfbench selftest (engine_chaos_tenants) ==="
+python3 perfbench/selftest.py engine_chaos_tenants
 
 # Bench smoke: a short microbenchmark pass that both exercises the bench
 # binaries and leaves a machine-readable artifact for trend tracking.

@@ -1,6 +1,7 @@
 #include "cloud/vm_fleet.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 #include "common/metric_names.h"
@@ -29,6 +30,7 @@ void VmFleet::SetTarget(int64_t target) {
   while (num_allocated() < target_) {
     const VmId id = static_cast<VmId>(vms_.size());
     vms_.push_back(Vm{});
+    if (id % 64 == 0) ready_words_.push_back(0);
     Vm& vm = vms_.back();
     vm.state = VmState::kPending;
     vm.pending_event =
@@ -59,6 +61,9 @@ void VmFleet::OnVmStarted(VmId id) {
   }
   vm.state = VmState::kIdle;
   vm.ready_time = sim_->NowMs();
+  const size_t word = static_cast<size_t>(id) / 64;
+  ready_words_[word] |= uint64_t{1} << (id % 64);
+  first_ready_word_ = std::min(first_ready_word_, word);
   idle_.push_back(id);
   ++num_idle_;
   ++total_started_;
@@ -144,6 +149,7 @@ void VmFleet::BillAndRetire(VmId id) {
   CACKLE_CHECK(vm.state != VmState::kTerminated);
   CACKLE_CHECK(vm.state != VmState::kPending);
   vm.state = VmState::kTerminated;
+  ready_words_[static_cast<size_t>(id) / 64] &= ~(uint64_t{1} << (id % 64));
   ++total_terminated_;
   const SimTimeMs runtime = sim_->NowMs() - vm.ready_time;
   total_runtime_ms_ += runtime;
@@ -190,8 +196,7 @@ void VmFleet::Interrupt(VmId id) {
     }
     BillAndRetire(id);
   } else {
-    auto it = std::find(idle_.begin(), idle_.end(), id);
-    if (it != idle_.end()) idle_.erase(it);
+    // The idle_ entry goes stale; every idle_ consumer skips it.
     --num_idle_;
     BillAndRetire(id);
   }
@@ -203,14 +208,15 @@ void VmFleet::Interrupt(VmId id) {
 }
 
 bool VmFleet::InterruptOneIdle() {
-  VmId victim = -1;
-  for (VmId id : idle_) {
-    if (vms_[static_cast<size_t>(id)].state == VmState::kIdle) {
-      victim = id;
-      break;
-    }
+  // Stale entries at the front are dropped for good; the first live one is
+  // the victim.
+  while (!idle_.empty() &&
+         vms_[static_cast<size_t>(idle_.front())].state != VmState::kIdle) {
+    idle_.pop_front();
   }
-  if (victim < 0) return false;
+  if (idle_.empty()) return false;
+  const VmId victim = idle_.front();
+  idle_.pop_front();
   Interrupt(victim);
   return true;
 }
@@ -220,14 +226,21 @@ int64_t VmFleet::InterruptN(int64_t count) {
   // Pick victims by ascending id for determinism, then interrupt outside
   // the scan: rescuing a busy victim's task may acquire an idle VM, and
   // Interrupt tolerates (skips) victims whose state changed meanwhile.
+  // The ready index holds exactly the idle and busy VMs, so the walk never
+  // touches a retired one.
+  while (first_ready_word_ < ready_words_.size() &&
+         ready_words_[first_ready_word_] == 0) {
+    ++first_ready_word_;
+  }
   std::vector<VmId> victims;
-  for (VmId id = 0;
-       id < static_cast<VmId>(vms_.size()) &&
+  for (size_t word = first_ready_word_;
+       word < ready_words_.size() &&
        static_cast<int64_t>(victims.size()) < count;
-       ++id) {
-    const VmState state = vms_[static_cast<size_t>(id)].state;
-    if (state == VmState::kIdle || state == VmState::kBusy) {
-      victims.push_back(id);
+       ++word) {
+    for (uint64_t bits = ready_words_[word];
+         bits != 0 && static_cast<int64_t>(victims.size()) < count;
+         bits &= bits - 1) {
+      victims.push_back(static_cast<VmId>(word * 64) + std::countr_zero(bits));
     }
   }
   int64_t reclaimed = 0;
@@ -278,9 +291,7 @@ void VmFleet::DeferredTerminationCheck(VmId id) {
   Vm& vm = vms_[static_cast<size_t>(id)];
   if (vm.state != VmState::kIdle) return;        // got busy or terminated
   if (num_allocated() <= target_) return;        // target recovered
-  auto it = std::find(idle_.begin(), idle_.end(), id);
-  if (it != idle_.end()) idle_.erase(it);
-  Terminate(id);
+  Terminate(id);  // its idle_ entry goes stale
 }
 
 void VmFleet::TerminateAll() {
@@ -300,6 +311,12 @@ void VmFleet::TerminateAll() {
     if (vm.state == VmState::kIdle) Terminate(id);
   }
   CACKLE_CHECK_EQ(num_idle_, 0);
+}
+
+bool VmFleet::IsReady(VmId id) const {
+  if (id < 0 || id >= static_cast<VmId>(vms_.size())) return false;
+  const VmState state = vms_[static_cast<size_t>(id)].state;
+  return state == VmState::kIdle || state == VmState::kBusy;
 }
 
 void VmFleet::ExportMetrics(MetricsRegistry* metrics,

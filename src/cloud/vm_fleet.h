@@ -130,6 +130,8 @@ VmFleet {
   int64_t num_pending() const { return static_cast<int64_t>(pending_.size()); }
   /// Ready + pending: what the provider considers allocated.
   int64_t num_allocated() const { return num_ready() + num_pending(); }
+  /// Whether VM `id` is READY (idle or busy): started and not terminated.
+  bool IsReady(VmId id) const;
 
   int64_t total_vms_started() const { return total_started_; }
   int64_t total_vms_terminated() const { return total_terminated_; }
@@ -139,13 +141,15 @@ VmFleet {
   SimTimeMs total_runtime_ms() const { return total_runtime_ms_; }
 
  private:
-  enum class VmState { kPending, kIdle, kBusy, kTerminated };
+  enum class VmState : uint8_t { kPending, kIdle, kBusy, kTerminated };
 
+  /// vms_ keeps one of these for every VM ever requested (hundreds of
+  /// thousands in a long chaos run); the field order packs it into 24 bytes.
   struct Vm {
-    VmState state = VmState::kPending;
     SimTimeMs ready_time = 0;
     uint64_t pending_event = 0;  // startup event id while kPending
     int32_t tenant = 0;          // tenant running on it while kBusy
+    VmState state = VmState::kPending;
   };
 
   /// Whether `tenant` may take an idle VM under the reservation policy.
@@ -169,7 +173,16 @@ VmFleet {
   CostCategory category_;
 
   std::vector<Vm> vms_;
-  std::deque<VmId> idle_;     // FIFO for deterministic acquisition order
+  /// Ready index: bit `id` is set iff VM `id` is idle or busy (set when it
+  /// starts, cleared when it is billed and retired), so a storm burst walks
+  /// live VMs in ascending id without visiting retired ones.
+  std::vector<uint64_t> ready_words_;
+  /// No bit is set below this word (a lower bound, advanced lazily).
+  size_t first_ready_word_ = 0;
+  /// FIFO for deterministic acquisition order. Entries of VMs that left
+  /// the idle state stay behind as stale entries; every consumer skips
+  /// them.
+  std::deque<VmId> idle_;
   std::deque<VmId> pending_;  // newest at the back; cancelled LIFO
   int64_t target_ = 0;
   int64_t num_idle_ = 0;

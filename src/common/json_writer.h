@@ -18,9 +18,19 @@ namespace cackle {
 ///
 /// Commas and nesting are managed by an internal state stack; misuse (e.g.
 /// a value without a pending key inside an object) aborts.
+///
+/// Output is buffered: the text accumulates in an internal string that is
+/// written to the stream once it reaches 64 KiB, when the top-level value
+/// is complete, and on destruction. So the stream holds the whole document
+/// as soon as its last container closes, and a caller may append to the
+/// stream (a trailing newline, say) from then on; writing to the stream
+/// while a container is still open interleaves out of order.
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& os) : os_(os) {}
+  ~JsonWriter() { Flush(); }
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
 
   void BeginObject();
   void EndObject();
@@ -59,10 +69,17 @@ class JsonWriter {
  private:
   enum class Scope { kObject, kArray };
 
+  static constexpr size_t kFlushBytes = 64 * 1024;
+
   void BeforeValue();
+  /// Writes the buffer out when the document is complete or the buffer
+  /// has reached kFlushBytes.
+  void AfterValue();
+  void Flush();
   void WriteEscaped(std::string_view s);
 
   std::ostream& os_;
+  std::string buf_;
   std::vector<Scope> stack_;
   std::vector<bool> first_;  // parallel to stack_: no comma needed yet
   bool key_pending_ = false;

@@ -1,4 +1,8 @@
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <set>
 #include <vector>
 
 #include "cloud/billing.h"
@@ -720,6 +724,194 @@ TEST(VmFleetFaultTest, LaunchFailuresAreReRequestedUntilTargetMet) {
   EXPECT_GT(fleet.total_launch_failures(), 0);
   fleet.SetTarget(0);
   fleet.TerminateAll();
+}
+
+// ---------------------------------------------------------------------------
+// VmFleet property test: random SetTarget / TryAcquire / Release /
+// InterruptN / InterruptOneIdle sequences plus lifetime interrupts and
+// launch failures. The model learns which VMs are live only through the
+// fleet's callbacks and IsReady, and checks InterruptN against the naive
+// ascending scan below.
+// ---------------------------------------------------------------------------
+
+/// Reference for InterruptN: scan every id up to the highest one that ever
+/// started and take the first `count` READY VMs.
+std::vector<VmId> NaiveStormVictims(const VmFleet& fleet, VmId max_id,
+                                    int64_t count) {
+  std::vector<VmId> victims;
+  for (VmId id = 0;
+       id <= max_id && static_cast<int64_t>(victims.size()) < count; ++id) {
+    if (fleet.IsReady(id)) victims.push_back(id);
+  }
+  return victims;
+}
+
+struct FleetPropertyCase {
+  uint64_t seed = 1;
+  int64_t max_target = 16;
+  double mean_lifetime_hours = 0.0;  // 0: no lifetime interrupts
+  double launch_failure_rate = 0.0;
+  int64_t steps = 2000;
+  int64_t min_vms_retired = 0;  // keep stepping until this many retired
+};
+
+void RunFleetProperty(const FleetPropertyCase& c) {
+  SCOPED_TRACE(testing::Message() << "seed " << c.seed << " max_target "
+                                  << c.max_target);
+  Simulation sim;
+  CostModel cost;
+  cost.vm_startup_ms = 5 * kMillisPerSecond;  // fast churn; 1 min billing
+  BillingMeter meter;
+  FaultProfile profile;
+  profile.vm_launch_failure_rate = c.launch_failure_rate;
+  FaultInjector injector(profile, c.seed * 7 + 1);
+  VmFleet fleet(&sim, &cost, &meter);
+  if (c.launch_failure_rate > 0.0) fleet.SetFaultInjector(&injector);
+  if (c.mean_lifetime_hours > 0.0) {
+    fleet.EnableInterruptions(c.seed * 7 + 2, c.mean_lifetime_hours);
+  }
+
+  std::set<VmId> live;  // READY per the model
+  std::set<VmId> busy;  // acquired and not released
+  std::vector<VmId> busy_victims;
+  VmId max_id = -1;
+  int64_t idle_victims = 0;
+  fleet.SetOnVmReady([&](VmId id) {
+    EXPECT_FALSE(live.count(id)) << "VM " << id << " started twice";
+    live.insert(id);
+    max_id = std::max(max_id, id);
+  });
+  fleet.SetOnVmInterrupted([&](VmId id) {
+    EXPECT_TRUE(busy.count(id)) << "callback for non-busy VM " << id;
+    busy_victims.push_back(id);
+  });
+  const auto idle_set = [&] {
+    std::set<VmId> idle;
+    std::set_difference(live.begin(), live.end(), busy.begin(), busy.end(),
+                        std::inserter(idle, idle.end()));
+    return idle;
+  };
+  // Drops the VMs the fleet retired during the last step. A retired busy
+  // VM must have been reported through the interruption callback.
+  const auto sync = [&] {
+    for (auto it = live.begin(); it != live.end();) {
+      if (fleet.IsReady(*it)) {
+        ++it;
+        continue;
+      }
+      if (busy.erase(*it) == 1) {
+        EXPECT_NE(std::find(busy_victims.begin(), busy_victims.end(), *it),
+                  busy_victims.end())
+            << "busy VM " << *it << " retired silently";
+      }
+      it = live.erase(it);
+    }
+    ASSERT_EQ(static_cast<int64_t>(live.size()), fleet.num_ready());
+    ASSERT_EQ(static_cast<int64_t>(busy.size()), fleet.num_busy());
+  };
+
+  Rng rng(c.seed);
+  for (int64_t step = 0;
+       step < c.steps || fleet.total_vms_terminated() < c.min_vms_retired;
+       ++step) {
+    busy_victims.clear();
+    switch (rng.NextBounded(8)) {
+      case 0:
+        fleet.SetTarget(rng.NextInt(0, c.max_target));
+        break;
+      case 1:
+      case 2: {
+        const std::set<VmId> idle = idle_set();
+        const auto got = fleet.TryAcquire();
+        ASSERT_EQ(got.has_value(), !idle.empty());
+        if (got.has_value()) {
+          // A stale idle_ entry (a VM retired while idle) is never handed
+          // out.
+          ASSERT_TRUE(idle.count(*got)) << "acquired non-idle VM " << *got;
+          busy.insert(*got);
+        }
+        break;
+      }
+      case 3:
+        if (!busy.empty()) {
+          auto it = busy.begin();
+          std::advance(it, static_cast<std::ptrdiff_t>(
+                               rng.NextBounded(busy.size())));
+          const VmId id = *it;
+          busy.erase(it);
+          fleet.Release(id);
+        }
+        break;
+      case 4: {
+        const int64_t count = rng.NextInt(0, c.max_target / 2 + 1);
+        const std::vector<VmId> expected =
+            NaiveStormVictims(fleet, max_id, count);
+        std::vector<VmId> expected_busy;
+        for (VmId id : expected) {
+          if (busy.count(id)) expected_busy.push_back(id);
+        }
+        const std::set<VmId> live_before = live;
+        ASSERT_EQ(fleet.InterruptN(count),
+                  static_cast<int64_t>(expected.size()));
+        EXPECT_EQ(busy_victims, expected_busy);
+        for (VmId id : live_before) {
+          const bool victim =
+              std::binary_search(expected.begin(), expected.end(), id);
+          ASSERT_EQ(fleet.IsReady(id), !victim) << "VM " << id;
+        }
+        idle_victims +=
+            static_cast<int64_t>(expected.size() - expected_busy.size());
+        break;
+      }
+      case 5: {
+        const std::set<VmId> idle = idle_set();
+        ASSERT_EQ(fleet.InterruptOneIdle(), !idle.empty());
+        int64_t gone = 0;
+        for (VmId id : idle) gone += fleet.IsReady(id) ? 0 : 1;
+        ASSERT_EQ(gone, idle.empty() ? 0 : 1);
+        for (VmId id : busy) ASSERT_TRUE(fleet.IsReady(id));
+        idle_victims += gone;
+        break;
+      }
+      default:
+        sim.RunUntil(sim.NowMs() + rng.NextInt(1, 30 * kMillisPerSecond));
+        break;
+    }
+    sync();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(idle_victims, 0) << "no idle VM was reclaimed";
+  EXPECT_GE(fleet.total_vms_terminated(), c.min_vms_retired);
+
+  for (VmId id : busy) fleet.Release(id);
+  busy.clear();
+  fleet.TerminateAll();
+  EXPECT_EQ(fleet.num_ready(), 0);
+  EXPECT_EQ(fleet.total_vms_started(), fleet.total_vms_terminated());
+  for (VmId id = 0; id <= max_id; ++id) EXPECT_FALSE(fleet.IsReady(id));
+}
+
+TEST(VmFleetPropertyTest, InterruptNMatchesNaiveScan) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    FleetPropertyCase c;
+    c.seed = seed;
+    c.max_target = seed % 2 == 0 ? 8 : 40;
+    c.mean_lifetime_hours = seed % 3 == 0 ? 0.0 : 0.02;
+    c.launch_failure_rate = seed % 4 == 0 ? 0.1 : 0.0;
+    RunFleetProperty(c);
+  }
+}
+
+// Over 10^5 launched-and-retired VMs the ready index spans thousands of
+// words, most of them empty; victims and acquisitions must still match.
+TEST(VmFleetPropertyTest, LongHistoryMatchesNaiveScan) {
+  FleetPropertyCase c;
+  c.seed = 99;
+  c.max_target = 64;
+  c.mean_lifetime_hours = 0.005;  // 18 s mean lifetime
+  c.launch_failure_rate = 0.05;
+  c.min_vms_retired = 100000;
+  RunFleetProperty(c);
 }
 
 }  // namespace
