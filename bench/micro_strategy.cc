@@ -1,7 +1,8 @@
 // Microbenchmarks of the strategy stack's hot paths (google-benchmark):
 // sorted sliding-window appends, the full expert family's
-// per-second evaluation, multiplicative-weights updates, allocation-model
-// stepping, and oracle computation.
+// per-second evaluation on a random walk and on a trace, the meta-strategy's
+// construction, multiplicative-weights updates, allocation-model stepping,
+// and oracle computation.
 
 #include <benchmark/benchmark.h>
 
@@ -13,12 +14,16 @@
 #include "strategy/multiplicative_weights.h"
 #include "strategy/oracle.h"
 #include "strategy/workload_history.h"
+#include "workload/trace_generator.h"
 
 namespace cackle {
 namespace {
 
 void BM_WorkloadHistoryAppend(benchmark::State& state) {
   WorkloadHistory history;
+  // Sorted windows are kept from their first request on, as the dynamic
+  // strategy requests all six every second.
+  for (int64_t lookback : history.lookbacks()) history.SortedWindow(lookback);
   Rng rng(3);
   int64_t demand = 500;
   for (auto _ : state) {
@@ -47,6 +52,40 @@ void BM_DynamicStrategySecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DynamicStrategySecond);
+
+// The ±20 random walk above moves most experts' targets every second; on
+// the Fig 10 traces a target changes on a few percent of expert-seconds.
+// This replays the second hour of a seeded Alibaba trace, one second per
+// iteration and cyclically, after warming the strategy on the first hour.
+void BM_DynamicStrategyTraceSecond(benchmark::State& state) {
+  CostModel cost;
+  DynamicStrategy dynamic(&cost);
+  WorkloadHistory history;
+  const std::vector<int64_t> trace =
+      TraceGenerator::AlibabaCpus(/*seed=*/4, /*hours=*/2);
+  const size_t hour = trace.size() / 2;
+  for (size_t s = 0; s < hour; ++s) {
+    history.Append(trace[s]);
+    dynamic.Target(history);
+  }
+  size_t s = 0;
+  for (auto _ : state) {
+    history.Append(trace[hour + s]);
+    benchmark::DoNotOptimize(dynamic.Target(history));
+    s = s + 1 == hour ? 0 : s + 1;
+  }
+}
+BENCHMARK(BM_DynamicStrategyTraceSecond);
+
+// Engine set-up constructs the meta-strategy with its 666 expert models.
+void BM_DynamicStrategyConstruct(benchmark::State& state) {
+  CostModel cost;
+  for (auto _ : state) {
+    DynamicStrategy dynamic(&cost);
+    benchmark::DoNotOptimize(dynamic.num_experts());
+  }
+}
+BENCHMARK(BM_DynamicStrategyConstruct);
 
 void BM_MultiplicativeWeightsUpdate(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

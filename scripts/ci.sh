@@ -2,11 +2,11 @@
 # CI entry point. Stage zero is static analysis — the project-invariant lint
 # engine (tools/lint/) runs before anything is compiled and fails the script
 # on any non-baselined violation. Then three build/test configurations —
-# Release (with -Werror), AddressSanitizer+UBSan, and ThreadSanitizer — a
-# perfbench determinism self-check on engine_chaos_tenants, and a
-# microbenchmark smoke pass that produces BENCH_micro_exec.json. Any test
-# failure or sanitizer report (sanitizers run with
-# -fno-sanitize-recover=all) fails the script.
+# Release (with -Werror), AddressSanitizer+UBSan, and ThreadSanitizer —
+# perfbench determinism self-checks on engine_chaos_tenants, trace_replay
+# and engine_paper, and a microbenchmark smoke pass that produces
+# BENCH_micro_exec.json. Any test failure or sanitizer report (sanitizers
+# run with -fno-sanitize-recover=all) fails the script.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -133,6 +133,14 @@ CACKLE_FAST_BENCH=1 CACKLE_BENCH_OUT_DIR=build-tsan \
 # traced run the same ones as an untraced run.
 echo "=== perfbench selftest (engine_chaos_tenants) ==="
 python3 perfbench/selftest.py engine_chaos_tenants
+
+# Lockstep expert evaluation end to end: trace_replay and engine_paper both
+# run the 666-expert dynamic strategy, whose AllocationModel batch bills
+# steady experts without touching their VM batches, over lazily built
+# sorted windows; trace_replay also runs the in-place predictive fit. Same
+# seed, same simulated metrics; traced equals untraced.
+echo "=== perfbench selftest (trace_replay, engine_paper) ==="
+python3 perfbench/selftest.py trace_replay engine_paper
 
 # Bench smoke: a short microbenchmark pass that both exercises the bench
 # binaries and leaves a machine-readable artifact for trend tracking.

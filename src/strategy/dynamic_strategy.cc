@@ -13,8 +13,11 @@ namespace cackle {
 DynamicStrategy::DynamicStrategy(const CostModel* cost,
                                  DynamicStrategyOptions options)
     : cost_(cost), options_(std::move(options)),
-      family_(BuildPercentileFamily(options_.family)), rng_(options_.seed) {
-  models_.assign(family_.size(), AllocationModel(cost_));
+      family_(BuildPercentileFamily(options_.family)),
+      models_(cost_, family_.size()), rng_(options_.seed) {
+  CACKLE_CHECK_GT(options_.update_interval_s, 0);
+  CACKLE_CHECK_GT(options_.tenant_window_s, 0);
+  CACKLE_CHECK_GE(options_.tenant_headroom, 0.0);
   interval_cost_.assign(family_.size(), 0.0);
   mw_ = std::make_unique<MultiplicativeWeights>(
       family_.size(), options_.epsilon, options_.weight_floor_ratio);
@@ -29,7 +32,7 @@ std::string DynamicStrategy::chosen_expert_name() const {
 
 double DynamicStrategy::ExpertCost(size_t i) const {
   CACKLE_CHECK_LT(i, models_.size());
-  return models_[i].total_cost();
+  return models_.total_cost(i);
 }
 
 void DynamicStrategy::SetObservability(MetricsRegistry* metrics,
@@ -78,10 +81,7 @@ int64_t DynamicStrategy::Target(const WorkloadHistory& history) {
   // Evaluate every expert on this second: its target, and what it would
   // have cost (allocation under the known startup time + cost model).
   family_.Targets(history, &expert_targets_);
-  for (size_t i = 0; i < family_.size(); ++i) {
-    const auto step = models_[i].Step(expert_targets_[i], demand);
-    interval_cost_[i] += step.vm_cost + step.elastic_cost;
-  }
+  models_.Step(expert_targets_, demand, interval_cost_);
   ++seconds_seen_;
 
   if (seconds_seen_ % options_.update_interval_s == 0) {

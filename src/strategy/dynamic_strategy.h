@@ -52,9 +52,10 @@ struct DynamicStrategyOptions {
 ///
 /// Maintains the whole percentile family as experts, held as a flat
 /// struct-of-arrays table (PercentileFamily). Every second the table yields
-/// each expert's target from the history's sorted windows; a per-expert
-/// AllocationModel turns that target history into an allocation history
-/// under the known VM startup time, and prices it against the cost model
+/// each expert's target from the history's sorted windows; an
+/// AllocationModel batch with one model per expert turns each target history
+/// into an allocation history under the known VM startup time, and prices it
+/// against the cost model
 /// (what the expert *would* have cost had it been driving the system).
 /// Every `update_interval_s` seconds the interval costs become penalties
 /// for a multiplicative-weights update and the played expert is re-sampled
@@ -108,7 +109,8 @@ class DynamicStrategy : public ProvisioningStrategy {
   PercentileFamily family_;
   /// This second's target of every expert (scratch, reused).
   std::vector<int64_t> expert_targets_;
-  std::vector<AllocationModel> models_;
+  /// One allocation model per expert, stepped in lockstep.
+  AllocationModel models_;
   std::vector<double> interval_cost_;
   /// Per-update MW penalties (scratch, reused).
   std::vector<double> penalties_;

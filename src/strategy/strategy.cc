@@ -30,16 +30,45 @@ int64_t MeanStrategy::Target(const WorkloadHistory& history) {
 int64_t PredictiveStrategy::Target(const WorkloadHistory& history) {
   const int64_t n = std::min<int64_t>(history.size(), lookback_s_);
   if (n == 0) return 0;
-  std::vector<double> xs;
-  std::vector<double> ys;
-  xs.reserve(static_cast<size_t>(n));
-  ys.reserve(static_cast<size_t>(n));
-  const int64_t start = history.size() - n;
+  // FitLine(xs = 0..n-1, ys = the window) in place, with FitLine's
+  // rounding. FitLine sums the xs and the ys as doubles in order. Demand is
+  // never negative, so while both totals stay below 2^53 every partial sum
+  // is an exact integer and the integer sums give the same means.
+  const int64_t* ys = history.values().data() + (history.size() - n);
+  constexpr int64_t kExactDouble = int64_t{1} << 53;
+  int64_t sum_y = 0;
+  bool overflow = false;
   for (int64_t i = 0; i < n; ++i) {
-    xs.push_back(static_cast<double>(i));
-    ys.push_back(static_cast<double>(history.At(start + i)));
+    overflow |= __builtin_add_overflow(sum_y, ys[i], &sum_y);
   }
-  const LinearFit fit = FitLine(xs, ys);
+  double mean_x = 0.0;
+  double mean_y = 0.0;
+  // n < 2^26 keeps the xs' total n(n-1)/2 below 2^53.
+  if (n < (int64_t{1} << 26) && !overflow && sum_y < kExactDouble) {
+    mean_x = static_cast<double>(n * (n - 1) / 2);
+    mean_y = static_cast<double>(sum_y);
+  } else {
+    for (int64_t i = 0; i < n; ++i) {
+      mean_x += static_cast<double>(i);
+      mean_y += static_cast<double>(ys[i]);
+    }
+  }
+  mean_x /= static_cast<double>(n);
+  mean_y /= static_cast<double>(n);
+  double cov = 0.0;
+  double var_x = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const double dx = static_cast<double>(i) - mean_x;
+    cov += dx * (static_cast<double>(ys[i]) - mean_y);
+    var_x += dx * dx;
+  }
+  LinearFit fit;
+  if (var_x <= 0.0) {
+    fit.intercept = mean_y;
+  } else {
+    fit.slope = cov / var_x;
+    fit.intercept = mean_y - fit.slope * mean_x;
+  }
   // Predict demand out to when VMs requested now would start, and target
   // the maximum of the prediction over that horizon (the fit's slope makes
   // this either the current fitted value or the horizon endpoint).
@@ -74,18 +103,41 @@ PercentileStrategy PercentileFamily::Expert(size_t i) const {
 }
 
 void PercentileFamily::Targets(const WorkloadHistory& history,
-                               std::vector<int64_t>* targets) const {
+                               std::vector<int64_t>* targets) {
   targets->resize(size());
-  const std::vector<int64_t>* sorted = nullptr;
-  uint32_t slot = 0;
-  for (size_t i = 0; i < size(); ++i) {
-    if (sorted == nullptr || window[i] != slot) {
-      slot = window[i];
-      sorted = &history.SortedWindow(lookbacks_s[slot]);
+  if (rank_.size() != size()) {
+    rank_.assign(size(), 0);
+    rank_fill_.assign(size(), -1);
+  }
+  // Every sample below 2^53 converts to double exactly, so a multiplier of
+  // 1 leaves it unchanged: ceil(double(v) * 1.0) == v.
+  constexpr int64_t kExactDouble = int64_t{1} << 53;
+  for (size_t begin = 0, end = 0; begin < size(); begin = end) {
+    const uint32_t slot = window[begin];
+    end = begin + 1;
+    while (end < size() && window[end] == slot) ++end;
+    const std::vector<int64_t>& sorted =
+        history.SortedWindow(lookbacks_s[slot]);
+    const int64_t n = static_cast<int64_t>(sorted.size());
+    if (n == 0) {
+      std::fill(targets->begin() + static_cast<std::ptrdiff_t>(begin),
+                targets->begin() + static_cast<std::ptrdiff_t>(end), 0);
+      continue;
     }
-    const int64_t pct = SortedPercentile(*sorted, percentile[i]);
-    (*targets)[i] = static_cast<int64_t>(
-        std::ceil(static_cast<double>(pct) * multiplier[i]));
+    if (rank_fill_[begin] != n) {
+      for (size_t i = begin; i < end; ++i) {
+        rank_[i] = NearestRank(percentile[i], n);
+      }
+      rank_fill_[begin] = n;
+    }
+    const bool exact = sorted.back() < kExactDouble;
+    for (size_t i = begin; i < end; ++i) {
+      const int64_t pct = sorted[static_cast<size_t>(rank_[i] - 1)];
+      (*targets)[i] = multiplier[i] == 1.0 && exact
+                          ? pct
+                          : static_cast<int64_t>(std::ceil(
+                                static_cast<double>(pct) * multiplier[i]));
+    }
   }
 }
 
@@ -99,6 +151,7 @@ PercentileFamily BuildPercentileFamily(const FamilyOptions& options) {
     family.percentile.push_back(p);
     family.multiplier.push_back(m);
   };
+  CACKLE_CHECK_GT(options.percentile_step, 0);
   for (uint32_t slot = 0; slot < family.lookbacks_s.size(); ++slot) {
     for (int p = options.percentile_lo; p <= options.percentile_hi;
          p += options.percentile_step) {

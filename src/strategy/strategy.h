@@ -155,9 +155,17 @@ struct PercentileFamily {
 
   /// Writes every expert's target on `history` into `targets` (resized to
   /// size()); element i equals Expert(i).Target(history). Each window is
-  /// looked up once per run of experts sharing it.
-  void Targets(const WorkloadHistory& history,
-               std::vector<int64_t>* targets) const;
+  /// looked up once per run of experts sharing it. A nearest rank depends
+  /// only on the percentile and the window's fill count, so each run's
+  /// ranks are cached and recomputed only while its window fills; the
+  /// table must not change once Targets() has been called.
+  void Targets(const WorkloadHistory& history, std::vector<int64_t>* targets);
+
+ private:
+  /// rank_[i] is expert i's 1-based nearest rank in a window of
+  /// rank_fill_[b] samples, b the first expert of i's run (-1: not yet).
+  std::vector<int64_t> rank_;
+  std::vector<int64_t> rank_fill_;
 };
 
 /// Builds the percentile strategy family: per lookback, percentiles

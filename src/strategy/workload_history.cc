@@ -18,7 +18,7 @@ WorkloadHistory::WorkloadHistory(std::vector<int64_t> lookbacks)
   std::sort(lookbacks_.begin(), lookbacks_.end());
   for (int64_t lb : lookbacks_) {
     CACKLE_CHECK_GT(lb, 0);
-    windows_.push_back(Window{lb, {}, 0});
+    windows_.push_back(Window{lb, 0, false, {}});
   }
 }
 
@@ -30,12 +30,15 @@ void WorkloadHistory::Append(int64_t demand) {
     std::vector<int64_t>& s = w.sorted;
     w.sum += demand;
     if (now <= w.lookback_s) {
-      s.insert(std::upper_bound(s.begin(), s.end(), demand), demand);
+      if (w.sorted_live) {
+        s.insert(std::upper_bound(s.begin(), s.end(), demand), demand);
+      }
       continue;
     }
     const int64_t evicted =
         history_[static_cast<size_t>(now - w.lookback_s - 1)];
     w.sum -= evicted;
+    if (!w.sorted_live) continue;
     // Overwrite one copy of the evicted value with the new sample, shifting
     // the elements strictly between the two by one slot.
     const auto pos = std::lower_bound(s.begin(), s.end(), evicted);
@@ -62,7 +65,14 @@ const WorkloadHistory::Window& WorkloadHistory::FindWindow(
 
 const std::vector<int64_t>& WorkloadHistory::SortedWindow(
     int64_t lookback_s) const {
-  return FindWindow(lookback_s).sorted;
+  const Window& w = FindWindow(lookback_s);
+  if (!w.sorted_live) {
+    const int64_t n = std::min<int64_t>(size(), lookback_s);
+    w.sorted.assign(history_.end() - n, history_.end());
+    std::sort(w.sorted.begin(), w.sorted.end());
+    w.sorted_live = true;
+  }
+  return w.sorted;
 }
 
 int64_t WorkloadHistory::Percentile(int64_t lookback_s, double p) const {

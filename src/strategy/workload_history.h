@@ -7,16 +7,20 @@
 
 namespace cackle {
 
-/// Nearest-rank p-th percentile, p in (0, 100], of the ascending `sorted`:
-/// the element at rank k >= p/100 * n (1-based, clamped to [1, n]); 0 when
-/// empty.
+/// 1-based nearest rank of the p-th percentile, p in (0, 100], among n >= 1
+/// samples: the smallest k >= p/100 * n, clamped to [1, n].
+inline int64_t NearestRank(double p, int64_t n) {
+  const int64_t k =
+      static_cast<int64_t>((p / 100.0) * static_cast<double>(n) + 0.9999999);
+  return k < 1 ? 1 : (k > n ? n : k);
+}
+
+/// Nearest-rank p-th percentile, p in (0, 100], of the ascending `sorted`;
+/// 0 when empty.
 inline int64_t SortedPercentile(const std::vector<int64_t>& sorted, double p) {
   const int64_t n = static_cast<int64_t>(sorted.size());
   if (n == 0) return 0;
-  int64_t k =
-      static_cast<int64_t>((p / 100.0) * static_cast<double>(n) + 0.9999999);
-  k = k < 1 ? 1 : (k > n ? n : k);
-  return sorted[static_cast<size_t>(k - 1)];
+  return sorted[static_cast<size_t>(NearestRank(p, n) - 1)];
 }
 
 /// \brief The per-second demand history the coordinator maintains
@@ -25,11 +29,14 @@ inline int64_t SortedPercentile(const std::vector<int64_t>& sorted, double p) {
 ///
 /// Provisioning strategies ask for aggregates over trailing windows
 /// ("lookbacks"). For each registered lookback the history keeps the
-/// window's samples as one sorted array, so a percentile or max is a
-/// single array load and the several-hundred-expert dynamic strategy reads
-/// every expert's percentile from six arrays each second. An append
-/// replaces the evicted sample by the new one in place, moving only the
-/// elements between their two ranks.
+/// window's sum, and from the first SortedWindow/Percentile/Max call for
+/// that lookback on also its samples as one sorted array, so a percentile
+/// or max is a single array load and the several-hundred-expert dynamic
+/// strategy reads every expert's percentile from six arrays each second.
+/// An append replaces the evicted sample by the new one in place, moving
+/// only the elements between their two ranks; strategies that never ask
+/// for a percentile pay only the sums. The first call builds the array, so
+/// const reads of one history must not run concurrently.
 class WorkloadHistory {
  public:
   /// Default lookbacks (seconds) used by the strategy family: 10 s to 1 h.
@@ -70,8 +77,10 @@ class WorkloadHistory {
  private:
   struct Window {
     int64_t lookback_s;
-    std::vector<int64_t> sorted;
     int64_t sum = 0;
+    /// Built by the first SortedWindow() call, then kept up by Append.
+    mutable bool sorted_live = false;
+    mutable std::vector<int64_t> sorted;
   };
 
   const Window& FindWindow(int64_t lookback_s) const;
