@@ -555,5 +555,42 @@ TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
   }
 }
 
+// CackleEngine::Run accepts arrivals in any order. Equal-time arrivals must
+// fire in vector-index order and interleave with same-time engine events
+// exactly as per-arrival scheduling in index order would; this pins a run
+// whose arrival vector is out of time order and full of equal-time ties.
+TEST(EngineSchedulerGoldenTest, OutOfOrderArrivalsWithTiesArePinned) {
+  static const ProfileLibrary* lib =
+      new ProfileLibrary(ProfileLibrary::BuiltinTpch());
+  WorkloadOptions wl;
+  wl.num_queries = 80;
+  wl.duration_ms = kMillisPerHour / 6;
+  wl.arrival_period_ms = kMillisPerHour / 18;
+  wl.batch_fraction = 0.2;
+  wl.seed = 5151;
+  WorkloadGenerator gen(lib);
+  std::vector<QueryArrival> arrivals = gen.Generate(wl);
+  // Whole-minute arrival times make ~10 queries share each instant; the
+  // reverse-then-rotate puts the vector out of time order both globally and
+  // within every tie group.
+  for (QueryArrival& a : arrivals) {
+    a.arrival_ms -= a.arrival_ms % kMillisPerMinute;
+  }
+  std::reverse(arrivals.begin(), arrivals.end());
+  std::rotate(arrivals.begin(), arrivals.begin() + 27, arrivals.end());
+  ASSERT_FALSE(std::is_sorted(
+      arrivals.begin(), arrivals.end(),
+      [](const QueryArrival& a, const QueryArrival& b) {
+        return a.arrival_ms < b.arrival_ms;
+      }));
+
+  CostModel cost;
+  CackleEngine engine(&cost, EngineOptions{});
+  const EngineResult r = engine.Run(arrivals, *lib);
+  EXPECT_EQ(r.queries_completed, wl.num_queries);
+  const uint64_t fp = FingerprintResult(r);
+  EXPECT_EQ(fp, 0x083f67c38cb9b32bULL) << std::hex << "0x" << fp;
+}
+
 }  // namespace
 }  // namespace cackle::exec

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "cloud/cost_model.h"
@@ -85,6 +87,60 @@ void ExpectIdenticalResults(const EngineResult& a, const EngineResult& b) {
   }
 }
 
+/// One uint64 over every field ExpectIdenticalResults compares plus the
+/// per-second series, doubles by bit pattern, so a committed constant pins
+/// the whole result.
+uint64_t Fingerprint(const EngineResult& r) {
+  uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](uint64_t v) {
+    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+    h *= 1099511628211ULL;
+  };
+  const auto mix_double = [&mix](double d) {
+    uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(d));
+    std::memcpy(&bits, &d, sizeof(bits));
+    mix(bits);
+  };
+  const auto mix_samples = [&mix, &mix_double](const SampleSet& s) {
+    mix(s.samples().size());
+    for (const double v : s.samples()) mix_double(v);
+  };
+  mix_double(r.total_cost());
+  mix_double(r.compute_cost());
+  for (const int64_t v :
+       {r.makespan_ms, r.queries_completed, r.tasks_on_vms,
+        r.tasks_on_elastic, r.peak_concurrent_tasks, r.tasks_retried,
+        r.vms_interrupted, r.batch_tasks_delayed, r.batch_tasks_escalated,
+        r.shuffle_fallback_bytes, r.shuffle_written_bytes,
+        r.elastic_throttled, r.elastic_failures, r.store_retries,
+        r.vm_launch_failures, r.shuffle_nodes_crashed,
+        r.shuffle_partitions_lost, r.stages_reexecuted, r.tasks_speculated,
+        r.queries_shed, r.queries_deferred, r.admission_queue_peak,
+        r.retry_budget_exhausted, r.hedged_reads, r.hedged_wins,
+        r.storm_reclaims, r.store_circuit_trips, r.store_circuit_rejections,
+        r.tenant_cap_deferrals, r.tenant_queue_peak}) {
+    mix(static_cast<uint64_t>(v));
+  }
+  for (const std::vector<int64_t>* series :
+       {&r.demand_series, &r.target_series, &r.active_vm_series}) {
+    mix(series->size());
+    for (const int64_t v : *series) mix(static_cast<uint64_t>(v));
+  }
+  mix_samples(r.latencies_s);
+  mix_samples(r.batch_latencies_s);
+  mix(r.tenants.size());
+  for (const auto& [tenant, t] : r.tenants) {
+    mix(static_cast<uint64_t>(tenant));
+    mix(static_cast<uint64_t>(t.queries_completed));
+    mix(static_cast<uint64_t>(t.queries_shed));
+    mix(static_cast<uint64_t>(t.queries_deferred));
+    mix_double(t.invoice_dollars);
+    mix_samples(t.latencies_s);
+  }
+  return h;
+}
+
 EngineResult RunWith(SimScheduler scheduler, EngineOptions opts,
                      const std::vector<QueryArrival>& arrivals,
                      const ProfileLibrary& lib, const CostModel& cost) {
@@ -117,6 +173,8 @@ TEST(SimDifferentialTest, RepresentativeWorkloadIsBitIdentical) {
   EXPECT_GT(heap.tasks_retried + heap.tasks_speculated, 0)
       << "workload did not exercise the cancel paths";
   ExpectIdenticalResults(heap, calendar);
+  EXPECT_EQ(Fingerprint(calendar), 0x85bfec6fd0b8b4f6ULL)
+      << std::hex << "0x" << Fingerprint(calendar);
 }
 
 // Multi-tenant admission control + retry-budget deferral: the DRR drain,
@@ -158,6 +216,8 @@ TEST(SimDifferentialTest, MultiTenantAdmissionAndDeferralIsBitIdentical) {
       << "workload did not exercise the admission queues";
   EXPECT_GT(heap.tenants.size(), 1u);
   ExpectIdenticalResults(heap, calendar);
+  EXPECT_EQ(Fingerprint(calendar), 0x3d978d42cff4e862ULL)
+      << std::hex << "0x" << Fingerprint(calendar);
 }
 
 TEST(SimDifferentialTest, ReclamationStormScenarioIsBitIdentical) {
@@ -179,6 +239,8 @@ TEST(SimDifferentialTest, ReclamationStormScenarioIsBitIdentical) {
   EXPECT_GT(heap.storm_reclaims, 0)
       << "scenario did not trigger reclamation storms";
   ExpectIdenticalResults(heap, calendar);
+  EXPECT_EQ(Fingerprint(calendar), 0xd01c7ae5b2c72152ULL)
+      << std::hex << "0x" << Fingerprint(calendar);
 }
 
 }  // namespace
