@@ -1,26 +1,32 @@
-// Simulation-kernel microbench: event throughput of the two schedulers,
+// Simulation-kernel microbench: event throughput of the event core,
 // end-to-end engine queries/s, and parallel sweep speedup.
 //
 // Emits google-benchmark-compatible JSON (benchmarks carry
 // events_per_second / items_per_second) so scripts/bench_compare.py can
-// diff runs, plus a summary block with the Calendar-vs-Heap speedups, the
-// sweep scaling curve, and a cross-scheduler checksum-identity bit. The
+// diff runs, plus a summary block with the arrival-stream speedup, the
+// sweep scaling curve, and a thread-count checksum-identity bit. The
 // committed artifact lives at bench/results/BENCH_sim_core.json.
 //
-// Scheduler mixes:
+// Event-core mixes:
 //  - Hold: the classic hold model — prime the queue with a large resident
 //    population, then repeatedly (pop earliest, schedule a replacement a
-//    random distance ahead). Steady-state schedule+pop cost at scale; this
-//    is the figure the >=5x acceptance bar applies to.
+//    random distance ahead). Steady-state schedule+pop cost at scale.
 //  - BurstDrain: schedule a full workload burst (duplicate-heavy near
 //    timestamps), then drain. Insert-then-pop phases, like engine start-up.
 //  - CancelChurn: schedule, cancel half by handle, drain the rest. The
 //    tombstone/compaction path.
+//  - ArrivalSkew: the engine's shape without the engine — Table 1's 16,384
+//    arrivals pre-sorted over 12 h, each fanning out into chains of
+//    near-term task events. Run twice: arrivals through the sorted stream
+//    (Stream) and one ScheduleAt per arrival (ScheduleAt), which parks the
+//    whole 12 h schedule in the calendar wheel. Both runs execute the same
+//    events in the same order.
 //
 // Usage: sim_core [--fast]. CACKLE_BENCH_OUT_DIR picks the artifact dir;
 // CACKLE_SWEEP_THREADS is intentionally ignored here — the sweep section
 // measures 1/2/4 threads itself.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -49,14 +55,8 @@ double NowSeconds() {
       .count();
 }
 
-SimOptions MakeOptions(SimScheduler scheduler) {
-  SimOptions opts;
-  opts.scheduler = scheduler;
-  return opts;
-}
-
 struct Measurement {
-  std::string name;       // e.g. "SimCore/Hold/Calendar"
+  std::string name;       // e.g. "SimCore/Hold"
   double seconds = 0.0;
   double events_per_second = 0.0;  // 0 = report items_per_second instead
   double items_per_second = 0.0;
@@ -65,9 +65,8 @@ struct Measurement {
 
 /// Hold model: resident population `population`, `holds` pop+schedule
 /// pairs. Each hold is 2 events of work (one executed, one scheduled).
-Measurement RunHold(SimScheduler scheduler, const char* label,
-                    int64_t population, int64_t holds) {
-  Simulation sim(MakeOptions(scheduler));
+Measurement RunHold(int64_t population, int64_t holds) {
+  Simulation sim;
   Rng rng(0xB0BACAFEULL);
   int64_t fired = 0;
   for (int64_t i = 0; i < population; ++i) {
@@ -97,7 +96,7 @@ Measurement RunHold(SimScheduler scheduler, const char* label,
   }
   const double elapsed = NowSeconds() - start;
   Measurement m;
-  m.name = std::string("SimCore/Hold/") + label;
+  m.name = "SimCore/Hold";
   m.seconds = elapsed;
   m.iterations = holds;
   // One hold = one executed event + one schedule.
@@ -107,9 +106,8 @@ Measurement RunHold(SimScheduler scheduler, const char* label,
   return m;
 }
 
-Measurement RunBurstDrain(SimScheduler scheduler, const char* label,
-                          int64_t events) {
-  Simulation sim(MakeOptions(scheduler));
+Measurement RunBurstDrain(int64_t events) {
+  Simulation sim;
   Rng rng(0xDEADF00DULL);
   int64_t fired = 0;
   const double start = NowSeconds();
@@ -122,7 +120,7 @@ Measurement RunBurstDrain(SimScheduler scheduler, const char* label,
   sim.RunToCompletion();
   const double elapsed = NowSeconds() - start;
   Measurement m;
-  m.name = std::string("SimCore/BurstDrain/") + label;
+  m.name = "SimCore/BurstDrain";
   m.seconds = elapsed;
   m.iterations = events;
   // One schedule + one execute per event.
@@ -131,9 +129,8 @@ Measurement RunBurstDrain(SimScheduler scheduler, const char* label,
   return m;
 }
 
-Measurement RunCancelChurn(SimScheduler scheduler, const char* label,
-                           int64_t events) {
-  Simulation sim(MakeOptions(scheduler));
+Measurement RunCancelChurn(int64_t events) {
+  Simulation sim;
   Rng rng(0xC0FFEEULL);
   int64_t fired = 0;
   std::vector<uint64_t> ids;
@@ -148,7 +145,7 @@ Measurement RunCancelChurn(SimScheduler scheduler, const char* label,
   sim.RunToCompletion();
   const double elapsed = NowSeconds() - start;
   Measurement m;
-  m.name = std::string("SimCore/CancelChurn/") + label;
+  m.name = "SimCore/CancelChurn";
   m.seconds = elapsed;
   m.iterations = events;
   // Schedule + (cancel | execute) per event.
@@ -157,9 +154,72 @@ Measurement RunCancelChurn(SimScheduler scheduler, const char* label,
   return m;
 }
 
+/// Arrival-skew driver: every arrival starts `chains` chains of `hops`
+/// task events, each hop 1-2000 ms after the previous one.
+struct SkewDriver {
+  Simulation* sim;
+  Rng rng{0x5CE3ULL};
+  int chains = 0;
+  int hops = 0;
+
+  void Arrive() {
+    for (int c = 0; c < chains; ++c) Hop(hops);
+  }
+  void Hop(int left) {
+    if (left == 0) return;
+    sim->ScheduleAfter(1 + static_cast<SimTimeMs>(rng.NextBounded(2000)),
+                       [this, left] { Hop(left - 1); });
+  }
+};
+
+struct SkewRun {
+  Measurement m;
+  int64_t executed = 0;
+  SimTimeMs end_ms = 0;
+};
+
+SkewRun RunArrivalSkew(bool stream, int64_t arrivals, int chains, int hops) {
+  Rng rng(0xA11C0DEULL);
+  std::vector<SimTimeMs> times(static_cast<size_t>(arrivals));
+  for (SimTimeMs& t : times) {
+    t = static_cast<SimTimeMs>(rng.NextBounded(12 * kMillisPerHour));
+  }
+  std::sort(times.begin(), times.end());
+  Simulation sim;
+  SkewDriver driver{&sim};
+  driver.chains = chains;
+  driver.hops = hops;
+  const double start = NowSeconds();
+  if (stream) {
+    std::vector<Simulation::StreamEntry> entries;
+    entries.reserve(times.size());
+    for (size_t i = 0; i < times.size(); ++i) {
+      entries.push_back({times[i], static_cast<int64_t>(i)});
+    }
+    sim.ScheduleStream(std::move(entries),
+                       [&driver](int64_t) { driver.Arrive(); });
+  } else {
+    for (const SimTimeMs t : times) {
+      sim.ScheduleAt(t, [&driver] { driver.Arrive(); });
+    }
+  }
+  sim.RunToCompletion();
+  const double elapsed = NowSeconds() - start;
+  SkewRun run;
+  run.executed = sim.executed_events();
+  run.end_ms = sim.NowMs();
+  run.m.name = std::string("SimCore/ArrivalSkew/") +
+               (stream ? "Stream" : "ScheduleAt");
+  run.m.seconds = elapsed;
+  run.m.iterations = run.executed;
+  // One schedule + one execute per event.
+  run.m.events_per_second =
+      elapsed > 0 ? 2.0 * static_cast<double>(run.executed) / elapsed : 0.0;
+  return run;
+}
+
 /// End-to-end: a small engine run; throughput in queries/s.
-Measurement RunEndToEnd(SimScheduler scheduler, const char* label,
-                        int64_t queries) {
+Measurement RunEndToEnd(int64_t queries) {
   WorkloadOptions wl;
   wl.num_queries = queries;
   wl.duration_ms = kMillisPerHour / 6;
@@ -170,13 +230,12 @@ Measurement RunEndToEnd(SimScheduler scheduler, const char* label,
   CostModel cost;
   EngineOptions opts;
   opts.dynamic = DefaultDynamicOptions();
-  opts.sim.scheduler = scheduler;
   const double start = NowSeconds();
   CackleEngine engine(&cost, opts);
   const EngineResult r = engine.Run(arrivals, Library());
   const double elapsed = NowSeconds() - start;
   Measurement m;
-  m.name = std::string("SimCore/EngineQueries/") + label;
+  m.name = "SimCore/EngineQueries";
   m.seconds = elapsed;
   m.iterations = r.queries_completed;
   m.items_per_second =
@@ -221,8 +280,7 @@ struct SweepPoint {
 // (per-query heap vectors inside QueryState back then). Kept here so the
 // artifact carries an explicit before/after for that refactor instead of
 // relying on readers diffing artifact history.
-constexpr double kAosEngineQueriesHeap = 1790.1561532757273;
-constexpr double kAosEngineQueriesCalendar = 2073.7827572520955;
+constexpr double kAosEngineQueries = 2073.7827572520955;
 
 }  // namespace
 
@@ -233,24 +291,22 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader("Simulation-kernel microbench",
-              "Event throughput (hold / burst-drain / cancel-churn), "
-              "engine queries/s, parallel sweep scaling.");
+              "Event throughput (hold / burst-drain / cancel-churn / "
+              "arrival-skew), engine queries/s, parallel sweep scaling.");
 
   const int64_t population = fast ? 20'000 : 1'000'000;
   const int64_t holds = fast ? 200'000 : 2'000'000;
   const int64_t burst = fast ? 200'000 : 2'000'000;
   const int64_t churn = fast ? 200'000 : 2'000'000;
+  const int64_t skew_arrivals = fast ? 2'048 : 16'384;
+  const int skew_chains = fast ? 8 : 16;
+  const int skew_hops = 16;
   const int64_t e2e_queries = fast ? 40 : 150;
 
   std::vector<Measurement> ms;
-  const struct {
-    SimScheduler scheduler;
-    const char* label;
-  } schedulers[] = {{SimScheduler::kBinaryHeap, "Heap"},
-                    {SimScheduler::kCalendarQueue, "Calendar"}};
-  // Scheduler mixes run best-of-N: this is a single-core host, so one
-  // repetition is at the mercy of OS jitter; the max throughput over a few
-  // repetitions is the stable estimate of what the code can do.
+  // Event-core mixes run best-of-N: one repetition is at the mercy of OS
+  // jitter; the max throughput over a few repetitions is the stable
+  // estimate of what the code can do.
   const int reps = fast ? 1 : 3;
   const auto best = [reps](const std::function<Measurement()>& run) {
     Measurement best_m = run();
@@ -260,15 +316,30 @@ int main(int argc, char** argv) {
     }
     return best_m;
   };
-  for (const auto& s : schedulers) {
-    ms.push_back(best(
-        [&] { return RunHold(s.scheduler, s.label, population, holds); }));
-    ms.push_back(
-        best([&] { return RunBurstDrain(s.scheduler, s.label, burst); }));
-    ms.push_back(
-        best([&] { return RunCancelChurn(s.scheduler, s.label, churn); }));
-    ms.push_back(RunEndToEnd(s.scheduler, s.label, e2e_queries));
+  ms.push_back(best([&] { return RunHold(population, holds); }));
+  ms.push_back(best([&] { return RunBurstDrain(burst); }));
+  ms.push_back(best([&] { return RunCancelChurn(churn); }));
+  // The two ArrivalSkew runs must execute the same events and end at the
+  // same instant; alternate them so drift on the host hits both alike.
+  bool skew_identical = true;
+  Measurement skew_stream, skew_schedule_at;
+  for (int r = 0; r < reps; ++r) {
+    const SkewRun a = RunArrivalSkew(/*stream=*/true, skew_arrivals,
+                                     skew_chains, skew_hops);
+    const SkewRun b = RunArrivalSkew(/*stream=*/false, skew_arrivals,
+                                     skew_chains, skew_hops);
+    skew_identical &= a.executed == b.executed && a.end_ms == b.end_ms;
+    if (r == 0 || a.m.events_per_second > skew_stream.events_per_second) {
+      skew_stream = a.m;
+    }
+    if (r == 0 ||
+        b.m.events_per_second > skew_schedule_at.events_per_second) {
+      skew_schedule_at = b.m;
+    }
   }
+  ms.push_back(skew_stream);
+  ms.push_back(skew_schedule_at);
+  ms.push_back(RunEndToEnd(e2e_queries));
 
   // Parallel sweep: the same cell grid at 1/2/4 threads. Checksums prove
   // the merged results are thread-count invariant; the timing column is an
@@ -296,24 +367,10 @@ int main(int argc, char** argv) {
   }
 
   // Console report.
-  double hold_speedup = 0.0, burst_speedup = 0.0, churn_speedup = 0.0;
-  const auto find = [&ms](const std::string& name) -> const Measurement& {
-    for (const Measurement& m : ms) {
-      if (m.name == name) return m;
-    }
-    static const Measurement none;
-    return none;
-  };
-  const auto ratio = [&find](const char* mix) {
-    const double heap =
-        find(std::string("SimCore/") + mix + "/Heap").events_per_second;
-    const double cal =
-        find(std::string("SimCore/") + mix + "/Calendar").events_per_second;
-    return heap > 0 ? cal / heap : 0.0;
-  };
-  hold_speedup = ratio("Hold");
-  burst_speedup = ratio("BurstDrain");
-  churn_speedup = ratio("CancelChurn");
+  const double stream_speedup =
+      skew_schedule_at.events_per_second > 0
+          ? skew_stream.events_per_second / skew_schedule_at.events_per_second
+          : 0.0;
   for (const Measurement& m : ms) {
     const double v =
         m.events_per_second > 0 ? m.events_per_second : m.items_per_second;
@@ -323,17 +380,12 @@ int main(int argc, char** argv) {
                                                  : " queries/s")
               << "\n";
   }
-  std::cout << "calendar vs heap: hold " << hold_speedup << "x, burst "
-            << burst_speedup << "x, cancel-churn " << churn_speedup << "x\n";
-  const double soa_heap =
-      find("SimCore/EngineQueries/Heap").items_per_second;
-  const double soa_calendar =
-      find("SimCore/EngineQueries/Calendar").items_per_second;
-  if (soa_heap > 0 && soa_calendar > 0) {
-    std::cout << "engine queries vs pre-SoA bookkeeping: heap "
-              << soa_heap / kAosEngineQueriesHeap << "x, calendar "
-              << soa_calendar / kAosEngineQueriesCalendar << "x\n";
-  }
+  std::cout << "arrival skew: stream vs per-event ScheduleAt "
+            << stream_speedup << "x, same events and end time: "
+            << (skew_identical ? "yes" : "NO") << "\n";
+  const double soa = ms.back().items_per_second;
+  std::cout << "engine queries vs pre-SoA bookkeeping: "
+            << soa / kAosEngineQueries << "x\n";
   bool checksums_identical = true;
   for (const SweepPoint& p : sweep) {
     checksums_identical &= p.checksum == sweep.front().checksum;
@@ -352,7 +404,7 @@ int main(int argc, char** argv) {
   std::ofstream out(path);
   JsonWriter w(out);
   w.BeginObject();
-  w.Field("schema_version", static_cast<int64_t>(1));
+  w.Field("schema_version", static_cast<int64_t>(2));
   w.Field("bench", "sim_core");
   w.Field("fast_mode", fast);
   w.Key("context");
@@ -380,23 +432,16 @@ int main(int argc, char** argv) {
   w.EndArray();
   w.Key("summary");
   w.BeginObject();
-  w.Field("calendar_vs_heap_hold", hold_speedup);
-  w.Field("calendar_vs_heap_burst_drain", burst_speedup);
-  w.Field("calendar_vs_heap_cancel_churn", churn_speedup);
-  if (soa_heap > 0 && soa_calendar > 0) {
-    // Before/after for the engine's task-countdown layout: the "before"
-    // constants are the committed AoS numbers (see kAosEngineQueries*).
-    w.Key("task_bookkeeping_soa");
-    w.BeginObject();
-    w.Field("before_aos_heap_queries_per_s", kAosEngineQueriesHeap);
-    w.Field("before_aos_calendar_queries_per_s", kAosEngineQueriesCalendar);
-    w.Field("after_soa_heap_queries_per_s", soa_heap);
-    w.Field("after_soa_calendar_queries_per_s", soa_calendar);
-    w.Field("heap_speedup_vs_aos", soa_heap / kAosEngineQueriesHeap);
-    w.Field("calendar_speedup_vs_aos",
-            soa_calendar / kAosEngineQueriesCalendar);
-    w.EndObject();
-  }
+  w.Field("arrival_skew_stream_vs_schedule_at", stream_speedup);
+  w.Field("arrival_skew_runs_identical", skew_identical);
+  // Before/after for the engine's task-countdown layout: the "before"
+  // constant is the committed AoS number (see kAosEngineQueries).
+  w.Key("task_bookkeeping_soa");
+  w.BeginObject();
+  w.Field("before_aos_queries_per_s", kAosEngineQueries);
+  w.Field("after_soa_queries_per_s", soa);
+  w.Field("speedup_vs_aos", soa / kAosEngineQueries);
+  w.EndObject();
   w.Key("sweep");
   w.BeginArray();
   for (const SweepPoint& p : sweep) {
@@ -414,5 +459,5 @@ int main(int argc, char** argv) {
   out << "\n";
   std::cout << "artifact: " << path << "\n";
 
-  return checksums_identical ? 0 : 1;
+  return checksums_identical && skew_identical ? 0 : 1;
 }

@@ -85,16 +85,17 @@ def spawn_speedups(run):
     Benchmarks come in variant families measured in the same invocation:
     the multi-stage plan benchmarks as Spawn/Pool/Pipelined (per-stage
     thread-spawn baseline vs pool scheduling), the simulation-kernel
-    benchmarks as Heap/Calendar (binary-heap baseline vs calendar-queue
-    scheduler), and the intra-operator knob variants as Radix/Bloom/MorselN
-    suffixes whose scalar sibling is the same name with the suffix dropped.
+    arrival-skew mix as ScheduleAt/Stream (one ScheduleAt per arrival vs
+    the sorted arrival stream), and the intra-operator knob variants as
+    Radix/Bloom/MorselN suffixes whose scalar sibling is the same name with
+    the suffix dropped.
     For each non-baseline variant this reports how much faster it runs than
     its baseline sibling of the same invocation, so the artifact records
     the win even when the committed cross-run baseline predates these
     benchmarks.
     """
     pairs = (("Pool", "Spawn"), ("Pipelined", "Spawn"),
-             ("Calendar", "Heap"),
+             ("Stream", "ScheduleAt"),
              ("Radix", ""), ("Bloom", ""), ("Morsel2", ""), ("Morsel4", ""))
     out = {}
     for name, entry in run.items():

@@ -177,11 +177,12 @@ python3 scripts/bench_compare.py \
   build-release/BENCH_micro_exec_raw.json \
   --out bench/results/BENCH_micro_exec.json
 
-# Simulation-kernel smoke: the scheduler microbench in fast mode, compared
+# Simulation-kernel smoke: the event-core microbench in fast mode, compared
 # against the committed full-scale artifact. The committed numbers come
 # from paper-scale populations, so the fast-mode run is a smoke test (does
-# it run, does it emit well-formed JSON, do the Calendar/Heap pairs still
-# resolve), not a regression gate.
+# it run, does it emit well-formed JSON, does the ArrivalSkew Stream/
+# ScheduleAt pair still resolve, do both runs execute the same events), not
+# a regression gate.
 echo "=== bench smoke (sim_core, fast) ==="
 CACKLE_FAST_BENCH=1 CACKLE_BENCH_OUT_DIR=build-release \
   ./build-release/bench/sim_core

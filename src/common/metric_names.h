@@ -67,10 +67,11 @@ inline constexpr char kEngineTenantCapDeferrals[] =
 inline constexpr char kEngineTenantQueuePeak[] = "engine.tenant.queue_peak";
 
 // --------------------------------------------------------------- sim.* names
-// Simulation-kernel counters exported at the end of every engine run. These
-// describe scheduler internals (not workload outcomes), so they may differ
-// between the kBinaryHeap and kCalendarQueue backends even though the
-// workload results are bit-identical.
+// Simulation-kernel counters exported at the end of every engine run. The
+// three event counts follow from the workload (arrival-stream entries count
+// as scheduled and executed); the rest describe how the calendar queue
+// stores events, so they move when its layout changes even though every
+// workload result stays bit-identical.
 inline constexpr char kSimEventsScheduled[] = "sim.events_scheduled";
 inline constexpr char kSimEventsExecuted[] = "sim.events_executed";
 inline constexpr char kSimEventsCancelled[] = "sim.events_cancelled";

@@ -229,18 +229,15 @@ WarehouseResult RunWarehouseSimulation(
     c.state = ClusterState::kRunning;
   }
 
-  for (size_t q = 0; q < arrivals.size(); ++q) {
-    sim.ScheduleAt(arrivals[q].arrival_ms, [&, q] {
-      queue.push_back(QueuedQuery{q, sim.NowMs()});
-      dispatch();
-      if (!queue.empty()) {
-        // Re-check the scale-up condition when this query ages past the
-        // threshold.
-        sim.ScheduleAfter(options.queue_before_scale_up_ms,
-                          [&] { dispatch(); });
-      }
-    });
-  }
+  ScheduleArrivals(arrivals, &sim, [&](int64_t q) {
+    queue.push_back(QueuedQuery{static_cast<size_t>(q), sim.NowMs()});
+    dispatch();
+    if (!queue.empty()) {
+      // Re-check the scale-up condition when this query ages past the
+      // threshold.
+      sim.ScheduleAfter(options.queue_before_scale_up_ms, [&] { dispatch(); });
+    }
+  });
 
   sim.RunToCompletion();
   CACKLE_CHECK_EQ(result.latencies_s.size(), arrivals.size());

@@ -109,15 +109,13 @@ WorkDelayResult RunWorkDelaySimulation(
           static_cast<int>(state.profile->stages[s].dependencies.size());
       state.tasks_remaining[s] = state.profile->stages[s].num_tasks;
     }
-    sim.ScheduleAt(state.arrival_ms, [&, q] {
-      const QueryState& st = queries[q];
-      for (size_t s = 0; s < st.profile->stages.size(); ++s) {
-        if (st.deps_remaining[s] == 0) {
-          on_stage_ready(static_cast<int64_t>(q), static_cast<int>(s));
-        }
-      }
-    });
   }
+  ScheduleArrivals(arrivals, &sim, [&](int64_t q) {
+    const QueryState& st = queries[static_cast<size_t>(q)];
+    for (size_t s = 0; s < st.profile->stages.size(); ++s) {
+      if (st.deps_remaining[s] == 0) on_stage_ready(q, static_cast<int>(s));
+    }
+  });
 
   sim.RunToCompletion();
   CACKLE_CHECK_EQ(result.latencies_s.size(), arrivals.size());

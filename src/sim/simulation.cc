@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
@@ -23,172 +24,22 @@ int64_t RoundUpPow2(int64_t v) {
 
 }  // namespace
 
-/// Scheduler backend interface. The two implementations must agree on
-/// observable behavior exactly: events pop in (when, seq) order, Cancel
-/// returns true iff the event was still pending, and a cancelled event
-/// never pops. Memory layout and handle encoding may differ.
-class Simulation::QueueImpl {
- public:
-  explicit QueueImpl(Stats* stats, const SimOptions& options)
-      : stats_(stats), options_(options) {}
-  virtual ~QueueImpl() = default;
-
-  /// Enqueues an event; returns its cancellation handle.
-  virtual uint64_t Schedule(SimTimeMs when, uint64_t seq, Callback cb) = 0;
-  /// Cancels a pending event (true iff it was live). The callback is
-  /// destroyed immediately; a stale handle (already fired, already
-  /// cancelled, or recycled storage) safely returns false.
-  virtual bool Cancel(uint64_t id) = 0;
-  /// Pops the earliest live event if its time is <= `limit`, moving its
-  /// callback into `*cb`. Returns false when no live event qualifies.
-  virtual bool PopNext(SimTimeMs limit, SimTimeMs* when, Callback* cb) = 0;
-  /// Resident entries, including cancelled tombstones.
-  virtual int64_t entries() const = 0;
-
- protected:
-  Stats* stats_;
-  const SimOptions options_;
-};
-
-// ---------------------------------------------------------------------------
-// Binary-heap reference scheduler: the original kernel — one heap-allocated
-// event per schedule, a std::priority_queue of pointers, and a flat seq-
-// indexed registry for cancellation. Kept verbatim (plus tombstone
-// compaction) as the differential-testing reference and perf baseline.
-// ---------------------------------------------------------------------------
-
-class Simulation::BinaryHeapQueue : public Simulation::QueueImpl {
- public:
-  using QueueImpl::QueueImpl;
-
-  ~BinaryHeapQueue() override {
-    while (!queue_.empty()) {
-      delete queue_.top();
-      queue_.pop();
-    }
-  }
-
-  uint64_t Schedule(SimTimeMs when, uint64_t seq, Callback cb) override {
-    Event* ev = new Event{when, seq, std::move(cb), false};
-    queue_.push(ev);
-    pending_.push_back(ev);
-    return seq;
-  }
-
-  bool Cancel(uint64_t id) override {
-    Event* ev = FindPending(id);
-    if (ev == nullptr || ev->cancelled) return false;
-    ev->cancelled = true;
-    ev->cb.reset();
-    ++tombstones_;
-    MaybeCompact();
-    return true;
-  }
-
-  bool PopNext(SimTimeMs limit, SimTimeMs* when, Callback* cb) override {
-    while (!queue_.empty()) {
-      Event* ev = queue_.top();
-      if (!ev->cancelled && ev->when > limit) return false;
-      queue_.pop();
-      ClearRegistrySlot(ev->seq);
-      if (ev->cancelled) {
-        --tombstones_;
-        delete ev;
-        continue;
-      }
-      *when = ev->when;
-      *cb = std::move(ev->cb);
-      delete ev;
-      if ((++pops_ & 0xFFF) == 0) CompactRegistry();
-      return true;
-    }
-    CompactRegistry();
-    return false;
-  }
-
-  int64_t entries() const override {
-    return static_cast<int64_t>(queue_.size());
-  }
-
- private:
-  struct Event {
-    SimTimeMs when;
-    uint64_t seq;
-    Callback cb;
-    bool cancelled = false;
-  };
-  struct EventOrder {
-    bool operator()(const Event* a, const Event* b) const {
-      if (a->when != b->when) return a->when > b->when;
-      return a->seq > b->seq;
-    }
-  };
-
-  Event* FindPending(uint64_t seq) {
-    if (seq < base_seq_) return nullptr;
-    const uint64_t slot = seq - base_seq_;
-    if (slot >= pending_.size()) return nullptr;
-    return pending_[slot];
-  }
-
-  void ClearRegistrySlot(uint64_t seq) {
-    const uint64_t slot = seq - base_seq_;
-    CACKLE_CHECK_LT(slot, pending_.size());
-    pending_[slot] = nullptr;
-  }
-
-  void CompactRegistry() {
-    // Drop leading registry slots whose events already executed (marked
-    // nullptr) to keep memory bounded on long simulations.
-    size_t drop = 0;
-    while (drop < pending_.size() && pending_[drop] == nullptr) ++drop;
-    if (drop > 0) {
-      pending_.erase(pending_.begin(),
-                     pending_.begin() + static_cast<ptrdiff_t>(drop));
-      base_seq_ += drop;
-    }
-  }
-
-  void MaybeCompact() {
-    const int64_t live = entries() - tombstones_;
-    if (tombstones_ <= options_.min_compaction_tombstones ||
-        tombstones_ <= 2 * live) {
-      return;
-    }
-    std::vector<Event*> keep;
-    keep.reserve(static_cast<size_t>(live));
-    while (!queue_.empty()) {
-      Event* ev = queue_.top();
-      queue_.pop();
-      if (ev->cancelled) {
-        ClearRegistrySlot(ev->seq);
-        delete ev;
-        ++stats_->tombstones_purged;
-      } else {
-        keep.push_back(ev);
-      }
-    }
-    for (Event* ev : keep) queue_.push(ev);
-    tombstones_ = 0;
-    ++stats_->compactions;
-    CompactRegistry();
-  }
-
-  std::priority_queue<Event*, std::vector<Event*>, EventOrder> queue_;
-  // Flat cancellation registry, slot = seq - base_seq_. Entries are nulled
-  // as events run; the leading executed prefix is dropped periodically.
-  std::vector<Event*> pending_;
-  uint64_t base_seq_ = 0;
-  int64_t tombstones_ = 0;
-  uint64_t pops_ = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Calendar-queue scheduler: a bucketed wheel over the near future with a
 // min-heap overflow for far-future events, arena-allocated event nodes, and
-// generation-checked handles.
+// generation-checked handles. It is the only event queue; a Simulation's
+// sorted arrival stream sits beside it, not in it.
 //
-// Layout invariants (the determinism argument lives in DESIGN.md):
+// Stream/wheel merge: every event, wheel or stream, carries the sequence
+// number ScheduleAt would have given it (a stream reserves a contiguous
+// range), and PopNext takes an exclusive (when, seq) bound — the stream
+// head — so it yields a wheel event only when that event orders before the
+// head. The stream is sorted by (when, seq) and the wheel pops in (when,
+// seq) order, so the merged run order is the total (when, seq) order: the
+// same events run in the same order as if every stream entry had been a
+// ScheduleAt call. The full argument lives in DESIGN.md.
+//
+// Layout invariants:
 //  - `batch_` holds the extracted front run, sorted by (when, seq); every
 //    batch entry orders strictly before every wheel/overflow entry.
 //  - each wheel bucket holds only entries of its *current* window
@@ -202,10 +53,10 @@ class Simulation::BinaryHeapQueue : public Simulation::QueueImpl {
 //    bulk by the lazy compaction sweep.
 // ---------------------------------------------------------------------------
 
-class Simulation::CalendarQueue : public Simulation::QueueImpl {
+class Simulation::CalendarQueue {
  public:
   CalendarQueue(Stats* stats, const SimOptions& options)
-      : QueueImpl(stats, options) {
+      : stats_(stats), options_(options) {
     bucket_count_ = static_cast<int>(RoundUpPow2(
         std::max(2, options.initial_bucket_count)));
     width_shift_ = ShiftFor(std::max<SimTimeMs>(1,
@@ -213,19 +64,32 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
     buckets_.resize(static_cast<size_t>(bucket_count_));
   }
 
-  uint64_t Schedule(SimTimeMs when, uint64_t seq, Callback cb) override {
+  /// Enqueues an event; returns its cancellation handle. `now` is the
+  /// simulation clock (<= when).
+  uint64_t Schedule(SimTimeMs now, SimTimeMs when, uint64_t seq,
+                    Callback cb) {
     const uint32_t slot = pool_.Alloc();
     Node& node = pool_.at(slot);
     node.cb = std::move(cb);
     node.when = when;
     node.seq = seq;
     node.live = true;
+    if (wheel_entries_ == 0 && BatchEmpty() && overflow_.empty()) {
+      // Nothing resident: re-anchor the wheel at the clock, so a clock jump
+      // (a stream entry far past the last wheel event) does not leave
+      // Refill to walk up to a revolution of empty buckets. Every later
+      // event is at or after `now`, so none lands before the window.
+      window_ = now & ~(Width() - 1);
+    }
     Insert(Entry{when, seq, slot, node.gen});
     MaybeResize();
     return MakeId(slot, node.gen);
   }
 
-  bool Cancel(uint64_t id) override {
+  /// Cancels a pending event (true iff it was live). The callback is
+  /// destroyed immediately; a stale handle (already fired, already
+  /// cancelled, or recycled storage) safely returns false.
+  bool Cancel(uint64_t id) {
     const uint32_t slot = static_cast<uint32_t>(id & 0xffffffffu);
     const uint32_t gen = static_cast<uint32_t>(id >> 32);
     if (static_cast<size_t>(slot) >= pool_.size()) return false;
@@ -237,7 +101,11 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
     return true;
   }
 
-  bool PopNext(SimTimeMs limit, SimTimeMs* when, Callback* cb) override {
+  /// Pops the earliest live event if it orders strictly before
+  /// (limit_when, limit_seq), moving its callback into `*cb`. Returns false
+  /// when no live event qualifies.
+  bool PopNext(SimTimeMs limit_when, uint64_t limit_seq, SimTimeMs* when,
+               Callback* cb) {
     for (;;) {
       while (!BatchEmpty() && IsStale(batch_[batch_head_])) {
         BatchPopFront();
@@ -248,7 +116,10 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
         continue;
       }
       const Entry front = batch_[batch_head_];
-      if (front.when > limit) return false;
+      if (front.when > limit_when ||
+          (front.when == limit_when && front.seq >= limit_seq)) {
+        return false;
+      }
       BatchPopFront();
       Node& node = pool_.at(front.slot);
       *when = front.when;
@@ -258,7 +129,8 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
     }
   }
 
-  int64_t entries() const override {
+  /// Resident entries, including cancelled tombstones.
+  int64_t entries() const {
     return wheel_entries_ + static_cast<int64_t>(overflow_.size()) +
            static_cast<int64_t>(batch_.size() - batch_head_);
   }
@@ -367,7 +239,7 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
       std::vector<Entry>& bucket = buckets_[BucketIndex(window_)];
       if (bucket.empty()) {
         window_ += Width();
-        Migrate();
+        if (!overflow_.empty() && overflow_.top().when < Horizon()) Migrate();
         continue;
       }
       // Extract the earliest tie group. Bucket order is append order, so
@@ -399,11 +271,12 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
   }
 
   /// Moves overflow entries now inside the horizon into their buckets.
+  /// The caller has checked that the overflow top lies inside the horizon.
   /// The heap pops in (when, seq) order, so equal-time entries land in a
   /// bucket in seq order ahead of any later direct appends.
   void Migrate() {
     const SimTimeMs horizon = Horizon();
-    while (!overflow_.empty() && overflow_.top().when < horizon) {
+    do {
       const Entry e = overflow_.top();
       overflow_.pop();
       if (IsStale(e)) {
@@ -413,7 +286,7 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
       buckets_[BucketIndex(e.when)].push_back(e);
       ++wheel_entries_;
       ++stats_->overflow_migrations;
-    }
+    } while (!overflow_.empty() && overflow_.top().when < horizon);
   }
 
   /// Grows the wheel (and re-derives the bucket width from the live event
@@ -529,6 +402,8 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
     ++stats_->compactions;
   }
 
+  Stats* stats_;
+  const SimOptions options_;
   SlabPool<Node> pool_{1024};
   std::vector<std::vector<Entry>> buckets_;
   std::priority_queue<Entry, std::vector<Entry>, EntryAfter> overflow_;
@@ -552,24 +427,43 @@ class Simulation::CalendarQueue : public Simulation::QueueImpl {
 
 Simulation::Simulation() : Simulation(SimOptions{}) {}
 
-Simulation::Simulation(const SimOptions& options) : options_(options) {
-  if (options_.scheduler == SimScheduler::kBinaryHeap) {
-    queue_ = std::make_unique<BinaryHeapQueue>(&stats_, options_);
-  } else {
-    queue_ = std::make_unique<CalendarQueue>(&stats_, options_);
-  }
-}
+Simulation::Simulation(const SimOptions& options)
+    : queue_(std::make_unique<CalendarQueue>(&stats_, options)) {}
 
 Simulation::~Simulation() = default;
 
 uint64_t Simulation::ScheduleAt(SimTimeMs when, Callback cb) {
   CACKLE_CHECK_GE(when, now_) << "cannot schedule in the past";
-  const uint64_t id = queue_->Schedule(when, next_seq_++, std::move(cb));
+  const uint64_t id = queue_->Schedule(now_, when, next_seq_++, std::move(cb));
   ++live_events_;
   ++stats_.scheduled;
   stats_.peak_queue_entries =
-      std::max(stats_.peak_queue_entries, queue_->entries());
+      std::max(stats_.peak_queue_entries, queue_entries());
   return id;
+}
+
+void Simulation::ScheduleStream(std::vector<StreamEntry> entries,
+                                StreamHandler handler) {
+  CACKLE_CHECK_EQ(stream_head_, stream_.size())
+      << "a previous stream is still pending";
+  if (!entries.empty()) {
+    CACKLE_CHECK_GE(entries.front().when, now_)
+        << "stream entry before NowMs()";
+  }
+  for (size_t i = 1; i < entries.size(); ++i) {
+    CACKLE_CHECK_GE(entries[i].when, entries[i - 1].when)
+        << "stream out of time order";
+  }
+  const int64_t n = static_cast<int64_t>(entries.size());
+  stream_ = std::move(entries);
+  stream_head_ = 0;
+  stream_seq_ = next_seq_;
+  stream_handler_ = std::move(handler);
+  next_seq_ += static_cast<uint64_t>(n);
+  live_events_ += n;
+  stats_.scheduled += n;
+  stats_.peak_queue_entries =
+      std::max(stats_.peak_queue_entries, queue_entries());
 }
 
 bool Simulation::Cancel(uint64_t event_id) {
@@ -579,18 +473,56 @@ bool Simulation::Cancel(uint64_t event_id) {
   return true;
 }
 
-int64_t Simulation::RunUntil(SimTimeMs until) {
+void Simulation::RunStreamHead() {
+  const StreamEntry e = stream_[stream_head_++];
+  now_ = e.when;
+  --live_events_;
+  if (stream_head_ < stream_.size()) {
+    stream_handler_(e.index);
+    return;
+  }
+  // Last entry: release the stream before running it, so the handler may
+  // schedule the next stream.
+  StreamHandler handler = std::move(stream_handler_);
+  stream_handler_ = nullptr;
+  std::vector<StreamEntry>().swap(stream_);
+  stream_head_ = 0;
+  handler(e.index);
+}
+
+int64_t Simulation::Drain(SimTimeMs until) {
+  // Merge the stream head with the calendar queue by (when, seq): the queue
+  // yields an event only if it orders before the stream head, so the run
+  // order is the one a single queue holding both would produce.
+  constexpr uint64_t kNoSeqLimit = std::numeric_limits<uint64_t>::max();
   int64_t ran = 0;
   SimTimeMs when = 0;
   Callback cb;
-  while (queue_->PopNext(until, &when, &cb)) {
-    now_ = when;
-    --live_events_;
-    cb();
-    cb.reset();
+  for (;;) {
+    const bool stream_due =
+        stream_head_ < stream_.size() && stream_[stream_head_].when <= until;
+    const SimTimeMs limit_when =
+        stream_due ? stream_[stream_head_].when : until;
+    const uint64_t limit_seq =
+        stream_due ? stream_seq_ + stream_head_ : kNoSeqLimit;
+    if (queue_->PopNext(limit_when, limit_seq, &when, &cb)) {
+      now_ = when;
+      --live_events_;
+      cb();
+      cb.reset();
+    } else if (stream_due) {
+      RunStreamHead();
+    } else {
+      break;
+    }
     ++ran;
     ++executed_;
   }
+  return ran;
+}
+
+int64_t Simulation::RunUntil(SimTimeMs until) {
+  const int64_t ran = Drain(until);
   // With no live events left, the clock owes the caller the full interval.
   // (Keyed on *live* events: lingering cancelled tombstones must not pin
   // the clock, one of the accounting guarantees regression-tested in
@@ -599,21 +531,11 @@ int64_t Simulation::RunUntil(SimTimeMs until) {
   return ran;
 }
 
-int64_t Simulation::RunToCompletion() {
-  int64_t ran = 0;
-  SimTimeMs when = 0;
-  Callback cb;
-  while (queue_->PopNext(kMaxSimTime, &when, &cb)) {
-    now_ = when;
-    --live_events_;
-    cb();
-    cb.reset();
-    ++ran;
-    ++executed_;
-  }
-  return ran;
-}
+int64_t Simulation::RunToCompletion() { return Drain(kMaxSimTime); }
 
-int64_t Simulation::queue_entries() const { return queue_->entries(); }
+int64_t Simulation::queue_entries() const {
+  return queue_->entries() +
+         static_cast<int64_t>(stream_.size() - stream_head_);
+}
 
 }  // namespace cackle

@@ -2,7 +2,9 @@
 #define CACKLE_SIM_SIMULATION_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/inline_function.h"
 
@@ -24,25 +26,9 @@ constexpr SimTimeMs SecondsToMs(double seconds) {
   return static_cast<SimTimeMs>(seconds * 1000.0 + 0.5);
 }
 
-/// Which event-queue implementation backs a Simulation.
-///
-/// Both schedulers execute events in exactly the same (time, insertion-
-/// sequence) order — a workload run under one must be bit-identical under
-/// the other (enforced by sim_scheduler_property_test and
-/// sim_differential_test). kBinaryHeap is the original pointer-based
-/// std::priority_queue kernel, kept as the differential-testing reference
-/// and the performance baseline; kCalendarQueue is the O(1)-amortized
-/// bucketed-wheel scheduler with arena-allocated event nodes.
-enum class SimScheduler {
-  kBinaryHeap,
-  kCalendarQueue,
-};
-
 /// Tuning for the simulation kernel. Defaults are right for every workload
 /// in this repo; the knobs exist for tests and benchmarks.
 struct SimOptions {
-  SimScheduler scheduler = SimScheduler::kCalendarQueue;
-
   /// Calendar-wheel starting geometry. Both are rounded up to powers of
   /// two; the wheel re-sizes itself (doubling buckets, re-deriving the
   /// bucket width from the live event-time span) as the event population
@@ -68,6 +54,11 @@ struct SimOptions {
 /// Event handles returned by ScheduleAt/ScheduleAfter are generation
 /// checked: Cancel() on a handle whose event already fired (or whose
 /// storage slot has since been recycled) safely returns false.
+///
+/// A workload's arrival schedule — known up front, already in time order,
+/// never cancelled — goes through ScheduleStream instead: a flat sorted
+/// array beside the calendar wheel, so the wheel holds only near-term work
+/// and sizes its buckets to that work's density.
 class Simulation {
  public:
   /// Event closures are small-buffer-optimized and move-only; anything
@@ -75,9 +66,17 @@ class Simulation {
   /// captures up to 48 bytes.
   using Callback = InlineFunction<48>;
 
+  /// One stream event: run the stream handler on `index` at `when`.
+  struct StreamEntry {
+    SimTimeMs when;
+    int64_t index;
+  };
+  using StreamHandler = std::function<void(int64_t index)>;
+
   /// Lifetime counters for observability and bounded-memory tests. All
   /// values are cumulative except peak_queue_entries.
   struct Stats {
+    /// Events scheduled, stream entries included.
     int64_t scheduled = 0;
     int64_t cancelled = 0;
     /// Tombstone sweeps triggered by the lazy-compaction threshold.
@@ -88,7 +87,7 @@ class Simulation {
     int64_t calendar_resizes = 0;
     /// Entries migrated from the far-future overflow into the wheel.
     int64_t overflow_migrations = 0;
-    /// High-water mark of resident queue entries (live + tombstones).
+    /// High-water mark of queue_entries().
     int64_t peak_queue_entries = 0;
   };
 
@@ -109,6 +108,15 @@ class Simulation {
     return ScheduleAt(now_ + delay, std::move(cb));
   }
 
+  /// Schedules every entry in one call: entry i runs `handler(index)` at
+  /// its `when`, in exactly the order `entries.size()` ScheduleAt calls made
+  /// now, in array order, would run. The call reserves those calls'
+  /// sequence numbers (entry i gets the i-th), so ties against wheel events
+  /// break the same way. `entries` must be sorted by `when`, none before
+  /// NowMs(), and no earlier stream may still be pending. Stream events
+  /// count as scheduled and executed but cannot be cancelled.
+  void ScheduleStream(std::vector<StreamEntry> entries, StreamHandler handler);
+
   /// Cancels a pending event. Returns false if the event already ran or was
   /// already cancelled.
   bool Cancel(uint64_t event_id);
@@ -123,26 +131,34 @@ class Simulation {
   bool empty() const { return live_events_ == 0; }
   int64_t executed_events() const { return executed_; }
 
-  SimScheduler scheduler() const { return options_.scheduler; }
   const Stats& stats() const { return stats_; }
 
-  /// Entries currently resident in the queue structures, including
-  /// cancelled tombstones awaiting lazy compaction. Test hook for the
-  /// bounded-memory guarantee.
+  /// Entries currently resident in the event structures: pending stream
+  /// entries plus the calendar queue's, including cancelled tombstones
+  /// awaiting lazy compaction. Test hook for the bounded-memory guarantee.
   int64_t queue_entries() const;
 
  private:
-  class QueueImpl;        // scheduler interface
-  class BinaryHeapQueue;  // reference implementation
-  class CalendarQueue;    // bucketed-wheel implementation
+  class CalendarQueue;
 
-  const SimOptions options_;
+  /// Runs events up to and including `until`; shared by RunUntil and
+  /// RunToCompletion.
+  int64_t Drain(SimTimeMs until);
+  /// Runs the stream head.
+  void RunStreamHead();
+
   SimTimeMs now_ = 0;
   uint64_t next_seq_ = 0;
   int64_t live_events_ = 0;
   int64_t executed_ = 0;
   Stats stats_;
-  std::unique_ptr<QueueImpl> queue_;
+  std::unique_ptr<CalendarQueue> queue_;
+  /// Pending stream: entries [stream_head_, size) are live; entry i holds
+  /// sequence number stream_seq_ + i.
+  std::vector<StreamEntry> stream_;
+  size_t stream_head_ = 0;
+  uint64_t stream_seq_ = 0;
+  StreamHandler stream_handler_;
 };
 
 }  // namespace cackle

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -75,6 +77,23 @@ std::vector<QueryArrival> WorkloadGenerator::Generate(
     }
   }
   return arrivals;
+}
+
+void ScheduleArrivals(const std::vector<QueryArrival>& arrivals,
+                      Simulation* sim,
+                      Simulation::StreamHandler on_arrival) {
+  std::vector<Simulation::StreamEntry> stream(arrivals.size());
+  for (size_t q = 0; q < arrivals.size(); ++q) {
+    stream[q] = {arrivals[q].arrival_ms, static_cast<int64_t>(q)};
+  }
+  // Stable: equal-time arrivals keep index order, which is the order their
+  // per-arrival sequence numbers would have given them.
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const Simulation::StreamEntry& a,
+                      const Simulation::StreamEntry& b) {
+                     return a.when < b.when;
+                   });
+  sim->ScheduleStream(std::move(stream), std::move(on_arrival));
 }
 
 }  // namespace cackle

@@ -75,6 +75,16 @@ class WorkloadGenerator {
 /// given period. Exposed for tests.
 SimTimeMs SampleArrivalTime(const WorkloadOptions& options, Rng* rng);
 
+/// \brief Schedules a workload's arrivals on `sim` as one sorted stream:
+/// `on_arrival(q)` runs at `arrivals[q].arrival_ms`. The arrivals may come
+/// in any order; they run exactly as one ScheduleAt per arrival, in index
+/// order, made at this point would run them (equal-time arrivals in index
+/// order). This is the one way a workload's arrival schedule enters a
+/// simulation.
+void ScheduleArrivals(const std::vector<QueryArrival>& arrivals,
+                      Simulation* sim,
+                      Simulation::StreamHandler on_arrival);
+
 }  // namespace cackle
 
 #endif  // CACKLE_WORKLOAD_WORKLOAD_GENERATOR_H_

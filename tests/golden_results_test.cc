@@ -435,13 +435,12 @@ INSTANTIATE_TEST_SUITE_P(AllQueries, TpchThreadDifferentialTest,
                          ::testing::ValuesIn(AllTpchQueryIds()));
 
 // ---------------------------------------------------------------------------
-// Engine-level scheduler golden fingerprints: a full engine run is hashed
-// (every latency sample's bit pattern plus every counter) into one uint64,
-// and the fingerprint must be identical under the binary-heap and
-// calendar-queue event schedulers for every covered workload, and equal to
-// a committed constant so a change anywhere in the engine's stack (the
-// provisioning strategy included) that alters a result fails here. This is
-// the golden-suite form of the scheduler bit-identity contract.
+// Engine-level golden fingerprints: a full engine run is hashed (every
+// latency sample's bit pattern plus every counter) into one uint64 that must
+// equal a committed constant, so a change anywhere in the engine's stack
+// (the event core and the provisioning strategy included) that alters a
+// result fails here. The constants date from when the binary-heap and
+// calendar-queue schedulers ran side by side and agreed bit for bit.
 // ---------------------------------------------------------------------------
 
 uint64_t HashMix(uint64_t h, uint64_t v) {
@@ -479,19 +478,16 @@ uint64_t FingerprintResult(const EngineResult& r) {
   return h;
 }
 
-EngineResult RunEngine(SimScheduler scheduler, const WorkloadOptions& wl,
-                       const EngineOptions& base) {
+EngineResult RunEngine(const WorkloadOptions& wl, const EngineOptions& opts) {
   static const ProfileLibrary* lib =
       new ProfileLibrary(ProfileLibrary::BuiltinTpch());
   static const CostModel* cost = new CostModel();
   WorkloadGenerator gen(lib);
-  EngineOptions opts = base;
-  opts.sim.scheduler = scheduler;
   CackleEngine engine(cost, opts);
   return engine.Run(gen.Generate(wl), *lib);
 }
 
-TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
+TEST(EngineSchedulerGoldenTest, FingerprintsArePinned) {
   struct Covered {
     const char* label;
     uint64_t golden;
@@ -541,17 +537,13 @@ TEST(EngineSchedulerGoldenTest, FingerprintsBitIdenticalAcrossSchedulers) {
   }
   for (const Covered& c : covered) {
     SCOPED_TRACE(c.label);
-    const EngineResult heap_result =
-        RunEngine(SimScheduler::kBinaryHeap, c.workload, c.engine);
-    const uint64_t heap = FingerprintResult(heap_result);
-    const uint64_t calendar = FingerprintResult(
-        RunEngine(SimScheduler::kCalendarQueue, c.workload, c.engine));
-    EXPECT_NE(heap, 1469598103934665603ULL) << "empty run fingerprint";
+    const EngineResult result = RunEngine(c.workload, c.engine);
+    const uint64_t fp = FingerprintResult(result);
+    EXPECT_NE(fp, 1469598103934665603ULL) << "empty run fingerprint";
     if (c.expect_storms) {
-      EXPECT_GT(heap_result.storm_reclaims, 0) << "no storm burst fired";
+      EXPECT_GT(result.storm_reclaims, 0) << "no storm burst fired";
     }
-    EXPECT_EQ(heap, calendar);
-    EXPECT_EQ(heap, c.golden) << std::hex << "0x" << heap;
+    EXPECT_EQ(fp, c.golden) << std::hex << "0x" << fp;
   }
 }
 

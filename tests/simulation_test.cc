@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <set>
-#include <tuple>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -13,25 +13,8 @@
 namespace cackle {
 namespace {
 
-std::string SchedulerName(SimScheduler s) {
-  return s == SimScheduler::kBinaryHeap ? "BinaryHeap" : "CalendarQueue";
-}
-
-SimOptions WithScheduler(SimScheduler s) {
-  SimOptions opts;
-  opts.scheduler = s;
-  return opts;
-}
-
-/// Every behavioral test runs against both scheduler backends: the two are
-/// bit-identical by contract and must stay that way.
-class SimulationTest : public ::testing::TestWithParam<SimScheduler> {
- protected:
-  SimOptions Options() const { return WithScheduler(GetParam()); }
-};
-
-TEST_P(SimulationTest, RunsEventsInTimeOrder) {
-  Simulation sim(Options());
+TEST(SimulationTest, RunsEventsInTimeOrder) {
+  Simulation sim;
   std::vector<int> order;
   sim.ScheduleAt(300, [&] { order.push_back(3); });
   sim.ScheduleAt(100, [&] { order.push_back(1); });
@@ -41,8 +24,8 @@ TEST_P(SimulationTest, RunsEventsInTimeOrder) {
   EXPECT_EQ(sim.NowMs(), 300);
 }
 
-TEST_P(SimulationTest, SimultaneousEventsRunInScheduleOrder) {
-  Simulation sim(Options());
+TEST(SimulationTest, SimultaneousEventsRunInScheduleOrder) {
+  Simulation sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     sim.ScheduleAt(50, [&order, i] { order.push_back(i); });
@@ -51,8 +34,8 @@ TEST_P(SimulationTest, SimultaneousEventsRunInScheduleOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
-TEST_P(SimulationTest, EventsCanScheduleMoreEvents) {
-  Simulation sim(Options());
+TEST(SimulationTest, EventsCanScheduleMoreEvents) {
+  Simulation sim;
   int count = 0;
   std::function<void()> chain = [&] {
     ++count;
@@ -64,8 +47,8 @@ TEST_P(SimulationTest, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(sim.NowMs(), 40);
 }
 
-TEST_P(SimulationTest, CancelPreventsExecution) {
-  Simulation sim(Options());
+TEST(SimulationTest, CancelPreventsExecution) {
+  Simulation sim;
   bool ran = false;
   const uint64_t id = sim.ScheduleAt(100, [&] { ran = true; });
   EXPECT_TRUE(sim.Cancel(id));
@@ -74,24 +57,24 @@ TEST_P(SimulationTest, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
-TEST_P(SimulationTest, CancelAfterFireReturnsFalse) {
-  Simulation sim(Options());
+TEST(SimulationTest, CancelAfterFireReturnsFalse) {
+  Simulation sim;
   int ran = 0;
   const uint64_t id = sim.ScheduleAt(100, [&] { ++ran; });
   sim.RunToCompletion();
   EXPECT_EQ(ran, 1);
-  // The handle is stale: the event already fired (and with the calendar
-  // scheduler its arena slot may have been recycled since).
+  // The handle is stale: the event already fired (and its arena slot may
+  // have been recycled since).
   EXPECT_FALSE(sim.Cancel(id));
   EXPECT_EQ(ran, 1);
 }
 
-TEST_P(SimulationTest, StaleHandleAfterSlotReuseIsRejected) {
-  Simulation sim(Options());
+TEST(SimulationTest, StaleHandleAfterSlotReuseIsRejected) {
+  Simulation sim;
   const uint64_t first = sim.ScheduleAt(10, [] {});
   sim.RunToCompletion();
-  // Schedule more events; the calendar scheduler will recycle the fired
-  // event's arena slot. The old handle must not cancel the new occupant.
+  // Schedule more events; the scheduler will recycle the fired event's
+  // arena slot. The old handle must not cancel the new occupant.
   bool second_ran = false;
   sim.ScheduleAt(20, [&] { second_ran = true; });
   EXPECT_FALSE(sim.Cancel(first));
@@ -99,8 +82,8 @@ TEST_P(SimulationTest, StaleHandleAfterSlotReuseIsRejected) {
   EXPECT_TRUE(second_ran);
 }
 
-TEST_P(SimulationTest, RunUntilStopsAtBoundary) {
-  Simulation sim(Options());
+TEST(SimulationTest, RunUntilStopsAtBoundary) {
+  Simulation sim;
   std::vector<SimTimeMs> fired;
   for (SimTimeMs t : {10, 20, 30, 40}) {
     sim.ScheduleAt(t, [&fired, &sim] { fired.push_back(sim.NowMs()); });
@@ -112,14 +95,14 @@ TEST_P(SimulationTest, RunUntilStopsAtBoundary) {
   EXPECT_EQ(fired.size(), 4u);
 }
 
-TEST_P(SimulationTest, RunUntilAdvancesClockWhenIdle) {
-  Simulation sim(Options());
+TEST(SimulationTest, RunUntilAdvancesClockWhenIdle) {
+  Simulation sim;
   sim.RunUntil(5000);
   EXPECT_EQ(sim.NowMs(), 5000);
 }
 
-TEST_P(SimulationTest, ManyEventsStayDeterministic) {
-  Simulation sim(Options());
+TEST(SimulationTest, ManyEventsStayDeterministic) {
+  Simulation sim;
   int64_t sum = 0;
   for (int i = 0; i < 100000; ++i) {
     sim.ScheduleAt((i * 7919) % 1000, [&sum, i] { sum += i; });
@@ -129,8 +112,8 @@ TEST_P(SimulationTest, ManyEventsStayDeterministic) {
   EXPECT_EQ(sim.executed_events(), 100000);
 }
 
-TEST_P(SimulationTest, CancelInterleavedWithExecution) {
-  Simulation sim(Options());
+TEST(SimulationTest, CancelInterleavedWithExecution) {
+  Simulation sim;
   int ran = 0;
   std::vector<uint64_t> ids;
   for (int i = 0; i < 100; ++i) {
@@ -146,10 +129,10 @@ TEST_P(SimulationTest, CancelInterleavedWithExecution) {
   EXPECT_EQ(ran, 51);
 }
 
-TEST_P(SimulationTest, FarFutureEventsExecuteInOrder) {
+TEST(SimulationTest, FarFutureEventsExecuteInOrder) {
   // Exercises the calendar overflow heap and wheel fast-forward: event
   // times span ten orders of magnitude, far beyond the initial horizon.
-  Simulation sim(Options());
+  Simulation sim;
   std::vector<SimTimeMs> fired;
   const std::vector<SimTimeMs> times = {
       5, 50'000'000'000, 1'000, 3'000'000'000'000, 70, 3'000'000'000'000,
@@ -170,8 +153,8 @@ TEST_P(SimulationTest, FarFutureEventsExecuteInOrder) {
 // structures unboundedly.
 // ---------------------------------------------------------------------------
 
-TEST_P(SimulationTest, CancelledEventsDoNotDistortAccounting) {
-  Simulation sim(Options());
+TEST(SimulationTest, CancelledEventsDoNotDistortAccounting) {
+  Simulation sim;
   std::vector<uint64_t> ids;
   for (int i = 0; i < 10; ++i) {
     ids.push_back(sim.ScheduleAt(100 + i, [] {}));
@@ -185,8 +168,8 @@ TEST_P(SimulationTest, CancelledEventsDoNotDistortAccounting) {
   EXPECT_TRUE(sim.empty());
 }
 
-TEST_P(SimulationTest, TombstonesDoNotPinTheClock) {
-  Simulation sim(Options());
+TEST(SimulationTest, TombstonesDoNotPinTheClock) {
+  Simulation sim;
   const uint64_t id = sim.ScheduleAt(10'000, [] {});
   EXPECT_TRUE(sim.Cancel(id));
   // Only a tombstone remains; RunUntil owes the caller the full interval.
@@ -194,8 +177,8 @@ TEST_P(SimulationTest, TombstonesDoNotPinTheClock) {
   EXPECT_EQ(sim.NowMs(), 500);
 }
 
-TEST_P(SimulationTest, MassCancelTriggersLazyCompaction) {
-  SimOptions opts = Options();
+TEST(SimulationTest, MassCancelTriggersLazyCompaction) {
+  SimOptions opts;
   opts.min_compaction_tombstones = 256;
   Simulation sim(opts);
   // One survivor plus a large batch of victims.
@@ -218,8 +201,8 @@ TEST_P(SimulationTest, MassCancelTriggersLazyCompaction) {
   EXPECT_EQ(sim.executed_events(), 1);
 }
 
-TEST_P(SimulationTest, RepeatedCancelWavesKeepQueueBounded) {
-  SimOptions opts = Options();
+TEST(SimulationTest, RepeatedCancelWavesKeepQueueBounded) {
+  SimOptions opts;
   opts.min_compaction_tombstones = 128;
   Simulation sim(opts);
   int64_t peak_entries = 0;
@@ -239,22 +222,106 @@ TEST_P(SimulationTest, RepeatedCancelWavesKeepQueueBounded) {
   EXPECT_EQ(sim.executed_events(), 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Schedulers, SimulationTest,
-                         ::testing::Values(SimScheduler::kBinaryHeap,
-                                           SimScheduler::kCalendarQueue),
-                         [](const auto& info) {
-                           return SchedulerName(info.param);
-                         });
+// ---------------------------------------------------------------------------
+// Sorted arrival stream: merged with the calendar queue by (when, seq), as if
+// every entry had been a ScheduleAt call at the point the stream was taken.
+// ---------------------------------------------------------------------------
+
+TEST(SimulationStreamTest, MergesWithQueueInScheduleOrder) {
+  Simulation sim;
+  std::vector<std::string> order;
+  const auto log = [&order](std::string tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  sim.ScheduleAt(20, log("before@20"));  // seq before the stream: wins ties
+  sim.ScheduleStream({{10, 0}, {20, 1}, {20, 2}, {30, 3}},
+                     [&order](int64_t i) {
+                       order.push_back("s" + std::to_string(i));
+                     });
+  sim.ScheduleAt(20, log("after@20"));  // seq after the stream: loses ties
+  sim.ScheduleAt(15, log("after@15"));
+  sim.RunToCompletion();
+  EXPECT_EQ(order, (std::vector<std::string>{"s0", "after@15", "before@20",
+                                             "s1", "s2", "after@20", "s3"}));
+  EXPECT_EQ(sim.NowMs(), 30);
+}
+
+TEST(SimulationStreamTest, CountsAsScheduledAndExecuted) {
+  Simulation sim;
+  int64_t sum = 0;
+  sim.ScheduleStream({{5, 1}, {5, 2}, {9, 4}},
+                     [&sum](int64_t i) { sum += i; });
+  EXPECT_FALSE(sim.empty());
+  EXPECT_EQ(sim.stats().scheduled, 3);
+  EXPECT_EQ(sim.queue_entries(), 3);
+  EXPECT_EQ(sim.stats().peak_queue_entries, 3);
+  // The boundary falls between stream entries; pending stream entries are
+  // live, so the clock stops at the last one run.
+  EXPECT_EQ(sim.RunUntil(7), 2);
+  EXPECT_EQ(sim.NowMs(), 5);
+  EXPECT_EQ(sim.queue_entries(), 1);
+  EXPECT_EQ(sim.RunToCompletion(), 1);
+  EXPECT_EQ(sum, 7);
+  EXPECT_EQ(sim.executed_events(), 3);
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.queue_entries(), 0);
+}
+
+TEST(SimulationStreamTest, HandlersScheduleEventsAndTheNextStream) {
+  Simulation sim;
+  std::vector<SimTimeMs> fired;
+  sim.ScheduleStream({{100, 0}, {200, 1}}, [&](int64_t i) {
+    fired.push_back(sim.NowMs());
+    sim.ScheduleAfter(50, [&] { fired.push_back(sim.NowMs()); });
+    if (i == 1) {
+      // The last entry may hand over to a new stream.
+      sim.ScheduleStream({{sim.NowMs(), 7}, {1'000'000, 8}},
+                         [&](int64_t) { fired.push_back(-sim.NowMs()); });
+    }
+  });
+  sim.RunToCompletion();
+  EXPECT_EQ(fired, (std::vector<SimTimeMs>{100, 150, 200, -200, 250,
+                                           -1'000'000}));
+  EXPECT_EQ(sim.executed_events(), 6);
+}
+
+TEST(SimulationStreamTest, EmptyStreamIsANoOp) {
+  Simulation sim;
+  sim.ScheduleStream({}, [](int64_t) { FAIL(); });
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.RunUntil(40), 0);
+  EXPECT_EQ(sim.NowMs(), 40);
+}
+
+TEST(SimulationStreamDeathTest, RejectsUnsortedStream) {
+  Simulation sim;
+  EXPECT_DEATH(sim.ScheduleStream({{10, 0}, {30, 1}, {20, 2}},
+                                  [](int64_t) {}),
+               "stream out of time order");
+}
+
+TEST(SimulationStreamDeathTest, RejectsEntryBeforeNow) {
+  Simulation sim;
+  sim.RunUntil(100);
+  EXPECT_DEATH(sim.ScheduleStream({{99, 0}, {200, 1}}, [](int64_t) {}),
+               "stream entry before NowMs");
+}
+
+TEST(SimulationStreamDeathTest, RejectsSecondPendingStream) {
+  Simulation sim;
+  sim.ScheduleStream({{10, 0}}, [](int64_t) {});
+  EXPECT_DEATH(sim.ScheduleStream({{20, 0}}, [](int64_t) {}),
+               "still pending");
+}
 
 /// Property: under random scheduling, cancellation, and event-driven
 /// re-scheduling, events execute exactly once, in non-decreasing time
-/// order, and ties execute in scheduling order. Runs on both backends.
-class SimulationPropertyTest
-    : public ::testing::TestWithParam<std::tuple<SimScheduler, uint64_t>> {};
+/// order, and ties execute in scheduling order.
+class SimulationPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SimulationPropertyTest, RandomScheduleExecutesInOrder) {
-  Rng rng(std::get<1>(GetParam()));
-  Simulation sim(WithScheduler(std::get<0>(GetParam())));
+  Rng rng(GetParam());
+  Simulation sim;
   struct Fired {
     SimTimeMs when;
     uint64_t seq;
@@ -286,15 +353,8 @@ TEST_P(SimulationPropertyTest, RandomScheduleExecutesInOrder) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, SimulationPropertyTest,
-    ::testing::Combine(::testing::Values(SimScheduler::kBinaryHeap,
-                                         SimScheduler::kCalendarQueue),
-                       ::testing::Values(71, 72, 73, 74, 75)),
-    [](const auto& info) {
-      return SchedulerName(std::get<0>(info.param)) + "_" +
-             std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Seeds, SimulationPropertyTest,
+                         ::testing::Values(71, 72, 73, 74, 75));
 
 TEST(MsConversionTest, RoundTrips) {
   EXPECT_EQ(SecondsToMs(1.5), 1500);
