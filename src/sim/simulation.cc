@@ -59,6 +59,7 @@ class Simulation::CalendarQueue {
       : stats_(stats), options_(options) {
     bucket_count_ = static_cast<int>(RoundUpPow2(
         std::max(2, options.initial_bucket_count)));
+    min_bucket_count_ = bucket_count_;
     width_shift_ = ShiftFor(std::max<SimTimeMs>(1,
         options.initial_bucket_width_ms));
     buckets_.resize(static_cast<size_t>(bucket_count_));
@@ -125,6 +126,7 @@ class Simulation::CalendarQueue {
       *when = front.when;
       *cb = std::move(node.cb);
       FreeNode(front.slot, node);
+      MaybeResize();
       return true;
     }
   }
@@ -289,12 +291,20 @@ class Simulation::CalendarQueue {
     } while (!overflow_.empty() && overflow_.top().when < horizon);
   }
 
-  /// Grows the wheel (and re-derives the bucket width from the live event
-  /// span) once average occupancy passes 2 events/bucket, keeping
-  /// schedule/pop O(1) amortized as the population grows.
+  /// Rebuilds the wheel — bucket count from the live population, bucket
+  /// width from its time span — when the population leaves the band the
+  /// current geometry was sized for. Growing past 2 events/bucket keeps
+  /// schedule/pop O(1) amortized as the population grows; thinning below
+  /// 1 event per 8 buckets stops a width derived during a burst from
+  /// leaving Refill to step through mostly empty buckets once the burst
+  /// drains. The 16x band between the two keeps rebuilds rare.
   void MaybeResize() {
-    if (bucket_count_ >= kMaxBucketCount) return;
-    if (LiveCount() <= 2 * static_cast<int64_t>(bucket_count_)) return;
+    const int64_t live = LiveCount();
+    const bool crowded = live > 2 * static_cast<int64_t>(bucket_count_) &&
+                         bucket_count_ < kMaxBucketCount;
+    const bool sparse = 8 * live < bucket_count_ &&
+                        bucket_count_ > min_bucket_count_;
+    if (!crowded && !sparse) return;
 
     std::vector<Entry> all;
     all.reserve(static_cast<size_t>(wheel_entries_) + overflow_.size());
@@ -320,7 +330,13 @@ class Simulation::CalendarQueue {
       }
     }
     wheel_entries_ = 0;
-    if (all.empty()) return;
+    if (all.empty()) {
+      // Only batch entries (or nothing) are live: keep the width and window
+      // and fall back to the smallest wheel.
+      bucket_count_ = min_bucket_count_;
+      buckets_.assign(static_cast<size_t>(bucket_count_), {});
+      return;
+    }
 
     // Sort up front: the width estimate below needs quantiles, and the
     // redistribution needs (when, seq) order so each bucket's equal-time
@@ -341,8 +357,8 @@ class Simulation::CalendarQueue {
     SimTimeMs width = 1;
     while (width < span / q_n && width < kMaxBucketWidthMs) width <<= 1;
     width_shift_ = ShiftFor(width);
-    bucket_count_ = static_cast<int>(
-        std::min<int64_t>(RoundUpPow2(2 * n), kMaxBucketCount));
+    bucket_count_ = static_cast<int>(std::clamp<int64_t>(
+        RoundUpPow2(2 * n), min_bucket_count_, kMaxBucketCount));
     buckets_.assign(static_cast<size_t>(bucket_count_), {});
     window_ = min_when & ~(Width() - 1);
     const SimTimeMs horizon = Horizon();
@@ -414,6 +430,8 @@ class Simulation::CalendarQueue {
   std::vector<Entry> batch_;
   size_t batch_head_ = 0;
   int bucket_count_ = 0;
+  /// The starting bucket count; sparse rebuilds shrink no further.
+  int min_bucket_count_ = 0;
   int width_shift_ = 0;
   /// Start of the current bucket's window (multiple of Width()).
   SimTimeMs window_ = 0;
