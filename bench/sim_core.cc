@@ -282,6 +282,32 @@ struct SweepPoint {
 // relying on readers diffing artifact history.
 constexpr double kAosEngineQueries = 2073.7827572520955;
 
+// End-to-end before/after for the sorted arrival stream: `python3
+// perfbench/run.py --workload engine_paper --seed 1 --seconds 10 --trace 0`
+// in alternating parent/change pairs, on a shared 4-vCPU Xeon (GCC 12.2,
+// Release -O3). perfbench lives outside this binary, so the pairs are
+// baked in, like kAosEngineQueries above.
+constexpr char kPerfbenchHost[] = "4-vCPU Xeon, GCC 12.2.0, Release -O3";
+struct PassPair {
+  double parent_s;
+  double change_s;
+};
+constexpr PassPair kEnginePaperBestPassS[] = {
+    {2.6099, 1.8374}, {2.0170, 1.3564}, {2.5560, 1.4973}, {1.8612, 1.2791},
+    {2.0763, 1.4121}, {2.2272, 1.3896}, {2.7479, 1.4756}, {2.3388, 1.6101},
+    {2.5645, 2.0970}, {2.6891, 2.0252}};
+// Medians: engine.host_ns_per_event over 4 traced (--trace 1) pairs,
+// peak_rss_mb and setup_s over the 10 pairs above.
+constexpr double kEnginePaperHostNsPerEvent[2] = {572.8, 304.2};
+constexpr double kEnginePaperPeakRssMb[2] = {138.24, 40.64};
+constexpr double kEnginePaperSetupMs[2] = {3.11, 3.22};
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -441,6 +467,34 @@ int main(int argc, char** argv) {
   w.Field("before_aos_queries_per_s", kAosEngineQueries);
   w.Field("after_soa_queries_per_s", soa);
   w.Field("speedup_vs_aos", soa / kAosEngineQueries);
+  w.EndObject();
+  w.Key("perfbench_engine_paper");
+  w.BeginObject();
+  w.Field("host", kPerfbenchHost);
+  w.Field("command",
+          "python3 perfbench/run.py --workload engine_paper --seed 1 "
+          "--seconds 10 --trace 0");
+  w.Key("best_pass_s_pairs");
+  w.BeginArray();
+  std::vector<double> ratios;
+  int64_t wins = 0;
+  for (const PassPair& p : kEnginePaperBestPassS) {
+    w.BeginObject();
+    w.Field("parent", p.parent_s);
+    w.Field("change", p.change_s);
+    w.EndObject();
+    ratios.push_back(p.parent_s / p.change_s);
+    wins += p.change_s < p.parent_s ? 1 : 0;
+  }
+  w.EndArray();
+  w.Field("change_wins", wins);
+  w.Field("median_speedup", Median(ratios));
+  w.Field("host_ns_per_event_before", kEnginePaperHostNsPerEvent[0]);
+  w.Field("host_ns_per_event_after", kEnginePaperHostNsPerEvent[1]);
+  w.Field("peak_rss_mb_before", kEnginePaperPeakRssMb[0]);
+  w.Field("peak_rss_mb_after", kEnginePaperPeakRssMb[1]);
+  w.Field("setup_ms_before", kEnginePaperSetupMs[0]);
+  w.Field("setup_ms_after", kEnginePaperSetupMs[1]);
   w.EndObject();
   w.Key("sweep");
   w.BeginArray();

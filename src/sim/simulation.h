@@ -30,9 +30,10 @@ constexpr SimTimeMs SecondsToMs(double seconds) {
 /// in this repo; the knobs exist for tests and benchmarks.
 struct SimOptions {
   /// Calendar-wheel starting geometry. Both are rounded up to powers of
-  /// two; the wheel re-sizes itself (doubling buckets, re-deriving the
-  /// bucket width from the live event-time span) as the event population
-  /// grows, so these only set the floor.
+  /// two; the wheel re-sizes itself (bucket count from the live event
+  /// population, never below the starting count; bucket width from the
+  /// live event-time span) as the population grows or thins, so these
+  /// only set the start.
   int initial_bucket_count = 1024;
   SimTimeMs initial_bucket_width_ms = 16;
 

@@ -4,6 +4,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -236,7 +237,9 @@ TEST(SimulationStreamTest, MergesWithQueueInScheduleOrder) {
   sim.ScheduleAt(20, log("before@20"));  // seq before the stream: wins ties
   sim.ScheduleStream({{10, 0}, {20, 1}, {20, 2}, {30, 3}},
                      [&order](int64_t i) {
-                       order.push_back("s" + std::to_string(i));
+                       std::string tag = "s";
+                       tag += std::to_string(i);
+                       order.push_back(std::move(tag));
                      });
   sim.ScheduleAt(20, log("after@20"));  // seq after the stream: loses ties
   sim.ScheduleAt(15, log("after@15"));
