@@ -11,7 +11,7 @@ void WriteSnapshotJson(const Observability& obs, std::string_view name,
   JsonWriter json(os);
   json.BeginObject();
   json.Field("name", name);
-  json.Field("schema_version", static_cast<int64_t>(1));
+  json.Field("schema_version", static_cast<int64_t>(2));
   json.Key("metrics");
   obs.metrics.WriteJson(json);
   json.Key("cost_attribution");
@@ -19,6 +19,8 @@ void WriteSnapshotJson(const Observability& obs, std::string_view name,
   json.Field("num_spans", static_cast<int64_t>(obs.tracer.size()));
   json.Field("spans_truncated",
              max_spans != 0 && obs.tracer.size() > max_spans);
+  json.Key("span_aggregates");
+  obs.tracer.WriteAggregatesJson(json);
   json.Key("spans");
   obs.tracer.WriteJson(json, max_spans);
   json.EndObject();

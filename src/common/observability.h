@@ -30,12 +30,14 @@ struct Observability {
 
 /// \brief Serializes a full observability snapshot as one JSON document:
 ///
-///   {"name": ..., "schema_version": 1,
+///   {"name": ..., "schema_version": 2,
 ///    "metrics": {...}, "cost_attribution": {...},
-///    "spans": [...], "num_spans": N, "spans_truncated": bool}
+///    "num_spans": N, "spans_truncated": bool,
+///    "span_aggregates": [...], "spans": [...]}
 ///
-/// `max_spans` caps the exported span array (0 = all); the true count is
-/// always reported so truncation is visible. Output is byte-deterministic
+/// `max_spans` caps the exported raw span array (0 = all); the true raw
+/// count is always reported so truncation is visible. Folded spans appear
+/// only in `span_aggregates`, which is never truncated. Output is byte-deterministic
 /// for identical recorded state (EXPERIMENTS.md documents the schema).
 void WriteSnapshotJson(const Observability& obs, std::string_view name,
                        std::ostream& os, size_t max_spans = 0);

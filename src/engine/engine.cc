@@ -483,8 +483,8 @@ void CackleEngine::RunTask(TaskRef ref, SimTimeMs duration_ms) {
       TaskStarted(ref.query_id);
     } else {
       batch_tasks_delayed_->Increment();
-      const SpanId queued = tracer_->Begin("queued", sim_.NowMs(),
-                                           TaskParentSpan(ref), ref.query_id);
+      const SpanId queued = tracer_->BeginFolded(
+          "queued", sim_.NowMs(), TaskParentSpan(ref), ref.query_id);
       batch_queue_.push_back(BatchTask{ref, duration_ms, sim_.NowMs(), queued});
     }
     return;
@@ -534,7 +534,8 @@ SpanId CackleEngine::TaskParentSpan(const TaskRef& ref) const {
 SpanId CackleEngine::BeginTaskSpan(const TaskRef& ref, const char* placement,
                                    bool speculative) {
   const SpanId span =
-      tracer_->Begin("task", sim_.NowMs(), TaskParentSpan(ref), ref.query_id);
+      tracer_->BeginFolded("task", sim_.NowMs(), TaskParentSpan(ref),
+                           ref.query_id);
   tracer_->Tag(span, "placement", placement);
   if (ref.recovery) tracer_->Tag(span, "recovery", "true");
   if (speculative) tracer_->Tag(span, "speculative", "true");
@@ -741,8 +742,8 @@ void CackleEngine::OnVmInterrupted(VmId vm) {
     // Batch work goes back to waiting for spare capacity.
     TaskFinished(task.ref.query_id);
     const SpanId queued =
-        tracer_->Begin("queued", sim_.NowMs(), TaskParentSpan(task.ref),
-                       task.ref.query_id);
+        tracer_->BeginFolded("queued", sim_.NowMs(), TaskParentSpan(task.ref),
+                             task.ref.query_id);
     batch_queue_.push_front(
         BatchTask{task.ref, task.duration_ms, sim_.NowMs(), queued});
     return;

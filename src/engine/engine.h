@@ -351,7 +351,8 @@ CackleEngine {
   /// re-executions, which can outlive the query span and therefore trace
   /// as roots (tagged with their query).
   SpanId TaskParentSpan(const TaskRef& ref) const;
-  /// Opens a "task" span tagged with its placement; no-op when disabled.
+  /// Opens a folded "task" span tagged with its placement; no-op when
+  /// disabled.
   SpanId BeginTaskSpan(const TaskRef& ref, const char* placement,
                        bool speculative);
   /// Attributes one elastic slot's bill (the exact ElasticCost the pool
