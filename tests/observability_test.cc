@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -211,6 +213,170 @@ TEST(TracerTest, JsonTruncationReportsTrueCount) {
   EXPECT_LT(capped.size(), full.size());
 }
 
+TEST(TracerTest, DisabledBeginFoldedIsInert) {
+  Tracer tracer;
+  const SpanId id = tracer.BeginFolded("task", 10, kInvalidSpan, 3);
+  EXPECT_EQ(id, kInvalidSpan);
+  tracer.Tag(id, "placement", "vm");
+  tracer.End(id, 20);
+  EXPECT_EQ(tracer.size(), 0u);
+  EXPECT_TRUE(tracer.aggregates().empty());
+  EXPECT_EQ(tracer.folded_slots(), 0u);
+}
+
+TEST(TracerTest, SampledQueriesStayRaw) {
+  Tracer tracer(/*enabled=*/true);
+  const SpanId stage = tracer.Begin("stage", 0, kInvalidSpan, 64);
+  for (const int64_t q : {int64_t{0}, Tracer::kRawSampleStride,
+                          5 * Tracer::kRawSampleStride}) {
+    const SpanId raw = tracer.BeginFolded("task", 1, stage, q);
+    EXPECT_GT(raw, kInvalidSpan) << q;
+    tracer.Tag(raw, "placement", "vm");
+    tracer.End(raw, 2);
+  }
+  ASSERT_EQ(tracer.size(), 4u);
+  EXPECT_EQ(tracer.spans()[2].parent, stage);
+  EXPECT_EQ(tracer.spans()[2].query_id, Tracer::kRawSampleStride);
+  EXPECT_EQ(tracer.spans()[3].tags.size(), 1u);
+  EXPECT_EQ(tracer.FindAggregate("task"), nullptr);
+
+  for (const int64_t q : {int64_t{-1}, int64_t{1}, int64_t{63}, int64_t{65}}) {
+    const SpanId folded = tracer.BeginFolded("task", 1, stage, q);
+    EXPECT_LT(folded, kInvalidSpan) << q;
+    tracer.End(folded, 2);
+  }
+  EXPECT_EQ(tracer.size(), 4u);
+  ASSERT_NE(tracer.FindAggregate("task"), nullptr);
+  EXPECT_EQ(tracer.FindAggregate("task")->count, 4);
+}
+
+TEST(TracerTest, FoldedDurationsAreExact) {
+  Tracer tracer(/*enabled=*/true);
+  // Durations 0, 1, 2, 3, 1000, 1024: bit widths 0, 1, 2, 2, 10, 11.
+  const int64_t durations[] = {0, 1, 2, 3, 1000, 1024};
+  std::vector<SpanId> ids;
+  for (const int64_t d : durations) {
+    ids.push_back(tracer.BeginFolded("task", 100 + d, kInvalidSpan, 1));
+  }
+  const SpanAggregate* agg = tracer.FindAggregate("task");
+  ASSERT_NE(agg, nullptr);
+  EXPECT_EQ(agg->open, 6);
+  EXPECT_EQ(agg->count, 0);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    tracer.End(ids[i], 100 + 2 * durations[i]);
+  }
+  EXPECT_EQ(agg->open, 0);
+  EXPECT_EQ(agg->count, 6);
+  EXPECT_EQ(agg->total_ms, 2030);
+  EXPECT_EQ(agg->max_ms, 1024);
+  std::array<int64_t, 64> buckets{};
+  buckets[0] = 1;
+  buckets[1] = 1;
+  buckets[2] = 2;
+  buckets[10] = 1;
+  buckets[11] = 1;
+  EXPECT_EQ(agg->buckets, buckets);
+  EXPECT_EQ(tracer.size(), 0u);
+  EXPECT_EQ(tracer.folded_slots(), 6u);
+}
+
+TEST(TracerTest, FoldedTagCountsAreExact) {
+  Tracer tracer(/*enabled=*/true);
+  const SpanId t1 = tracer.BeginFolded("task", 0, kInvalidSpan, 1);
+  const SpanId q1 = tracer.BeginFolded("queued", 0, kInvalidSpan, 2);
+  const SpanId t2 = tracer.BeginFolded("task", 0, kInvalidSpan, 3);
+  // Tag spans of both names after both aggregates exist.
+  tracer.Tag(t1, "placement", "vm");
+  tracer.Tag(t2, "placement", "elastic");
+  tracer.Tag(t2, "interrupted", "true");
+  tracer.Tag(t1, "placement", "vm");
+  tracer.Tag(q1, "escalated", "true");
+  tracer.End(t1, 5);
+  tracer.End(q1, 5);
+  tracer.End(t2, 5);
+
+  const SpanAggregate* task = tracer.FindAggregate("task");
+  const SpanAggregate* queued = tracer.FindAggregate("queued");
+  ASSERT_NE(task, nullptr);
+  ASSERT_NE(queued, nullptr);
+  EXPECT_EQ(task->TagCountOf("placement", "vm"), 2);
+  EXPECT_EQ(task->TagCountOf("placement", "elastic"), 1);
+  EXPECT_EQ(task->TagCountOf("interrupted", "true"), 1);
+  EXPECT_EQ(task->TagCountOf("escalated", "true"), 0);
+  EXPECT_EQ(task->tags.size(), 3u);
+  EXPECT_EQ(queued->TagCountOf("escalated", "true"), 1);
+  EXPECT_EQ(queued->tags.size(), 1u);
+  EXPECT_EQ(task->count, 2);
+  EXPECT_EQ(queued->count, 1);
+}
+
+TEST(TracerTest, ReusedSlotGetsNewGeneration) {
+  Tracer tracer(/*enabled=*/true);
+  std::vector<SpanId> seen;
+  for (int i = 0; i < 100; ++i) {
+    const SpanId id = tracer.BeginFolded("task", i, kInvalidSpan, 1);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), id), 0) << i;
+    seen.push_back(id);
+    tracer.End(id, i + 1);
+  }
+  // Sequential spans share one slot, each under a fresh id.
+  EXPECT_EQ(tracer.folded_slots(), 1u);
+  ASSERT_NE(tracer.FindAggregate("task"), nullptr);
+  EXPECT_EQ(tracer.FindAggregate("task")->count, 100);
+
+  tracer.Clear();
+  EXPECT_TRUE(tracer.aggregates().empty());
+  EXPECT_EQ(tracer.folded_slots(), 0u);
+}
+
+TEST(TracerTest, FoldedSnapshotListsAggregates) {
+  Observability obs;
+  obs.tracer.End(obs.tracer.BeginFolded("task", 0, kInvalidSpan, 1), 3);
+  const std::string json = SnapshotJson(obs, "t");
+  EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"num_spans\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"span_aggregates\":[{\"name\":\"task\",\"count\":1,"
+                      "\"open\":0,\"total_ms\":3,\"max_ms\":3,"
+                      "\"log2_buckets\":[0,0,1,0,"),
+            std::string::npos)
+      << json;
+}
+
+TEST(TracerDeathTest, RawSpanEndedTwiceOrBeforeStartDies) {
+  Tracer tracer(/*enabled=*/true);
+  const SpanId id = tracer.Begin("query", 10);
+  EXPECT_DEATH(tracer.End(id, 5), "Check failed.*start_ms");
+  tracer.End(id, 20);
+  EXPECT_DEATH(tracer.End(id, 30), "span ended twice");
+}
+
+TEST(TracerDeathTest, FoldedSpanEndedTwiceDies) {
+  Tracer tracer(/*enabled=*/true);
+  const SpanId id = tracer.BeginFolded("task", 10, kInvalidSpan, 1);
+  tracer.End(id, 20);
+  EXPECT_DEATH(tracer.End(id, 30), "stale folded span id");
+}
+
+TEST(TracerDeathTest, StaleFoldedIdDies) {
+  Tracer tracer(/*enabled=*/true);
+  const SpanId stale = tracer.BeginFolded("task", 10, kInvalidSpan, 1);
+  tracer.End(stale, 20);
+  const SpanId reused = tracer.BeginFolded("task", 20, kInvalidSpan, 1);
+  ASSERT_EQ(tracer.folded_slots(), 1u);
+  EXPECT_DEATH(tracer.End(stale, 30), "stale folded span id");
+  EXPECT_DEATH(tracer.Tag(stale, "placement", "vm"), "stale folded span id");
+  EXPECT_DEATH(tracer.End(stale - (int64_t{1} << 40), 30),
+               "stale folded span id");
+  EXPECT_DEATH(tracer.End(-2, 30), "unknown folded span id");
+  tracer.End(reused, 30);
+}
+
+TEST(TracerDeathTest, FoldedSpanEndedBeforeStartDies) {
+  Tracer tracer(/*enabled=*/true);
+  const SpanId id = tracer.BeginFolded("task", 10, kInvalidSpan, 1);
+  EXPECT_DEATH(tracer.End(id, 9), "Check failed.*start_ms");
+}
+
 // ---------------------------------------------------------------------------
 // CostLedger
 // ---------------------------------------------------------------------------
@@ -326,6 +492,35 @@ void ExpectWellFormedTrace(const Tracer& tracer) {
   }
 }
 
+/// Raw (sampled) and folded task spans together account for every
+/// placement: span counts, placement tags and interrupted tags each add up
+/// to the engine's counters, and no folded span is left open.
+void ExpectTaskSpansMatchCounters(const Tracer& tracer,
+                                  const EngineResult& result) {
+  int64_t raw_tasks = 0;
+  std::map<std::pair<std::string, std::string>, int64_t> raw_tags;
+  for (const Span& span : tracer.spans()) {
+    if (span.name != "task") continue;
+    ++raw_tasks;
+    for (const auto& tag : span.tags) ++raw_tags[tag];
+  }
+  EXPECT_GT(raw_tasks, 0);
+  const SpanAggregate* folded = tracer.FindAggregate("task");
+  ASSERT_NE(folded, nullptr);
+  const auto tagged = [&](const char* key, const char* value) {
+    return raw_tags[{key, value}] + folded->TagCountOf(key, value);
+  };
+  EXPECT_EQ(raw_tasks + folded->count,
+            result.tasks_on_vms + result.tasks_on_elastic);
+  EXPECT_EQ(tagged("placement", "vm"), result.tasks_on_vms);
+  EXPECT_EQ(tagged("placement", "elastic"), result.tasks_on_elastic);
+  EXPECT_EQ(tagged("interrupted", "true"), result.tasks_retried);
+  EXPECT_EQ(folded->open, 0);
+  if (const SpanAggregate* queued = tracer.FindAggregate("queued")) {
+    EXPECT_EQ(queued->open, 0);
+  }
+}
+
 TEST(ObservabilityEngineTest, CostsSumToBillAndTraceIsWellFormed) {
   ProfileLibrary lib = ProfileLibrary::BuiltinTpch();
   CostModel cost;
@@ -344,7 +539,7 @@ TEST(ObservabilityEngineTest, CostsSumToBillAndTraceIsWellFormed) {
                                       << chaos);
       ExpectLedgerMatchesBill(obs.ledger, result.billing);
       ExpectWellFormedTrace(obs.tracer);
-      EXPECT_GT(obs.tracer.size(), 0u);
+      ExpectTaskSpansMatchCounters(obs.tracer, result);
       // Every query has an attribution row (some spend on every query).
       for (size_t q = 0; q < arrivals.size(); ++q) {
         EXPECT_GT(obs.ledger.QueryDollars(static_cast<int64_t>(q)), 0.0)
@@ -413,6 +608,7 @@ TEST(ObservabilityEngineTest, LedgerClosesAcrossProfilesAndScenarios) {
               static_cast<int64_t>(arrivals.size()));
     any_shed = any_shed || result.queries_shed > 0;
     ExpectLedgerMatchesBill(obs.ledger, result.billing);
+    ExpectTaskSpansMatchCounters(obs.tracer, result);
   }
   // The property must have been exercised on at least one shedding run,
   // or the "shed rows keep the ledger closed" claim went untested.
