@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 namespace cackle {
 namespace {
@@ -14,6 +17,20 @@ bool LooksLikeHeader(const std::string& line) {
   }
   return false;
 }
+
+/// Parses a whole field as a decimal int64, ignoring surrounding blanks.
+/// False for an empty field, any other character, or overflow.
+bool ParseIntField(std::string_view field, int64_t* out) {
+  const auto blank = [](char c) { return c == ' ' || c == '\t'; };
+  while (!field.empty() && blank(field.front())) field.remove_prefix(1);
+  while (!field.empty() && blank(field.back())) field.remove_suffix(1);
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Demand bound: WorkloadHistory sums up to 3600 one-second samples.
+constexpr int64_t kMaxDemand = std::numeric_limits<int64_t>::max() / 3600;
 
 }  // namespace
 
@@ -32,27 +49,35 @@ StatusOr<std::vector<int64_t>> ParseDemandCsv(const std::string& text,
     if (line.empty()) continue;
     if (line_no == 1 && LooksLikeHeader(line)) continue;
     const size_t comma = line.find(',');
-    if (comma == std::string::npos) {
+    const auto bad = [line_no](const char* what) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": expected 'second,demand'");
+                                     ": " + what);
+    };
+    if (comma == std::string::npos) return bad("expected 'second,demand'");
+    const std::string_view row(line);
+    int64_t second = 0;
+    int64_t demand = 0;
+    if (!ParseIntField(row.substr(0, comma), &second) || second < 0) {
+      return bad("bad second value");
     }
-    errno = 0;
-    char* end = nullptr;
-    const int64_t second = std::strtoll(line.c_str(), &end, 10);
-    const int64_t demand =
-        std::strtoll(line.c_str() + comma + 1, &end, 10);
-    if (errno != 0 || second < 0) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": bad second value");
+    if (!ParseIntField(row.substr(comma + 1), &demand)) {
+      return bad("bad demand value");
     }
-    if (demand < 0) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": negative demand");
+    if (demand < 0) return bad("negative demand");
+    if (demand > kMaxDemand) {
+      return bad("demand above INT64_MAX / 3600 would overflow an hour sum");
     }
     samples.emplace_back(second, demand);
   }
   if (samples.empty()) return Status::InvalidArgument("empty trace");
   std::sort(samples.begin(), samples.end());
+  const auto dup = std::adjacent_find(
+      samples.begin(), samples.end(),
+      [](const auto& a, const auto& b) { return a.first == b.first; });
+  if (dup != samples.end()) {
+    return Status::InvalidArgument("second " + std::to_string(dup->first) +
+                                   " appears twice");
+  }
   const int64_t horizon = samples.back().first + 1;
   if (horizon > 400LL * 24 * 3600) {
     return Status::InvalidArgument("trace longer than 400 days; check units");

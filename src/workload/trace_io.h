@@ -17,7 +17,10 @@ namespace cackle {
 /// Format: an optional header line, then `second,demand` rows. Seconds may
 /// be sparse or unordered; gaps are filled with the previous value when
 /// `fill_gaps` is set (cluster exports often sample irregularly), otherwise
-/// with zero. Negative demand is rejected.
+/// with zero. Each field must be a whole decimal integer (blanks around it
+/// are allowed); non-numeric fields, trailing characters, a second listed
+/// twice, negative values and demand above INT64_MAX / 3600 (which would
+/// overflow a one-hour window sum) are rejected.
 struct TraceCsvOptions {
   bool fill_gaps = true;
 };

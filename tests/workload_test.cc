@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/stats.h"
 #include "workload/demand.h"
@@ -309,6 +311,41 @@ TEST(TraceIoTest, RejectsBadInput) {
   EXPECT_FALSE(ParseDemandCsv("-1,5\n").ok());
   // Absurd horizon (seconds column probably in milliseconds).
   EXPECT_FALSE(ParseDemandCsv("99999999999,1\n").ok());
+}
+
+TEST(TraceIoTest, RejectsNonNumericFields) {
+  EXPECT_FALSE(ParseDemandCsv("0,5\n1,abc\n").ok());
+  EXPECT_FALSE(ParseDemandCsv("0,5\nabc,7\n").ok());
+  EXPECT_FALSE(ParseDemandCsv("0,5\n1,\n").ok());
+  EXPECT_FALSE(ParseDemandCsv("0,5\n,7\n").ok());
+}
+
+TEST(TraceIoTest, RejectsTrailingGarbage) {
+  EXPECT_FALSE(ParseDemandCsv("0,5\n1,7xyz\n").ok());
+  EXPECT_FALSE(ParseDemandCsv("0,5\n1x,7\n").ok());
+  EXPECT_FALSE(ParseDemandCsv("0,5\n1,7,9\n").ok());
+  // Blanks around a field are not garbage.
+  auto spaced = ParseDemandCsv("0, 5\n 1 ,\t7\n");
+  ASSERT_TRUE(spaced.ok()) << spaced.status().ToString();
+  EXPECT_EQ(*spaced, (std::vector<int64_t>{5, 7}));
+}
+
+TEST(TraceIoTest, RejectsDuplicateSeconds) {
+  const auto dup = ParseDemandCsv("0,5\n1,7\n0,9\n");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_NE(dup.status().ToString().find("second 0"), std::string::npos);
+  EXPECT_FALSE(ParseDemandCsv("3,1\n3,1\n").ok());
+}
+
+TEST(TraceIoTest, RejectsDemandThatWouldOverflowAnHourSum) {
+  const int64_t max_demand = std::numeric_limits<int64_t>::max() / 3600;
+  auto at_limit = ParseDemandCsv("0," + std::to_string(max_demand) + "\n");
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(*at_limit, (std::vector<int64_t>{max_demand}));
+  EXPECT_FALSE(
+      ParseDemandCsv("0," + std::to_string(max_demand + 1) + "\n").ok());
+  EXPECT_FALSE(ParseDemandCsv("0,9223372036854775807\n").ok());
+  EXPECT_FALSE(ParseDemandCsv("0,99999999999999999999\n").ok());
 }
 
 TEST(TraceIoTest, RoundTripsThroughFormat) {
