@@ -4,8 +4,8 @@
 # on any non-baselined violation. Then three build/test configurations —
 # Release (with -Werror), AddressSanitizer+UBSan, and ThreadSanitizer —
 # perfbench determinism self-checks on engine_chaos_tenants, trace_replay
-# and engine_paper, and a microbenchmark smoke pass that produces
-# BENCH_micro_exec.json. Any test failure or sanitizer report (sanitizers
+# and engine_paper, a microbenchmark smoke pass that produces
+# BENCH_micro_exec.json, and a check of fig14's folded-trace snapshot. Any test failure or sanitizer report (sanitizers
 # run with -fno-sanitize-recover=all) fails the script.
 #
 # Usage: scripts/ci.sh [jobs]
@@ -189,6 +189,26 @@ CACKLE_FAST_BENCH=1 CACKLE_BENCH_OUT_DIR=build-release \
 python3 scripts/bench_compare.py \
   bench/results/BENCH_sim_core.json \
   build-release/BENCH_sim_core.json
+
+# Bounded-memory trace smoke: fig14's observability snapshot (fast mode)
+# must be schema 2, with task spans folded into a span_aggregates entry
+# whose every span closed by the end of the run.
+echo "=== observability snapshot smoke (fig14_stability, fast) ==="
+CACKLE_FAST_BENCH=1 CACKLE_BENCH_OUT_DIR=build-release \
+  ./build-release/bench/fig14_stability
+python3 - build-release/BENCH_fig14_stability.json <<'PY'
+import json
+import sys
+
+path = sys.argv[1]
+with open(path) as f:
+    snap = json.load(f)
+tasks = [a for a in snap.get("span_aggregates", []) if a["name"] == "task"]
+if snap.get("schema_version") != 2 or len(tasks) != 1 or tasks[0]["open"] != 0:
+    sys.exit(f"{path}: want schema_version 2 and one task aggregate with open == 0")
+print(f"{path}: {tasks[0]['count']} folded task spans, "
+      f"{snap['num_spans']} raw spans")
+PY
 
 echo "CI passed: lint, Release (-Werror), address;undefined, and thread" \
   "configurations are green."
