@@ -63,14 +63,10 @@ SpanId Tracer::BeginFolded(std::string_view name, int64_t start_ms,
   if (query_id >= 0 && query_id % kRawSampleStride == 0) {
     return Begin(name, start_ms, parent, query_id);
   }
-  auto agg = std::find_if(
-      aggregates_.begin(), aggregates_.end(),
-      [name](const SpanAggregate& a) { return a.name == name; });
-  if (agg == aggregates_.end()) {
-    agg = aggregates_.insert(aggregates_.end(), SpanAggregate{});
-    agg->name.assign(name);
-  }
-  ++agg->open;
+  uint32_t agg = 0;
+  while (agg < aggregates_.size() && aggregates_[agg].name != name) ++agg;
+  if (agg == aggregates_.size()) aggregates_.emplace_back().name.assign(name);
+  ++aggregates_[agg].open;
   uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<uint32_t>(slots_.size());
@@ -81,16 +77,15 @@ SpanId Tracer::BeginFolded(std::string_view name, int64_t start_ms,
   }
   FoldedSlot& folded = slots_[slot];
   folded.start_ms = start_ms;
-  folded.aggregate = static_cast<uint32_t>(agg - aggregates_.begin());
+  folded.aggregate = agg;
   return FoldedId(slot, folded.generation);
 }
 
 void Tracer::End(SpanId id, int64_t end_ms) {
   if (id < 0) {
     FoldedSlot& folded = FindFolded(id);
-    CACKLE_CHECK_GE(end_ms, folded.start_ms)
-        << aggregates_[folded.aggregate].name;
     SpanAggregate& agg = aggregates_[folded.aggregate];
+    CACKLE_CHECK_GE(end_ms, folded.start_ms) << agg.name;
     const int64_t duration = end_ms - folded.start_ms;
     --agg.open;
     ++agg.count;
