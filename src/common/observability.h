@@ -37,8 +37,9 @@ struct Observability {
 ///
 /// `max_spans` caps the exported raw span array (0 = all); the true raw
 /// count is always reported so truncation is visible. Folded spans appear
-/// only in `span_aggregates`, which is never truncated. Output is byte-deterministic
-/// for identical recorded state (EXPERIMENTS.md documents the schema).
+/// only in `span_aggregates`, which is never truncated. Output is
+/// byte-deterministic for identical recorded state (EXPERIMENTS.md
+/// documents the schema).
 void WriteSnapshotJson(const Observability& obs, std::string_view name,
                        std::ostream& os, size_t max_spans = 0);
 

@@ -108,13 +108,11 @@ class Tracer {
   SpanId Instant(std::string_view name, int64_t at_ms,
                  SpanId parent = kInvalidSpan, int64_t query_id = -1);
 
-  /// Raw spans only; folded spans are visible through aggregates().
+  /// Raw spans only; folded spans are visible through FindAggregate().
   const std::vector<Span>& spans() const { return spans_; }
   size_t size() const { return spans_.size(); }
   void Clear();
 
-  /// Per-name folded-span aggregates, in first-seen order.
-  const std::vector<SpanAggregate>& aggregates() const { return aggregates_; }
   /// The aggregate for `name`, or nullptr when no span of it was folded.
   const SpanAggregate* FindAggregate(std::string_view name) const;
   /// Size of the open-slot table: the most folded spans ever open at once.

@@ -220,7 +220,7 @@ TEST(TracerTest, DisabledBeginFoldedIsInert) {
   tracer.Tag(id, "placement", "vm");
   tracer.End(id, 20);
   EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_TRUE(tracer.aggregates().empty());
+  EXPECT_EQ(tracer.FindAggregate("task"), nullptr);
   EXPECT_EQ(tracer.folded_slots(), 0u);
 }
 
@@ -325,7 +325,7 @@ TEST(TracerTest, ReusedSlotGetsNewGeneration) {
   EXPECT_EQ(tracer.FindAggregate("task")->count, 100);
 
   tracer.Clear();
-  EXPECT_TRUE(tracer.aggregates().empty());
+  EXPECT_EQ(tracer.FindAggregate("task"), nullptr);
   EXPECT_EQ(tracer.folded_slots(), 0u);
 }
 
