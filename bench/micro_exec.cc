@@ -66,17 +66,19 @@ void BM_HashAggregateLineitem(benchmark::State& state) {
 BENCHMARK(BM_HashAggregateLineitem);
 
 // ---------------------------------------------------------------------------
-// Intra-operator knob variants of the join and aggregate kernels. Each
-// variant name maps to its scalar sibling by dropping the suffix
-// (bench_compare.py pairs them), so the artifact records what every knob
-// buys — or costs — against the exact same workload in the same run. On a
-// 1-core CI runner the MorselN variants mostly measure scheduling overhead
-// and determinism, not speedup; the artifact header records available_cores
-// so readers can tell which regime a number came from.
+// Morsel-parallel variants of the join and aggregate kernels. Each variant
+// name maps to its scalar sibling by dropping the suffix (bench_compare.py
+// pairs them), so the artifact records what morsel splitting buys — or
+// costs — against the exact same workload in the same run. The variants run
+// on a ThreadPool, so they report wall-clock time (UseRealTime); CPU time of
+// the main thread would hide the workers' work. On a 1-core CI runner the
+// MorselN variants mostly measure scheduling overhead and determinism, not
+// speedup; the artifact header records available_cores so readers can tell
+// which regime a number came from.
 // ---------------------------------------------------------------------------
 
-void JoinWithKnobs(benchmark::State& state, int pool_threads,
-                   int64_t morsel_rows, int radix_bits, bool bloom) {
+void JoinWithMorsels(benchmark::State& state, int pool_threads,
+                     int64_t morsel_rows) {
   const Catalog& cat = BenchCatalog();
   const Table orders = SelectColumns(cat.orders, {"o_orderkey", "o_custkey"});
   const Table line = SelectColumns(cat.lineitem, {"l_orderkey", "l_quantity"});
@@ -85,8 +87,6 @@ void JoinWithKnobs(benchmark::State& state, int pool_threads,
   OpExecContext ctx;
   ctx.pool = pool.get();
   ctx.morsel_rows = morsel_rows;
-  ctx.radix_bits = radix_bits;
-  ctx.bloom_pushdown = bloom;
   const ScopedOpExecContext scope(&ctx);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -95,28 +95,18 @@ void JoinWithKnobs(benchmark::State& state, int pool_threads,
   state.SetItemsProcessed(state.iterations() * line.num_rows());
 }
 
-void BM_HashJoinOrdersLineitemRadix(benchmark::State& state) {
-  JoinWithKnobs(state, 1, 0, /*radix_bits=*/4, false);
-}
-BENCHMARK(BM_HashJoinOrdersLineitemRadix);
-
-void BM_HashJoinOrdersLineitemBloom(benchmark::State& state) {
-  JoinWithKnobs(state, 1, 0, 0, /*bloom=*/true);
-}
-BENCHMARK(BM_HashJoinOrdersLineitemBloom);
-
 void BM_HashJoinOrdersLineitemMorsel2(benchmark::State& state) {
-  JoinWithKnobs(state, 2, /*morsel_rows=*/4096, 0, false);
+  JoinWithMorsels(state, 2, /*morsel_rows=*/4096);
 }
-BENCHMARK(BM_HashJoinOrdersLineitemMorsel2);
+BENCHMARK(BM_HashJoinOrdersLineitemMorsel2)->UseRealTime();
 
 void BM_HashJoinOrdersLineitemMorsel4(benchmark::State& state) {
-  JoinWithKnobs(state, 4, /*morsel_rows=*/4096, /*radix_bits=*/4, false);
+  JoinWithMorsels(state, 4, /*morsel_rows=*/4096);
 }
-BENCHMARK(BM_HashJoinOrdersLineitemMorsel4);
+BENCHMARK(BM_HashJoinOrdersLineitemMorsel4)->UseRealTime();
 
-void AggregateWithKnobs(benchmark::State& state, int pool_threads,
-                        int64_t morsel_rows) {
+void AggregateWithMorsels(benchmark::State& state, int pool_threads,
+                          int64_t morsel_rows) {
   const Catalog& cat = BenchCatalog();
   ThreadPool pool(pool_threads);
   OpExecContext ctx;
@@ -133,14 +123,14 @@ void AggregateWithKnobs(benchmark::State& state, int pool_threads,
 }
 
 void BM_HashAggregateLineitemMorsel2(benchmark::State& state) {
-  AggregateWithKnobs(state, 2, 4096);
+  AggregateWithMorsels(state, 2, 4096);
 }
-BENCHMARK(BM_HashAggregateLineitemMorsel2);
+BENCHMARK(BM_HashAggregateLineitemMorsel2)->UseRealTime();
 
 void BM_HashAggregateLineitemMorsel4(benchmark::State& state) {
-  AggregateWithKnobs(state, 4, 4096);
+  AggregateWithMorsels(state, 4, 4096);
 }
-BENCHMARK(BM_HashAggregateLineitemMorsel4);
+BENCHMARK(BM_HashAggregateLineitemMorsel4)->UseRealTime();
 
 void BM_FilterDictStringPredicate(benchmark::State& state) {
   // String equality over a dictionary-encoded column: the predicate is
@@ -229,11 +219,12 @@ void BM_TpchQuery(benchmark::State& state) {
 BENCHMARK(BM_TpchQuery)->Arg(1)->Arg(3)->Arg(6)->Arg(9)->Arg(18)->Arg(21);
 
 // ---------------------------------------------------------------------------
-// End-to-end multi-stage plan execution: persistent work-stealing pool vs
-// the previous per-stage thread-spawn design. The plan is wide and deep with
-// deliberately small tasks, so scheduling overhead — not operator work —
-// dominates, which is exactly the regime where spawning fresh threads for
-// every stage hurts.
+// End-to-end multi-stage plan execution: the DAG-pipelined persistent
+// work-stealing pool vs the previous per-stage thread-spawn design. The plan
+// is wide and deep with deliberately small tasks, so scheduling overhead —
+// not operator work — dominates, which is exactly the regime where spawning
+// fresh threads for every stage hurts. Both spread work over threads, so
+// both report wall-clock time (UseRealTime).
 // ---------------------------------------------------------------------------
 
 /// Replica of the pre-pool executor: fresh std::threads per stage pulling
@@ -371,39 +362,20 @@ void BM_MultiStagePlanSpawn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plan.stages.size()));
 }
-BENCHMARK(BM_MultiStagePlanSpawn)->Arg(4);
-
-void BM_MultiStagePlanPool(benchmark::State& state) {
-  // Persistent pool, per-stage barriers (pipeline off): isolates what
-  // reusing workers buys over spawning them.
-  const StagePlan plan = MakeBenchPlan(4, 6, 4);
-  ExecutorOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
-  options.pipeline = false;
-  PlanExecutor executor(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Execute(plan));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(plan.stages.size()));
-}
-BENCHMARK(BM_MultiStagePlanPool)->Arg(4);
+BENCHMARK(BM_MultiStagePlanSpawn)->Arg(4)->UseRealTime();
 
 void BM_MultiStagePlanPipelined(benchmark::State& state) {
   // Full DAG pipelining: independent chains overlap, shuffle steps run as
   // pool tasks too.
   const StagePlan plan = MakeBenchPlan(4, 6, 4);
-  ExecutorOptions options;
-  options.num_threads = static_cast<int>(state.range(0));
-  options.pipeline = true;
-  PlanExecutor executor(options);
+  PlanExecutor executor(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.Execute(plan));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(plan.stages.size()));
 }
-BENCHMARK(BM_MultiStagePlanPipelined)->Arg(4);
+BENCHMARK(BM_MultiStagePlanPipelined)->Arg(4)->UseRealTime();
 
 void BM_StorageEncodeLineitem(benchmark::State& state) {
   const Catalog& cat = BenchCatalog();

@@ -36,12 +36,18 @@ def _throughput(entry):
 
 
 def load(path):
-    """{benchmark-name: entry}, preferring the `mean` aggregate."""
+    """{benchmark-name: entry}, preferring the `mean` aggregate.
+
+    google-benchmark appends "/real_time" to the name of a benchmark that
+    reports wall-clock time; it is dropped so a variant still pairs with
+    its CPU-time scalar sibling and names stay stable across runs.
+    """
     with open(path) as f:
         doc = json.load(f)
     out = {}
     for entry in doc.get("benchmarks", []):
         name = entry.get("run_name", entry.get("name", ""))
+        name = name.removesuffix("/real_time")
         if entry.get("run_type") == "aggregate":
             if entry.get("aggregate_name") == "mean":
                 out[name] = entry
@@ -83,20 +89,20 @@ def spawn_speedups(run):
     """{name: speedup} vs the baseline-variant sibling within one run.
 
     Benchmarks come in variant families measured in the same invocation:
-    the multi-stage plan benchmarks as Spawn/Pool/Pipelined (per-stage
-    thread-spawn baseline vs pool scheduling), the simulation-kernel
-    arrival-skew mix as ScheduleAt/Stream (one ScheduleAt per arrival vs
-    the sorted arrival stream), and the intra-operator knob variants as
-    Radix/Bloom/MorselN suffixes whose scalar sibling is the same name with
-    the suffix dropped.
+    the multi-stage plan benchmarks as Spawn/Pipelined (per-stage
+    thread-spawn baseline vs DAG-pipelined pool scheduling), the
+    simulation-kernel arrival-skew mix as ScheduleAt/Stream (one ScheduleAt
+    per arrival vs the sorted arrival stream), and the morsel-parallel
+    variants as MorselN suffixes whose scalar sibling is the same name with
+    the suffix dropped. The pooled and thread-spawning variants report
+    wall-clock time, so their speedups are wall-clock speedups.
     For each non-baseline variant this reports how much faster it runs than
     its baseline sibling of the same invocation, so the artifact records
     the win even when the committed cross-run baseline predates these
     benchmarks.
     """
-    pairs = (("Pool", "Spawn"), ("Pipelined", "Spawn"),
-             ("Stream", "ScheduleAt"),
-             ("Radix", ""), ("Bloom", ""), ("Morsel2", ""), ("Morsel4", ""))
+    pairs = (("Pipelined", "Spawn"), ("Stream", "ScheduleAt"),
+             ("Morsel2", ""), ("Morsel4", ""))
     out = {}
     for name, entry in run.items():
         for variant, baseline in pairs:

@@ -4,9 +4,10 @@
 # on any non-baselined violation. Then three build/test configurations —
 # Release (with -Werror), AddressSanitizer+UBSan, and ThreadSanitizer —
 # perfbench determinism self-checks on engine_chaos_tenants, trace_replay
-# and engine_paper, a microbenchmark smoke pass that produces
-# BENCH_micro_exec.json, and a check of fig14's folded-trace snapshot. Any test failure or sanitizer report (sanitizers
-# run with -fno-sanitize-recover=all) fails the script.
+# and engine_paper, microbenchmark smoke passes whose artifacts land in
+# build-release/, and a check of fig14's folded-trace snapshot. Any test
+# failure or sanitizer report (sanitizers run with -fno-sanitize-recover=all)
+# fails the script.
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -96,12 +97,12 @@ run_config build-release - -DCMAKE_BUILD_TYPE=Release -DCACKLE_WERROR=ON
 run_config build-asan - -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   "-DCACKLE_SANITIZE=address;undefined"
 # TSan covers the genuinely multithreaded code: the work-stealing
-# ThreadPool, the PlanExecutor running on it (including the vectorized
-# kernels pooled tasks call into, and the morsel-parallel join/aggregate
-# paths — the `exec` pattern pulls in morsel_exec_test and the golden
-# suite runs the 1/4/8-thread knob matrix), and the SweepRunner fan-out. Each
-# Simulation instance is single-threaded by construction, but the sweep
-# harness runs many of them on pool threads, so the simulation and
+# ThreadPool, the DAG-pipelined PlanExecutor running on it (including the
+# vectorized kernels pooled tasks call into, and the morsel-parallel
+# join/aggregate paths — the `exec` pattern pulls in morsel_exec_test and
+# the golden suite runs the 1/4/8-thread morsel matrix), and the SweepRunner
+# fan-out. Each Simulation instance is single-threaded by construction, but
+# the sweep harness runs many of them on pool threads, so the simulation and
 # scheduler suites run here too.
 run_config build-tsan \
   "thread_pool|exec|golden|operators|logical|storage|vectorized|simulation|sim_scheduler|sim_differential|sweep_runner|multitenant" \
@@ -163,8 +164,10 @@ echo "bench artifact: build-release/BENCH_micro_strategy_smoke.json"
 
 # Kernel benchmarks with repetitions, compared against the committed
 # baseline (bench/results/.baseline_raw.json, captured before the
-# vectorized executor landed). Prints old-vs-new throughput and refreshes
-# the combined bench/results/BENCH_micro_exec.json artifact.
+# vectorized executor landed). Prints old-vs-new throughput and writes the
+# combined artifact to build-release/; the committed
+# bench/results/BENCH_micro_exec.json is regenerated by hand on a
+# multi-core machine (see EXPERIMENTS.md), never by a CI run.
 echo "=== bench kernels (micro_exec, 3 repetitions) ==="
 ./build-release/bench/micro_exec \
   --benchmark_filter='BM_Filter|BM_HashJoin|BM_HashAggregate|BM_PartitionByHash|BM_FlatMap|BM_GatherRows|BM_DictEncode|BM_MultiStagePlan' \
@@ -175,7 +178,7 @@ echo "=== bench kernels (micro_exec, 3 repetitions) ==="
 python3 scripts/bench_compare.py \
   bench/results/.baseline_raw.json \
   build-release/BENCH_micro_exec_raw.json \
-  --out bench/results/BENCH_micro_exec.json
+  --out build-release/BENCH_micro_exec.json
 
 # Simulation-kernel smoke: the event-core microbench in fast mode, compared
 # against the committed full-scale artifact. The committed numbers come

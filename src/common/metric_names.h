@@ -116,21 +116,11 @@ inline constexpr char kExecFilterSelectionVectors[] =
     "exec.filter.selection_vectors";
 inline constexpr char kExecFilterDictPredicates[] =
     "exec.filter.dict_predicates";
-// Intra-operator parallelism counters (morsel scheduling, radix-partitioned
-// join builds, bloom pushdown). The exec.morsel.* / exec.radix.* /
-// exec.bloom.* prefixes are reserved to this header by the
+// Intra-operator parallelism counters (morsel scheduling). The
+// exec.morsel.* prefix is reserved to this header by the
 // cackle-metric-prefix lint check.
 inline constexpr char kExecMorselTasks[] = "exec.morsel.tasks";
 inline constexpr char kExecMorselOperators[] = "exec.morsel.operators";
-inline constexpr char kExecRadixJoins[] = "exec.radix.joins";
-inline constexpr char kExecRadixPartitions[] = "exec.radix.partitions";
-inline constexpr char kExecRadixMaxPartitionRows[] =
-    "exec.radix.max_partition_rows";
-inline constexpr char kExecBloomBuilds[] = "exec.bloom.builds";
-inline constexpr char kExecBloomProbes[] = "exec.bloom.probes";
-inline constexpr char kExecBloomHits[] = "exec.bloom.hits";
-inline constexpr char kExecBloomFalsePositives[] =
-    "exec.bloom.false_positives";
 
 // ------------------------------------------- PlanExecutor suffixes (+prefix)
 inline constexpr char kSuffixPlansRun[] = ".plans_run";

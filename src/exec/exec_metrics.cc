@@ -18,13 +18,6 @@ void ExecKernelMetrics::Reset() {
   dict_predicate_evals.store(0, std::memory_order_relaxed);
   morsel_tasks.store(0, std::memory_order_relaxed);
   morsel_operators.store(0, std::memory_order_relaxed);
-  radix_joins.store(0, std::memory_order_relaxed);
-  radix_partitions.store(0, std::memory_order_relaxed);
-  radix_max_partition_rows.store(0, std::memory_order_relaxed);
-  bloom_builds.store(0, std::memory_order_relaxed);
-  bloom_probes.store(0, std::memory_order_relaxed);
-  bloom_hits.store(0, std::memory_order_relaxed);
-  bloom_false_positives.store(0, std::memory_order_relaxed);
 }
 
 ExecKernelMetrics& ExecMetrics() {
@@ -54,15 +47,6 @@ void PublishExecMetrics(MetricsRegistry& registry) {
                       get(m.dict_predicate_evals));
   registry.SetCounter(mn::kExecMorselTasks, get(m.morsel_tasks));
   registry.SetCounter(mn::kExecMorselOperators, get(m.morsel_operators));
-  registry.SetCounter(mn::kExecRadixJoins, get(m.radix_joins));
-  registry.SetCounter(mn::kExecRadixPartitions, get(m.radix_partitions));
-  registry.SetCounter(mn::kExecRadixMaxPartitionRows,
-                      get(m.radix_max_partition_rows));
-  registry.SetCounter(mn::kExecBloomBuilds, get(m.bloom_builds));
-  registry.SetCounter(mn::kExecBloomProbes, get(m.bloom_probes));
-  registry.SetCounter(mn::kExecBloomHits, get(m.bloom_hits));
-  registry.SetCounter(mn::kExecBloomFalsePositives,
-                      get(m.bloom_false_positives));
 }
 
 }  // namespace cackle::exec

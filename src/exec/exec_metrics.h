@@ -46,18 +46,6 @@ struct ExecKernelMetrics {
   /// invocations that split into more than one morsel.
   std::atomic<int64_t> morsel_tasks{0};
   std::atomic<int64_t> morsel_operators{0};
-  /// Radix-partitioned join builds, total partitions built by them, and the
-  /// largest single partition's build rows (high-water across the process).
-  std::atomic<int64_t> radix_joins{0};
-  std::atomic<int64_t> radix_partitions{0};
-  std::atomic<int64_t> radix_max_partition_rows{0};
-  /// Bloom pushdown: filters built, probe-side consultations, probes the
-  /// filter passed, and passed probes the hash table then rejected (the
-  /// filter's false positives).
-  std::atomic<int64_t> bloom_builds{0};
-  std::atomic<int64_t> bloom_probes{0};
-  std::atomic<int64_t> bloom_hits{0};
-  std::atomic<int64_t> bloom_false_positives{0};
 
   void Reset();
 };
@@ -71,10 +59,7 @@ ExecKernelMetrics& ExecMetrics();
 ///   exec.dict.columns_encoded, exec.dict.encodes_abandoned,
 ///   exec.dict.total_entries, exec.gather.rows,
 ///   exec.filter.selection_vectors, exec.filter.dict_predicates,
-///   exec.morsel.tasks, exec.morsel.operators,
-///   exec.radix.joins, exec.radix.partitions, exec.radix.max_partition_rows,
-///   exec.bloom.builds, exec.bloom.probes, exec.bloom.hits,
-///   exec.bloom.false_positives
+///   exec.morsel.tasks, exec.morsel.operators
 void PublishExecMetrics(MetricsRegistry& registry);
 
 }  // namespace cackle::exec

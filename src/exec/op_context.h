@@ -23,26 +23,17 @@ namespace cackle::exec {
 ///
 /// Determinism contract: every knob here changes only how work is split and
 /// scheduled, never the produced rows or their order. Morsel partial states
-/// land in per-index slots and merge in morsel-index order; radix
-/// partitioning keeps each key's build rows in ascending row order; the
-/// bloom filter only ever skips keys the hash table would also miss.
+/// land in per-index slots and merge in morsel-index order.
 struct OpExecContext {
   /// Pool for intra-operator morsel/partition tasks; null runs them inline
   /// (still in the same deterministic order).
   ThreadPool* pool = nullptr;
   /// Rows per morsel for intra-operator splitting. 0 disables splitting.
   int64_t morsel_rows = 0;
-  /// Radix bits for the partitioned hash-join build (2^bits partitions).
-  /// 0 keeps the single flat build table.
-  int radix_bits = 0;
-  /// Build a blocked bloom filter from the join build side and consult it
-  /// before each hash-table probe (false positives re-checked, never wrong;
-  /// true matches never dropped).
-  bool bloom_pushdown = false;
   /// Scratch reporting hook: an operator calls this once with the transient
-  /// high-water bytes of its side allocations (packed-key vectors, radix
-  /// partition lists, bloom filter, morsel emit buffers) so
-  /// PlanRunStats::peak_resident_bytes can account for them. May be null.
+  /// high-water bytes of its side allocations (packed-key vectors, hash
+  /// table, morsel emit buffers) so PlanRunStats::peak_resident_bytes can
+  /// account for them. May be null.
   std::function<void(int64_t)> report_scratch_bytes;
 };
 
@@ -51,7 +42,7 @@ inline thread_local const OpExecContext* g_op_exec_context = nullptr;
 }  // namespace internal
 
 /// The context installed on this thread, or an all-defaults context (serial,
-/// no morsels, no radix, no bloom) when none is installed.
+/// no morsels) when none is installed.
 inline const OpExecContext& CurrentOpExecContext() {
   static const OpExecContext kDefault;
   const OpExecContext* ctx = internal::g_op_exec_context;

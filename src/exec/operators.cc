@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <set>
 #include <unordered_map>
@@ -11,7 +10,6 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "exec/bloom.h"
 #include "exec/exec_metrics.h"
 #include "exec/flat_hash.h"
 #include "exec/op_context.h"
@@ -312,15 +310,6 @@ bool IntraOpParallel(const OpExecContext& ctx) {
   return ctx.pool != nullptr && ctx.morsel_rows > 0;
 }
 
-/// Raises the process-wide radix max-partition-rows high-water mark.
-void RaiseRadixMaxPartitionRows(int64_t rows) {
-  auto& mx = ExecMetrics().radix_max_partition_rows;
-  int64_t cur = mx.load(std::memory_order_relaxed);
-  while (rows > cur &&
-         !mx.compare_exchange_weak(cur, rows, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 Table Filter(const Table& input, const ExprPtr& predicate) {
@@ -397,139 +386,31 @@ Table HashJoin(const Table& left, const std::vector<std::string>& left_keys,
     });
     scratch_bytes += nr * 16;
 
-    std::unique_ptr<BlockedBloomFilter> bloom;
-    if (ctx.bloom_pushdown) {
-      bloom = std::make_unique<BlockedBloomFilter>(nr);
-      for (int64_t r = 0; r < nr; ++r) {
-        bloom->Insert(rhash[static_cast<size_t>(r)]);
-      }
-      ExecMetrics().bloom_builds.fetch_add(1, std::memory_order_relaxed);
-      scratch_bytes += bloom->SizeBytes();
-    }
-
-    const int radix_bits = ctx.radix_bits;
-    // Radix state (empty on the single-table path): per-partition hash
-    // tables and the partition-order group-id offsets.
-    std::vector<FlatMap64> part_maps;
-    std::vector<int64_t> gid_base;
-    FlatMap64 map(radix_bits > 0 ? 0 : ExpectedKeys(nr, rplan));
-    if (radix_bits > 0) {
-      // Radix-partitioned build: rows spread by the hash's TOP bits (slot
-      // probing uses the low bits, so within-partition distribution keeps
-      // full hash quality), then each partition's table builds as an
-      // independent task. All rows of a key land in one partition and are
-      // appended in ascending row order, so every group's chain — and the
-      // emitted rows — are identical to the single-table build.
-      ExecMetrics().radix_joins.fetch_add(1, std::memory_order_relaxed);
-      const int num_parts = 1 << radix_bits;
-      const int shift = 64 - radix_bits;
-      std::vector<std::vector<int64_t>> part_rows(
-          static_cast<size_t>(num_parts));
-      for (auto& rows : part_rows) {
-        rows.reserve(static_cast<size_t>(nr / num_parts + 1));
-      }
-      for (int64_t r = 0; r < nr; ++r) {
-        part_rows[rhash[static_cast<size_t>(r)] >> shift].push_back(r);
-      }
-      int64_t max_part = 0;
-      for (const auto& rows : part_rows) {
-        max_part = std::max(max_part, static_cast<int64_t>(rows.size()));
-      }
-      ExecMetrics().radix_partitions.fetch_add(num_parts,
-                                               std::memory_order_relaxed);
-      RaiseRadixMaxPartitionRows(max_part);
-      scratch_bytes += nr * 8;
-
-      part_maps.resize(static_cast<size_t>(num_parts));
-      std::vector<std::vector<int64_t>> part_heads(
-          static_cast<size_t>(num_parts));
-      std::vector<std::vector<int64_t>> part_tails(
-          static_cast<size_t>(num_parts));
-      auto build_partition = [&](int p) {
-        const auto pi = static_cast<size_t>(p);
-        const std::vector<int64_t>& rows = part_rows[pi];
-        FlatMap64 pmap(static_cast<int64_t>(rows.size()));
-        std::vector<int64_t>& phead = part_heads[pi];
-        std::vector<int64_t>& ptail = part_tails[pi];
-        for (const int64_t r : rows) {
-          bool inserted = false;
-          const int64_t g = pmap.FindOrInsertHashed(
-              rkeys[static_cast<size_t>(r)], rhash[static_cast<size_t>(r)],
-              static_cast<int64_t>(phead.size()), &inserted);
-          if (inserted) {
-            phead.push_back(r);
-            ptail.push_back(r);
-          } else {
-            // Each build row belongs to exactly one partition, so these
-            // writes into the shared chain array are disjoint.
-            next[static_cast<size_t>(ptail[static_cast<size_t>(g)])] = r;
-            ptail[static_cast<size_t>(g)] = r;
-          }
-        }
-        part_maps[pi] = std::move(pmap);
-      };
-      if (ctx.pool != nullptr) {
-        TaskGroup group(ctx.pool, "radix_build");
-        for (int p = 0; p < num_parts; ++p) {
-          group.Submit([&build_partition, p] { build_partition(p); });
-        }
-        group.Wait();
+    // Ordered FindOrInsert over the precomputed keys — group numbering and
+    // chains identical to the pre-morsel code.
+    FlatMap64 map(ExpectedKeys(nr, rplan));
+    for (int64_t r = 0; r < nr; ++r) {
+      bool inserted = false;
+      const int64_t gid = map.FindOrInsertHashed(
+          rkeys[static_cast<size_t>(r)], rhash[static_cast<size_t>(r)],
+          static_cast<int64_t>(head.size()), &inserted);
+      if (inserted) {
+        head.push_back(r);
+        tail.push_back(r);
       } else {
-        for (int p = 0; p < num_parts; ++p) build_partition(p);
+        next[static_cast<size_t>(tail[static_cast<size_t>(gid)])] = r;
+        tail[static_cast<size_t>(gid)] = r;
       }
-      // Global group ids: partition-order offsets over concatenated heads.
-      gid_base.assign(static_cast<size_t>(num_parts) + 1, 0);
-      int64_t resizes = 0;
-      for (int p = 0; p < num_parts; ++p) {
-        const auto pi = static_cast<size_t>(p);
-        gid_base[pi + 1] =
-            gid_base[pi] + static_cast<int64_t>(part_heads[pi].size());
-        resizes += part_maps[pi].resizes();
-        scratch_bytes += part_maps[pi].capacity() * 16 +
-                         static_cast<int64_t>(part_heads[pi].size()) * 16;
-      }
-      head.resize(static_cast<size_t>(gid_base[static_cast<size_t>(
-          num_parts)]));
-      for (int p = 0; p < num_parts; ++p) {
-        const auto pi = static_cast<size_t>(p);
-        std::copy(part_heads[pi].begin(), part_heads[pi].end(),
-                  head.begin() + gid_base[pi]);
-      }
-      ExecMetrics().flat_table_builds.fetch_add(num_parts,
-                                                std::memory_order_relaxed);
-      ExecMetrics().flat_table_resizes.fetch_add(resizes,
-                                                 std::memory_order_relaxed);
-    } else {
-      // Single-table build: ordered FindOrInsert over the precomputed keys
-      // — group numbering and chains identical to the pre-morsel code.
-      for (int64_t r = 0; r < nr; ++r) {
-        bool inserted = false;
-        const int64_t gid = map.FindOrInsertHashed(
-            rkeys[static_cast<size_t>(r)], rhash[static_cast<size_t>(r)],
-            static_cast<int64_t>(head.size()), &inserted);
-        if (inserted) {
-          head.push_back(r);
-          tail.push_back(r);
-        } else {
-          next[static_cast<size_t>(tail[static_cast<size_t>(gid)])] = r;
-          tail[static_cast<size_t>(gid)] = r;
-        }
-      }
-      ExecMetrics().flat_table_builds.fetch_add(1, std::memory_order_relaxed);
-      ExecMetrics().flat_table_resizes.fetch_add(map.resizes(),
-                                                 std::memory_order_relaxed);
-      scratch_bytes += map.capacity() * 16;
     }
+    ExecMetrics().flat_table_builds.fetch_add(1, std::memory_order_relaxed);
+    ExecMetrics().flat_table_resizes.fetch_add(map.resizes(),
+                                               std::memory_order_relaxed);
+    scratch_bytes += map.capacity() * 16;
 
     // Probe: morsel-parallel over left rows, each morsel writing its own
     // probe_gid slots. Keys hash in 8-row batches feeding a prefetch wave
-    // before the dependent table walks; the bloom filter (when built)
-    // screens each probe first — a miss is definitely absent (gid -1 is
-    // exactly what the table would return), a pass is re-checked.
+    // before the dependent table walks.
     ForEachMorsel(nl, ctx, [&](int64_t b, int64_t e, int64_t) {
-      int64_t probes = 0;
-      int64_t bloom_pass = 0;
-      int64_t false_pos = 0;
       constexpr int64_t kBatch = 8;
       uint64_t keys[kBatch];
       uint64_t hashes[kBatch];
@@ -539,39 +420,11 @@ Table HashJoin(const Table& left, const std::vector<std::string>& left_keys,
           keys[i] = PackRow(lplan, base + i);
           hashes[i] = Mix64(keys[i]);
         }
+        for (int64_t i = 0; i < cnt; ++i) map.Prefetch(hashes[i]);
         for (int64_t i = 0; i < cnt; ++i) {
-          if (radix_bits > 0) {
-            part_maps[hashes[i] >> (64 - radix_bits)].Prefetch(hashes[i]);
-          } else {
-            map.Prefetch(hashes[i]);
-          }
+          probe_gid[static_cast<size_t>(base + i)] =
+              map.FindHashed(keys[i], hashes[i]);
         }
-        for (int64_t i = 0; i < cnt; ++i) {
-          const auto l = static_cast<size_t>(base + i);
-          if (bloom != nullptr) {
-            ++probes;
-            if (!bloom->MayContain(hashes[i])) continue;  // gid stays -1
-            ++bloom_pass;
-          }
-          int64_t g;
-          if (radix_bits > 0) {
-            const size_t p = hashes[i] >> (64 - radix_bits);
-            const int64_t local = part_maps[p].FindHashed(keys[i], hashes[i]);
-            g = local < 0 ? -1 : gid_base[p] + local;
-          } else {
-            g = map.FindHashed(keys[i], hashes[i]);
-          }
-          if (bloom != nullptr && g < 0) ++false_pos;
-          probe_gid[l] = g;
-        }
-      }
-      if (bloom != nullptr) {
-        ExecMetrics().bloom_probes.fetch_add(probes,
-                                             std::memory_order_relaxed);
-        ExecMetrics().bloom_hits.fetch_add(bloom_pass,
-                                           std::memory_order_relaxed);
-        ExecMetrics().bloom_false_positives.fetch_add(
-            false_pos, std::memory_order_relaxed);
       }
     });
   } else {

@@ -17,7 +17,7 @@
 namespace cackle::exec {
 
 PlanExecutor::PlanExecutor(int num_threads)
-    : PlanExecutor(ExecutorOptions{num_threads, true, true}) {}
+    : PlanExecutor(ExecutorOptions{.num_threads = num_threads}) {}
 
 PlanExecutor::PlanExecutor(const ExecutorOptions& options)
     : options_(options) {
@@ -78,8 +78,8 @@ const StagePlan& ValidatePlan(const StagePlan& plan) {
 namespace {
 
 /// One plan execution: per-stage runtime state plus the phase functions
-/// every driver (serial, pooled-barrier, pooled-pipelined) runs in the same
-/// per-slot order, which is what keeps results bit-identical.
+/// both drivers (serial, pooled-pipelined) run in the same per-slot order,
+/// which is what keeps results bit-identical.
 ///
 /// A stage flows through three phases:
 ///   task phase      RunTask(i, t)        -> task_outputs[t]
@@ -126,17 +126,13 @@ class PlanRun {
   Table Run(ThreadPool* pool) {
     op_context_.pool = pool;
     op_context_.morsel_rows = options_.morsel_rows;
-    op_context_.radix_bits = options_.radix_bits;
-    op_context_.bloom_pushdown = options_.enable_bloom_pushdown;
     op_context_.report_scratch_bytes = [this](int64_t bytes) {
       ReportScratch(bytes);
     };
     if (pool == nullptr) {
       RunSerial();
-    } else if (options_.pipeline) {
-      RunPipelined(pool);
     } else {
-      RunBarrier(pool);
+      RunPipelined(pool);
     }
     if (stats_ != nullptr) {
       // All pool tasks have completed (the run drivers wait), but the
@@ -220,11 +216,10 @@ class PlanRun {
     state.task_outputs.clear();
   }
 
-  /// Folds one operator's transient scratch high-water (radix partition
-  /// lists, bloom filters, packed-key and emit buffers) into the peak
-  /// residency figure. Concurrent operators each raise the peak against the
-  /// same resident base, which understates overlap but never hides an
-  /// operator's footprint entirely.
+  /// Folds one operator's transient scratch high-water (packed-key vectors,
+  /// hash tables, emit buffers) into the peak residency figure. Concurrent
+  /// operators each raise the peak against the same resident base, which
+  /// understates overlap but never hides an operator's footprint entirely.
   void ReportScratch(int64_t bytes) {
     MutexLock lock(&residency_mu_);
     peak_resident_ = std::max(peak_resident_, current_resident_ + bytes);
@@ -242,7 +237,6 @@ class PlanRun {
   }
 
   void FreeStageOutput(size_t i) {
-    if (!options_.release_stage_outputs) return;
     if (i + 1 == plan_.stages.size()) return;  // the plan result
     {
       MutexLock lock(&residency_mu_);
@@ -309,32 +303,6 @@ class PlanRun {
         for (int p = 0; p < stage.output_partitions; ++p) {
           ConcatPartition(i, p);
         }
-      }
-      FinishStage(i);
-    }
-  }
-
-  void RunBarrier(ThreadPool* pool) {
-    for (size_t i = 0; i < plan_.stages.size(); ++i) {
-      const PlanStage& stage = plan_.stages[i];
-      TaskGroup group(pool, plan_.name + "/" + stage.label);
-      for (int t = 0; t < stage.num_tasks; ++t) {
-        group.Submit([this, i, t] { RunTask(i, t); });
-      }
-      group.Wait();
-      ReleaseInputs(i);
-      PrepareShuffle(i);
-      if (stage.output_partitions == 1) {
-        GatherConcat(i);
-      } else {
-        for (int t = 0; t < stage.num_tasks; ++t) {
-          group.Submit([this, i, t] { PartitionTask(i, t); });
-        }
-        group.Wait();
-        for (int p = 0; p < stage.output_partitions; ++p) {
-          group.Submit([this, i, p] { ConcatPartition(i, p); });
-        }
-        group.Wait();
       }
       FinishStage(i);
     }

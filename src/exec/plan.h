@@ -68,10 +68,9 @@ struct StageStats {
 struct PlanRunStats {
   std::vector<StageStats> stages;
   int64_t total_micros = 0;
-  /// Peak bytes of live stage shuffle outputs during the run. With input
-  /// release enabled (the default) a stage's partitions are freed after its
-  /// last consumer finishes reading them, so on deep plans this is well
-  /// below the sum of all stage output bytes.
+  /// Peak bytes of live stage shuffle outputs during the run. A stage's
+  /// partitions are freed after its last consumer finishes reading them, so
+  /// on deep plans this is well below the sum of all stage output bytes.
   int64_t peak_resident_bytes = 0;
 };
 
@@ -81,28 +80,11 @@ struct ExecutorOptions {
   /// executor keeps a persistent work-stealing pool of N-1 workers and the
   /// calling thread helps while waiting, so N threads execute tasks.
   int num_threads = 1;
-  /// When pooled: schedule stages along the plan's dependency DAG so
-  /// independent stages overlap (no per-stage join barrier). When false,
-  /// stages still run their tasks and shuffle steps on the pool but
-  /// barrier between phases in stage index order.
-  bool pipeline = true;
-  /// Free a stage's shuffle partitions once every consumer stage has
-  /// finished its task phase (the final stage's result is always kept).
-  bool release_stage_outputs = true;
   /// Intra-operator parallelism: rows per morsel for HashJoin/HashAggregate
   /// build, probe, and emit loops (chunks scheduled as pool tasks inside one
   /// stage task; partial states merge in morsel-index order, so results stay
   /// bit-identical at any thread count). 0 (default) keeps single loops.
   int64_t morsel_rows = 0;
-  /// Radix-partitioned hash-join build: partition both sides by the key
-  /// hash's top `radix_bits` bits into 2^bits cache-sized partitions and
-  /// build/probe each as an independent task. 0 (default) keeps the single
-  /// flat build table. Results are row-identical either way.
-  int radix_bits = 0;
-  /// Build a blocked bloom filter during join builds and consult it before
-  /// each hash-table probe; false positives are re-checked by the table, so
-  /// results never change. Off by default.
-  bool enable_bloom_pushdown = false;
 };
 
 /// \brief Executes a StagePlan, measuring each task's wall time and each
@@ -111,11 +93,11 @@ struct ExecutorOptions {
 /// With `num_threads` == 1 (default) everything runs serially in index
 /// order. With more threads the executor runs stage tasks, per-task hash
 /// partitioning, and per-partition concatenation as tasks on a persistent
-/// work-stealing ThreadPool, and (with `pipeline`) overlaps independent
-/// stages by scheduling along the dependency DAG. Results are bit-identical
-/// in every configuration: task outputs land in per-index slots and every
-/// merge (partition collection, concatenation) walks fixed index order, so
-/// even floating-point summation order matches serial execution.
+/// work-stealing ThreadPool, and overlaps independent stages by scheduling
+/// along the dependency DAG. Results are bit-identical in every
+/// configuration: task outputs land in per-index slots and every merge
+/// (partition collection, concatenation) walks fixed index order, so even
+/// floating-point summation order matches serial execution.
 ///
 /// The pool persists across Execute() calls for the executor's lifetime.
 /// One executor must not be used from several threads at once.

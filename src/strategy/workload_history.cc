@@ -1,6 +1,7 @@
 #include "strategy/workload_history.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -20,16 +21,19 @@ WorkloadHistory::WorkloadHistory(std::vector<int64_t> lookbacks)
     CACKLE_CHECK_GT(lb, 0);
     windows_.push_back(Window{lb, 0, false, {}});
   }
+  max_demand_ = std::numeric_limits<int64_t>::max() / lookbacks_.back();
 }
 
 void WorkloadHistory::Append(int64_t demand) {
   CACKLE_CHECK_GE(demand, 0);
+  CACKLE_CHECK_LE(demand, max_demand_)
+      << "demand would overflow a " << lookbacks_.back() << " s window sum";
   history_.push_back(demand);
   const int64_t now = size();  // number of samples after append
   for (Window& w : windows_) {
     std::vector<int64_t>& s = w.sorted;
-    w.sum += demand;
     if (now <= w.lookback_s) {
+      w.sum += demand;
       if (w.sorted_live) {
         s.insert(std::upper_bound(s.begin(), s.end(), demand), demand);
       }
@@ -37,7 +41,9 @@ void WorkloadHistory::Append(int64_t demand) {
     }
     const int64_t evicted =
         history_[static_cast<size_t>(now - w.lookback_s - 1)];
-    w.sum -= evicted;
+    // Both are in [0, max_demand_], so neither the difference nor the
+    // resulting sum of lookback_s samples can overflow.
+    w.sum += demand - evicted;
     if (!w.sorted_live) continue;
     // Overwrite one copy of the evicted value with the new sample, shifting
     // the elements strictly between the two by one slot.

@@ -45,7 +45,9 @@ class WorkloadHistory {
   explicit WorkloadHistory(
       std::vector<int64_t> lookbacks = DefaultLookbacks());
 
-  /// Appends one second of demand (any value >= 0, kept exactly).
+  /// Appends one second of demand, kept exactly. CHECK-fails unless
+  /// 0 <= demand <= INT64_MAX / (longest lookback), so no window sum can
+  /// overflow; that is ParseDemandCsv's bound for the default 3600 s.
   void Append(int64_t demand);
 
   /// Number of seconds recorded.
@@ -88,6 +90,8 @@ class WorkloadHistory {
   std::vector<int64_t> lookbacks_;
   std::vector<int64_t> history_;
   std::vector<Window> windows_;
+  /// INT64_MAX / lookbacks_.back(): the largest demand Append accepts.
+  int64_t max_demand_ = 0;
 };
 
 }  // namespace cackle

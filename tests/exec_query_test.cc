@@ -450,24 +450,18 @@ TEST(ProfilerTest, PooledProfilingMatchesSerialAndExportsPoolMetrics) {
 }
 
 TEST(PlanExecutorTest, ReleasingStageOutputsLowersPeakResidency) {
-  // Q8 is the deepest TPC-H plan in the suite; with release enabled the
-  // executor frees each stage's shuffle partitions after the last consumer
-  // reads them, so peak resident bytes must drop versus keep-everything.
+  // Q8 is the deepest TPC-H plan in the suite. The executor frees each
+  // stage's shuffle partitions after its last consumer reads them, so the
+  // peak must stay below the sum of all stage outputs — the least a run
+  // that kept every output would reach.
   const Catalog& cat = TestCatalog();
-  ExecutorOptions keep;
-  keep.release_stage_outputs = false;
-  ExecutorOptions release;
-  release.release_stage_outputs = true;
-  PlanExecutor keeper(keep);
-  PlanExecutor releaser(release);
-  PlanRunStats keep_stats, release_stats;
-  const Table a =
-      keeper.Execute(BuildTpchPlan(8, cat, PlanConfig{4}), &keep_stats);
-  const Table b =
-      releaser.Execute(BuildTpchPlan(8, cat, PlanConfig{4}), &release_stats);
-  ExpectTablesNear(a, b, 0.0);  // same serial execution, exact equality
-  EXPECT_GT(release_stats.peak_resident_bytes, 0);
-  EXPECT_LT(release_stats.peak_resident_bytes, keep_stats.peak_resident_bytes);
+  PlanExecutor serial;
+  PlanRunStats stats;
+  serial.Execute(BuildTpchPlan(8, cat, PlanConfig{4}), &stats);
+  int64_t total_output_bytes = 0;
+  for (const StageStats& s : stats.stages) total_output_bytes += s.output_bytes;
+  EXPECT_GT(stats.peak_resident_bytes, 0);
+  EXPECT_LT(stats.peak_resident_bytes, total_output_bytes);
 }
 
 TEST(ProfilerTest, RoundTripsThroughSerialization) {

@@ -480,36 +480,24 @@ void ExpectTablesIdentical(const Table& a, const Table& b) {
 
 }  // namespace
 
-TEST(PlanExecutorTest, SerialBarrierAndPipelinedConfigsAgree) {
+TEST(PlanExecutorTest, SerialAndPooledConfigsAgree) {
   Rng rng(17);
   const Table left = RandomTable(&rng, 2000, 40, "k", "v");
   const Table right = RandomTable(&rng, 800, 40, "k", "v");
   const StagePlan plan = DiamondPlan(left, right);
 
-  ExecutorOptions serial_opts;  // num_threads = 1
-  ExecutorOptions barrier_opts;
-  barrier_opts.num_threads = 4;
-  barrier_opts.pipeline = false;
-  ExecutorOptions pipelined_opts;
-  pipelined_opts.num_threads = 4;
-  pipelined_opts.pipeline = true;
+  PlanExecutor serial(1);
+  PlanExecutor pooled(4);
 
-  PlanExecutor serial(serial_opts);
-  PlanExecutor barrier(barrier_opts);
-  PlanExecutor pipelined(pipelined_opts);
-
-  PlanRunStats serial_stats, barrier_stats, pipelined_stats;
+  PlanRunStats serial_stats, pooled_stats;
   const Table a = serial.Execute(plan, &serial_stats);
-  const Table b = barrier.Execute(plan, &barrier_stats);
-  const Table c = pipelined.Execute(plan, &pipelined_stats);
+  const Table b = pooled.Execute(plan, &pooled_stats);
 
   ExpectTablesIdentical(a, b);
-  ExpectTablesIdentical(a, c);
 
-  // Stats invariants: every config accounts for every task exactly once
-  // (no double-counted and no lost slots) and sees identical data volumes.
-  const PlanRunStats* const runs[] = {&serial_stats, &barrier_stats,
-                                      &pipelined_stats};
+  // Stats invariants: both configs account for every task exactly once
+  // (no double-counted and no lost slots) and see identical data volumes.
+  const PlanRunStats* const runs[] = {&serial_stats, &pooled_stats};
   for (const PlanRunStats* run : runs) {
     ASSERT_EQ(run->stages.size(), plan.stages.size());
     for (size_t i = 0; i < plan.stages.size(); ++i) {

@@ -302,10 +302,10 @@ TEST(TpchGoldenResultsTest, AllQueriesMatchCommittedChecksums) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: pooled execution (with and without DAG pipelining) promises
-// BIT-identical results to serial — task outputs land in per-index slots and
-// merges walk fixed index order, so even double summation order matches.
-// Checksums are therefore compared with EXPECT_EQ, no epsilon.
+// Determinism: pooled (DAG-pipelined) execution promises BIT-identical
+// results to serial — task outputs land in per-index slots and merges walk
+// fixed index order, so even double summation order matches. Checksums are
+// therefore compared with EXPECT_EQ, no epsilon.
 // ---------------------------------------------------------------------------
 
 void ExpectChecksumsBitIdentical(const QueryChecksum& a,
@@ -323,38 +323,26 @@ void ExpectChecksumsBitIdentical(const QueryChecksum& a,
 
 TEST(TpchGoldenResultsTest, PooledExecutionIsBitIdenticalToSerial) {
   PlanExecutor serial;  // 1 thread, index order
-  ExecutorOptions barrier_opts;
-  barrier_opts.num_threads = 4;
-  barrier_opts.pipeline = false;
-  PlanExecutor barrier(barrier_opts);
-  ExecutorOptions pipelined_opts;
-  pipelined_opts.num_threads = 4;
-  pipelined_opts.pipeline = true;
-  PlanExecutor pipelined(pipelined_opts);
+  PlanExecutor pooled(4);
   for (const int id : AllTpchQueryIds()) {
     SCOPED_TRACE(testing::Message() << "query " << id);
     const StagePlan plan = BuildTpchPlan(id, TestCatalog(), PlanConfig{3});
     const QueryChecksum want = Checksum(id, serial.Execute(plan));
-    ExpectChecksumsBitIdentical(want, Checksum(id, barrier.Execute(plan)));
-    ExpectChecksumsBitIdentical(want, Checksum(id, pipelined.Execute(plan)));
+    ExpectChecksumsBitIdentical(want, Checksum(id, pooled.Execute(plan)));
   }
 }
 
-// The intra-operator knobs (morsel splitting, radix-partitioned join builds,
-// bloom pushdown) make the same promise: they change only how work is split
-// across pool tasks, never the produced rows, their order, or float
-// summation order. All 25 queries must be BIT-identical to serial at every
-// thread count with all three knobs engaged.
-TEST(TpchGoldenResultsTest, MorselRadixBloomExecutionIsBitIdenticalToSerial) {
-  PlanExecutor serial;  // 1 thread, no morsels/radix/bloom
+// Intra-operator morsel splitting makes the same promise: it changes only
+// how work is split across pool tasks, never the produced rows, their
+// order, or float summation order. All 25 queries must be BIT-identical to
+// serial at every thread count.
+TEST(TpchGoldenResultsTest, MorselExecutionIsBitIdenticalToSerial) {
+  PlanExecutor serial;  // 1 thread, no morsels
   for (const int threads : {1, 4, 8}) {
     SCOPED_TRACE(testing::Message() << "threads " << threads);
     ExecutorOptions opts;
     opts.num_threads = threads;
-    opts.pipeline = true;
     opts.morsel_rows = 1024;  // small enough to split SF 0.01 inputs
-    opts.radix_bits = 4;
-    opts.enable_bloom_pushdown = true;
     PlanExecutor morsel(opts);
     for (const int id : AllTpchQueryIds()) {
       SCOPED_TRACE(testing::Message() << "query " << id);
@@ -417,18 +405,13 @@ void ExpectSortedRowsNear(const std::vector<std::vector<Cell>>& rows_a,
   }
 }
 
-TEST_P(TpchThreadDifferentialTest, SerialPoolAndPipelinedAgree) {
+TEST_P(TpchThreadDifferentialTest, SerialAndPooledAgree) {
   const Catalog& cat = TestCatalog();
   PlanExecutor serial(1);
-  ExecutorOptions barrier_opts;
-  barrier_opts.num_threads = 4;
-  barrier_opts.pipeline = false;
-  PlanExecutor barrier(barrier_opts);
-  PlanExecutor pipelined(4);  // pipeline defaults on
+  PlanExecutor pooled(4);
   const StagePlan plan = BuildTpchPlan(GetParam(), cat, PlanConfig{6});
   const auto rows_serial = SortedRows(serial.Execute(plan));
-  ExpectSortedRowsNear(rows_serial, SortedRows(barrier.Execute(plan)));
-  ExpectSortedRowsNear(rows_serial, SortedRows(pipelined.Execute(plan)));
+  ExpectSortedRowsNear(rows_serial, SortedRows(pooled.Execute(plan)));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchThreadDifferentialTest,

@@ -1,10 +1,8 @@
-// Unit tests for the intra-operator parallelism layer: morsel splitting,
-// radix-partitioned join builds, and bloom pushdown. The executor-level
-// golden suite proves the 25 TPC-H queries stay bit-identical; these tests
-// pin the operator-level contracts directly — bloom filters are strictly
-// one-sided (never drop a true match), radix partitioning handles empty
-// partitions and full skew, and every knob combination reproduces the
-// default path's rows bit-for-bit, pool or no pool.
+// Unit tests for the intra-operator parallelism layer: morsel splitting.
+// The executor-level golden suite proves the 25 TPC-H queries stay
+// bit-identical; these tests pin the operator-level contract directly —
+// morsel splitting reproduces the default path's rows bit-for-bit on skewed,
+// tiny and empty inputs, pool or no pool.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +11,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "exec/bloom.h"
 #include "exec/exec_metrics.h"
 #include "exec/op_context.h"
 #include "exec/operators.h"
@@ -66,48 +63,6 @@ void ExpectTablesBitIdentical(const Table& want, const Table& got) {
   }
 }
 
-// --------------------------------------------------------------- bloom filter
-
-TEST(BlockedBloomFilterTest, NeverDropsAnInsertedKey) {
-  constexpr int64_t kKeys = 50000;
-  BlockedBloomFilter bloom(kKeys);
-  for (int64_t i = 0; i < kKeys; ++i) bloom.Insert(TestHash(i));
-  for (int64_t i = 0; i < kKeys; ++i) {
-    ASSERT_TRUE(bloom.MayContain(TestHash(i))) << "dropped key " << i;
-  }
-}
-
-TEST(BlockedBloomFilterTest, SaturatedFilterStillNeverDrops) {
-  // Deliberately undersized: one block for 10k keys. Every query degrades
-  // toward a false positive, but inserted keys must still always pass.
-  BlockedBloomFilter bloom(/*expected_keys=*/1);
-  for (int64_t i = 0; i < 10000; ++i) bloom.Insert(TestHash(i));
-  for (int64_t i = 0; i < 10000; ++i) {
-    ASSERT_TRUE(bloom.MayContain(TestHash(i)));
-  }
-}
-
-TEST(BlockedBloomFilterTest, FalsePositiveRateIsBounded) {
-  constexpr int64_t kKeys = 20000;
-  BlockedBloomFilter bloom(kKeys);
-  for (int64_t i = 0; i < kKeys; ++i) bloom.Insert(TestHash(i));
-  int64_t false_positives = 0;
-  constexpr int64_t kProbes = 20000;
-  for (int64_t i = 0; i < kProbes; ++i) {
-    if (bloom.MayContain(TestHash(kKeys + 997 * i))) ++false_positives;
-  }
-  // ~12 bits/key with 3 probe bits gives a few percent FP rate; 15% is a
-  // loose ceiling that only breaks if sizing or probing regresses badly.
-  EXPECT_LT(false_positives, kProbes * 15 / 100);
-}
-
-TEST(BlockedBloomFilterTest, EmptyBuildSideRejectsEverything) {
-  BlockedBloomFilter bloom(/*expected_keys=*/0);
-  for (int64_t i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(bloom.MayContain(TestHash(i)));
-  }
-}
-
 // ---------------------------------------------------- join knob equivalence
 
 struct JoinCase {
@@ -127,8 +82,8 @@ std::vector<JoinCase> JoinCases() {
     cases.push_back(std::move(c));
   }
   {
-    // Full skew: every build (right) key identical, so one radix partition
-    // holds everything and the rest are empty.
+    // Full skew: every build (right) key identical, so one group's chain
+    // holds every build row.
     JoinCase c;
     c.label = "single_key_skew";
     for (int64_t i = 0; i < 1000; ++i) c.left_keys.push_back(i % 7 == 0 ? 42 : i);
@@ -136,15 +91,15 @@ std::vector<JoinCase> JoinCases() {
     cases.push_back(std::move(c));
   }
   {
-    // Tiny build side: with radix_bits=5 most of the 32 partitions are empty.
+    // Tiny build side: most morsels probe without a single match.
     JoinCase c;
-    c.label = "mostly_empty_partitions";
+    c.label = "tiny_build";
     for (int64_t i = 0; i < 500; ++i) c.left_keys.push_back(i);
     c.right_keys = {3, 141, 59, 265};
     cases.push_back(std::move(c));
   }
   {
-    // Empty build side entirely (every partition empty, bloom rejects all).
+    // Empty build side entirely: every probe misses.
     JoinCase c;
     c.label = "empty_build";
     for (int64_t i = 0; i < 100; ++i) c.left_keys.push_back(i);
@@ -155,7 +110,7 @@ std::vector<JoinCase> JoinCases() {
 
 class JoinKnobEquivalenceTest : public ::testing::TestWithParam<JoinType> {};
 
-TEST_P(JoinKnobEquivalenceTest, AllKnobCombinationsMatchDefaultPath) {
+TEST_P(JoinKnobEquivalenceTest, MorselSplitsMatchDefaultPath) {
   const JoinType type = GetParam();
   ThreadPool pool(4);
   for (const JoinCase& jc : JoinCases()) {
@@ -164,28 +119,11 @@ TEST_P(JoinKnobEquivalenceTest, AllKnobCombinationsMatchDefaultPath) {
     const Table right = IntTable("rk", jc.right_keys, "rpay");
     const Table want = HashJoin(left, {"k"}, right, {"rk"}, type);
 
-    struct Knobs {
-      const char* label;
-      int64_t morsel_rows;
-      int radix_bits;
-      bool bloom;
-      bool use_pool;
-    };
-    const Knobs combos[] = {
-        {"morsel_inline", 64, 0, false, false},
-        {"morsel_pool", 64, 0, false, true},
-        {"radix_inline", 0, 5, false, false},
-        {"radix_pool", 128, 5, false, true},
-        {"bloom_only", 0, 0, true, false},
-        {"everything", 64, 5, true, true},
-    };
-    for (const Knobs& k : combos) {
-      SCOPED_TRACE(k.label);
+    for (const bool use_pool : {false, true}) {
+      SCOPED_TRACE(use_pool ? "morsel_pool" : "morsel_inline");
       OpExecContext ctx;
-      ctx.pool = k.use_pool ? &pool : nullptr;
-      ctx.morsel_rows = k.morsel_rows;
-      ctx.radix_bits = k.radix_bits;
-      ctx.bloom_pushdown = k.bloom;
+      ctx.pool = use_pool ? &pool : nullptr;
+      ctx.morsel_rows = 64;
       const ScopedOpExecContext scope(&ctx);
       ExpectTablesBitIdentical(want,
                                HashJoin(left, {"k"}, right, {"rk"}, type));
@@ -198,66 +136,6 @@ INSTANTIATE_TEST_SUITE_P(AllJoinTypes, JoinKnobEquivalenceTest,
                                            JoinType::kLeftOuter,
                                            JoinType::kLeftSemi,
                                            JoinType::kLeftAnti));
-
-// Bloom pushdown must never drop a true match: every build key appears in
-// the probe side here, so the bloom-screened inner join must produce exactly
-// the rows of the unscreened one even when the filter is saturated with
-// extra inserts (high FP pressure is fine; a false negative would shrink
-// the result and fail the bit-identity check above — this pins the metric
-// side too).
-TEST(BloomPushdownTest, CountsProbesAndNeverDropsTrueMatches) {
-  std::vector<int64_t> build_keys;
-  std::vector<int64_t> probe_keys;
-  for (int64_t i = 0; i < 300; ++i) build_keys.push_back(i);
-  for (int64_t i = 0; i < 2000; ++i) probe_keys.push_back(i % 600);
-  const Table left = IntTable("k", probe_keys, "lpay");
-  const Table right = IntTable("rk", build_keys, "rpay");
-  const Table want = HashJoin(left, {"k"}, right, {"rk"}, JoinType::kInner);
-
-  ExecKernelMetrics& m = ExecMetrics();
-  const int64_t builds_before = m.bloom_builds.load(std::memory_order_relaxed);
-  const int64_t probes_before = m.bloom_probes.load(std::memory_order_relaxed);
-
-  OpExecContext ctx;
-  ctx.bloom_pushdown = true;
-  const ScopedOpExecContext scope(&ctx);
-  const Table got = HashJoin(left, {"k"}, right, {"rk"}, JoinType::kInner);
-  ExpectTablesBitIdentical(want, got);
-
-  EXPECT_GE(m.bloom_builds.load(std::memory_order_relaxed), builds_before + 1);
-  const int64_t probes =
-      m.bloom_probes.load(std::memory_order_relaxed) - probes_before;
-  EXPECT_EQ(probes, static_cast<int64_t>(probe_keys.size()));
-  // Hits can exceed true matches (false positives) but never undercount.
-  const int64_t hits = m.bloom_hits.load(std::memory_order_relaxed);
-  EXPECT_GE(hits, 0);
-}
-
-TEST(RadixJoinTest, CountsPartitionsAndMaxPartitionRows) {
-  std::vector<int64_t> build_keys(512, 7);  // all keys -> one partition
-  std::vector<int64_t> probe_keys = {7, 8, 9};
-  const Table left = IntTable("k", probe_keys, "lpay");
-  const Table right = IntTable("rk", build_keys, "rpay");
-  const Table want = HashJoin(left, {"k"}, right, {"rk"}, JoinType::kInner);
-
-  ExecKernelMetrics& m = ExecMetrics();
-  const int64_t joins_before = m.radix_joins.load(std::memory_order_relaxed);
-  const int64_t parts_before =
-      m.radix_partitions.load(std::memory_order_relaxed);
-
-  OpExecContext ctx;
-  ctx.radix_bits = 4;
-  const ScopedOpExecContext scope(&ctx);
-  const Table got = HashJoin(left, {"k"}, right, {"rk"}, JoinType::kInner);
-  ExpectTablesBitIdentical(want, got);
-
-  EXPECT_EQ(m.radix_joins.load(std::memory_order_relaxed), joins_before + 1);
-  EXPECT_EQ(m.radix_partitions.load(std::memory_order_relaxed),
-            parts_before + 16);
-  // The skewed partition held every build row; the high-water gauge must
-  // have seen it.
-  EXPECT_GE(m.radix_max_partition_rows.load(std::memory_order_relaxed), 512);
-}
 
 // ------------------------------------------------- aggregate knob equivalence
 

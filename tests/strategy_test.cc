@@ -77,6 +77,20 @@ TEST(WorkloadHistoryTest, KeepsHugeDemandExactly) {
   EXPECT_DOUBLE_EQ(history.Mean(10), static_cast<double>(huge));
 }
 
+TEST(WorkloadHistoryDeathTest, RejectsDemandThatWouldOverflowAWindowSum) {
+  // Two samples of INT64_MAX / 2 + 1 would overflow the 10 s window's sum;
+  // the bound is INT64_MAX / (longest lookback), checked on every append.
+  const int64_t cap = std::numeric_limits<int64_t>::max() / 10;
+  WorkloadHistory history({2, 10});
+  for (int i = 0; i < 12; ++i) history.Append(cap);  // at the bound: fine
+  EXPECT_EQ(history.Max(10), cap);
+  EXPECT_DOUBLE_EQ(history.Mean(10), static_cast<double>(cap));
+  EXPECT_DEATH(history.Append(cap + 1), "overflow");
+  EXPECT_DEATH(WorkloadHistory().Append(
+                   std::numeric_limits<int64_t>::max() / 2 + 1),
+               "overflow");
+}
+
 TEST(WorkloadHistoryTest, SortedWindowHoldsTrailingSamples) {
   WorkloadHistory history({3, 5});
   for (int64_t d : {7, 1, 9, 1, 4, 8, 0}) history.Append(d);

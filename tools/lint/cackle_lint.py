@@ -16,10 +16,9 @@ Enforces source-level invariants that sanitizers and tests cannot see:
                             src/common/thread_pool.{h,cc}
   cackle-metric-name        MetricsRegistry calls must take names from
                             src/common/metric_names.h, never inline literals
-  cackle-metric-prefix      the exec.morsel.* / exec.radix.* / exec.bloom.*
-                            metric namespaces are reserved: string literals
-                            with those prefixes may only appear in
-                            src/common/metric_names.h
+  cackle-metric-prefix      the exec.morsel.* metric namespace is reserved:
+                            string literals with that prefix may only appear
+                            in src/common/metric_names.h
   cackle-ptr-order          no ordering by pointer value: pointer-keyed
                             std::map/set, std::less<T*>, or sort comparators
                             that cast pointers to integers (address order is
@@ -145,7 +144,7 @@ METRIC_NAME_ALLOWLIST = {
 # spellings live in metric_names.h only; any other file spelling one out as
 # a literal (even outside a registry call, e.g. in a snapshot filter) is a
 # violation of cackle-metric-prefix.
-RESERVED_METRIC_PREFIXES = ("exec.morsel.", "exec.radix.", "exec.bloom.")
+RESERVED_METRIC_PREFIXES = ("exec.morsel.",)
 
 METRIC_CALL_METHODS = {
     "GetCounter", "GetGauge", "GetHistogram",

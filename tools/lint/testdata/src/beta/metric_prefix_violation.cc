@@ -7,9 +7,9 @@ namespace fixture {
 
 std::string MorselTaskMetric() { return "exec.morsel.tasks"; }
 
-std::string SuppressedRadixMetric() {
+std::string SuppressedMorselMetric() {
   // NOLINTNEXTLINE(cackle-metric-prefix): fixture-local spelling for a doc example.
-  return "exec.radix.joins";
+  return "exec.morsel.operators";
 }
 
 }  // namespace fixture
