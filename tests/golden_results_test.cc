@@ -19,11 +19,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "exec/datagen.h"
+#include "exec/exec_metrics.h"
 #include "exec/plan.h"
 #include "exec/tpch_queries.h"
 
@@ -416,6 +418,100 @@ TEST_P(TpchThreadDifferentialTest, SerialAndPooledAgree) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchThreadDifferentialTest,
                          ::testing::ValuesIn(AllTpchQueryIds()));
+
+// ---------------------------------------------------------------------------
+// Profile pins: the executor exists to produce per-query profiles, and the
+// stage output bytes are the shuffle bytes the provisioning model consumes.
+// The kernel counters record which path each operator took (packed or
+// fallback keys, selection vectors, dictionary predicates). A change to how
+// operators materialize their inputs must leave all of them unchanged.
+// Regenerate with the recipe in the file header, filtering on
+// TpchGoldenResultsTest.StageBytesAndKernelPathsArePinned.
+// ---------------------------------------------------------------------------
+
+struct PlanProfile {
+  int query_id = 0;
+  int64_t output_bytes = 0;  // sum of StageStats::output_bytes
+  int64_t output_rows = 0;   // sum of StageStats::output_rows
+  int64_t flat_table_builds = 0;
+  int64_t keys_packed = 0;
+  int64_t keys_fallback = 0;
+  int64_t selection_vectors = 0;
+  int64_t dict_predicates = 0;
+
+  bool operator==(const PlanProfile&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const PlanProfile& p) {
+  return os << "{" << p.query_id << ", " << p.output_bytes << ", "
+            << p.output_rows << ", " << p.flat_table_builds << ", "
+            << p.keys_packed << ", " << p.keys_fallback << ", "
+            << p.selection_vectors << ", " << p.dict_predicates << "}";
+}
+
+/// One serial run of `query_id`'s plan with the kernel counters reset first.
+PlanProfile Profile(int query_id) {
+  const StagePlan plan = BuildTpchPlan(query_id, TestCatalog(), PlanConfig{3});
+  PlanExecutor executor;
+  PlanRunStats stats;
+  ExecMetrics().Reset();
+  executor.Execute(plan, &stats);
+  const ExecKernelMetrics& m = ExecMetrics();
+  PlanProfile out;
+  out.query_id = query_id;
+  for (const StageStats& s : stats.stages) {
+    out.output_bytes += s.output_bytes;
+    out.output_rows += s.output_rows;
+  }
+  out.flat_table_builds = m.flat_table_builds.load();
+  out.keys_packed = m.key_packed_activations.load();
+  out.keys_fallback = m.key_fallback_activations.load();
+  out.selection_vectors = m.selection_filters.load();
+  out.dict_predicates = m.dict_predicate_evals.load();
+  return out;
+}
+
+TEST(TpchGoldenResultsTest, StageBytesAndKernelPathsArePinned) {
+  // {query, bytes, rows, flat builds, packed, fallback, selections, dict}
+  const std::vector<PlanProfile> golden = {
+      {1, 3512449, 60554, 0, 3, 0, 3, 0},
+      {2, 198869, 8036, 10, 12, 0, 6, 4},
+      {3, 802648, 40726, 9, 9, 0, 9, 3},
+      {4, 320903, 38731, 3, 9, 0, 6, 0},
+      {5, 1556231, 66861, 11, 17, 0, 7, 1},
+      {6, 9472, 1184, 0, 1, 0, 3, 0},
+      {7, 900598, 35909, 11, 17, 0, 8, 0},
+      {8, 2067807, 66172, 15, 21, 0, 7, 4},
+      {9, 2965846, 87971, 13, 19, 0, 3, 0},
+      {10, 595909, 18720, 7, 13, 0, 6, 3},
+      {11, 201776, 8613, 4, 8, 0, 2, 1},
+      {12, 372595, 15315, 3, 8, 1, 3, 0},
+      {13, 271952, 17747, 3, 9, 0, 3, 0},
+      {14, 97692, 2842, 3, 7, 0, 3, 0},
+      {15, 42976, 2681, 1, 5, 0, 4, 0},
+      {16, 286904, 10096, 6, 9, 0, 4, 3},
+      {17, 1453208, 60559, 5, 8, 0, 5, 6},
+      {18, 1938164, 87580, 6, 9, 0, 3, 0},
+      {19, 200473, 6294, 3, 7, 0, 6, 3},
+      {20, 422216, 17638, 8, 11, 0, 10, 1},
+      {21, 1515742, 68278, 13, 19, 3, 10, 4},
+      {22, 129908, 15451, 3, 4, 6, 7, 0},
+      {23, 114112, 6152, 3, 11, 0, 7, 0},
+      {24, 250480, 11854, 15, 24, 0, 9, 0},
+      {25, 4345115, 145067, 10, 16, 0, 0, 0},
+  };
+  if (std::getenv("CACKLE_REGEN_GOLDEN") != nullptr) {
+    for (const int id : AllTpchQueryIds()) {
+      std::cout << "      " << Profile(id) << ",\n";
+    }
+    GTEST_SKIP() << "regeneration mode: profile block printed";
+  }
+  ASSERT_EQ(golden.size(), AllTpchQueryIds().size())
+      << "profile table out of date: regenerate (see above)";
+  for (const PlanProfile& expected : golden) {
+    EXPECT_EQ(Profile(expected.query_id), expected);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Engine-level golden fingerprints: a full engine run is hashed (every
