@@ -96,10 +96,13 @@ double WorkloadHistory::Mean(int64_t lookback_s) const {
                     : static_cast<double>(w.sum) / static_cast<double>(n);
     }
   }
-  // Unregistered lookback: compute from the raw history.
+  // Unregistered lookback: compute from the raw history. Append bounds each
+  // sample by INT64_MAX / (longest registered lookback) only, so a longer
+  // window can exceed int64; the 128-bit sum cannot, and converts to the
+  // same double wherever the int64 sum would not have overflowed.
   const int64_t n = std::min<int64_t>(size(), lookback_s);
   if (n == 0) return 0.0;
-  int64_t sum = 0;
+  __int128 sum = 0;
   for (int64_t i = size() - n; i < size(); ++i) {
     sum += history_[static_cast<size_t>(i)];
   }

@@ -91,6 +91,16 @@ TEST(WorkloadHistoryDeathTest, RejectsDemandThatWouldOverflowAWindowSum) {
                "overflow");
 }
 
+TEST(WorkloadHistoryTest, MeanOverLongerUnregisteredLookbackIsExact) {
+  // Twenty samples at the append bound sum to ~2^64: past int64, so the
+  // raw-history mean over an unregistered 20 s lookback needs a wider sum.
+  const int64_t cap = std::numeric_limits<int64_t>::max() / 10;
+  WorkloadHistory history({10});
+  for (int i = 0; i < 20; ++i) history.Append(cap);
+  EXPECT_EQ(history.Mean(20), static_cast<double>(cap));
+  EXPECT_EQ(history.Mean(10), static_cast<double>(cap));
+}
+
 TEST(WorkloadHistoryTest, SortedWindowHoldsTrailingSamples) {
   WorkloadHistory history({3, 5});
   for (int64_t d : {7, 1, 9, 1, 4, 8, 0}) history.Append(d);
