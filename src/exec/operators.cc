@@ -310,6 +310,34 @@ bool IntraOpParallel(const OpExecContext& ctx) {
   return ctx.pool != nullptr && ctx.morsel_rows > 0;
 }
 
+/// Copies the columns of `input` named in `names`: rows [begin, end), or the
+/// rows listed in `rows` when it is non-null. A table has rows only through
+/// its columns, so with no names the copy holds a single unnamed int64
+/// column of the right length, which no expression can reference.
+Table CopyColumns(const Table& input, const std::set<std::string>& names,
+                  int64_t begin, int64_t end,
+                  const std::vector<int64_t>* rows) {
+  Table out;
+  for (const std::string& name : names) {
+    const int c = input.ColumnIndex(name);
+    Column col(input.column_def(c).type);
+    if (rows != nullptr) {
+      col.AppendGather(input.column(c), *rows);
+    } else {
+      col.AppendRange(input.column(c), begin, end);
+    }
+    out.AddColumn(input.column_def(c), std::move(col));
+  }
+  if (names.empty()) {
+    const int64_t n =
+        rows != nullptr ? static_cast<int64_t>(rows->size()) : end - begin;
+    Column carrier(DataType::kInt64);
+    carrier.ints().resize(static_cast<size_t>(n));
+    out.AddColumn(ColumnDef{"", DataType::kInt64}, std::move(carrier));
+  }
+  return out;
+}
+
 }  // namespace
 
 Table Filter(const Table& input, const ExprPtr& predicate) {
@@ -319,16 +347,59 @@ Table Filter(const Table& input, const ExprPtr& predicate) {
 }
 
 Table Project(const Table& input, const ExprPtr& filter,
-              const std::vector<NamedExpr>& projections) {
-  const Table* source = &input;
-  Table filtered;
+              const std::vector<NamedExpr>& projections, int64_t begin,
+              int64_t end) {
+  if (end < 0) end = input.num_rows();
+  CACKLE_CHECK_GE(begin, 0);
+  CACKLE_CHECK_LE(begin, end);
+  CACKLE_CHECK_LE(end, input.num_rows());
+  const bool whole = begin == 0 && end == input.num_rows();
+
+  // Surviving rows, as indices into `input`.
+  std::vector<int64_t> rows;
   if (filter != nullptr) {
-    filtered = Filter(input, filter);
-    source = &filtered;
+    if (whole) {
+      rows = EvalPredicateSelection(filter, input);
+    } else {
+      rows = EvalPredicateSelection(
+          filter, CopyColumns(input, ReferencedColumns(filter), begin, end,
+                              nullptr));
+      for (int64_t& r : rows) r += begin;
+    }
   }
-  Table out;
+
+  std::vector<std::set<std::string>> refs;
+  std::set<std::string> read;
   for (const NamedExpr& ne : projections) {
-    Column col = ne.expr->Eval(*source);
+    refs.push_back(ReferencedColumns(ne.expr));
+    read.insert(refs.back().begin(), refs.back().end());
+  }
+  Table owned;
+  const Table* source = &input;
+  if (filter != nullptr || !whole) {
+    owned = CopyColumns(input, read, begin, end,
+                        filter != nullptr ? &rows : nullptr);
+    source = &owned;
+  }
+  const auto read_once = [&refs](const std::string& name) {
+    int readers = 0;
+    for (const std::set<std::string>& r : refs) {
+      readers += r.count(name) != 0 ? 1 : 0;
+    }
+    return readers == 1;
+  };
+
+  Table out;
+  for (size_t i = 0; i < projections.size(); ++i) {
+    const NamedExpr& ne = projections[i];
+    Column col;
+    if (source == &owned && ne.expr->TryBorrow(owned) != nullptr &&
+        read_once(*refs[i].begin())) {
+      // A plain column that no other projection reads: hand it over.
+      col = std::move(owned.column(owned.ColumnIndex(*refs[i].begin())));
+    } else {
+      col = ne.expr->Eval(*source);
+    }
     out.AddColumn(ColumnDef{ne.name, col.type()}, std::move(col));
   }
   return out;

@@ -16,11 +16,18 @@ struct NamedExpr {
   std::string name;
 };
 
-/// Evaluates `projections` over `input`, producing a new table. A null
-/// filter keeps all rows; otherwise only rows where `filter` is non-zero
-/// survive (filter applied before projection).
+/// Evaluates `projections` over rows [begin, end) of `input` (end < 0 means
+/// the last row), producing a new table with one column per projection, in
+/// order. A null filter keeps all rows; otherwise only rows where `filter`
+/// is non-zero survive (filter applied before projection). This is the
+/// scan kernel: it copies only what the query reads. The filter runs over
+/// its own referenced columns, only the columns the projections reference
+/// are gathered at the surviving rows, and a plain column that no other
+/// projection reads is moved into the output. Copied string columns keep
+/// their shared dictionary.
 Table Project(const Table& input, const ExprPtr& filter,
-              const std::vector<NamedExpr>& projections);
+              const std::vector<NamedExpr>& projections, int64_t begin = 0,
+              int64_t end = -1);
 
 /// Filters rows where `predicate` is non-zero, keeping the schema.
 Table Filter(const Table& input, const ExprPtr& predicate);

@@ -22,9 +22,10 @@ class PlanBuilder {
     return static_cast<int>(plan_.stages.size()) - 1;
   }
 
-  /// Parallel scan of a base table: each task reads a row slice, applies
-  /// `filter` (nullable) and `projections`, and shuffles on `out_keys` into
-  /// `out_partitions` partitions (empty keys + 1 partition = gather).
+  /// Parallel scan of a base table: each task projects its row range,
+  /// applying `filter` (nullable) and `projections`, and shuffles on
+  /// `out_keys` into `out_partitions` partitions (empty keys + 1 partition
+  /// = gather).
   int AddScan(std::string label, const Table* table, int tasks,
               ExprPtr filter, std::vector<NamedExpr> projections,
               std::vector<std::string> out_keys, int out_partitions) {
@@ -37,10 +38,8 @@ class PlanBuilder {
                  projections = std::move(projections)](
                     int t, const TaskInput&) -> Table {
       const int64_t n = table->num_rows();
-      const int64_t begin = n * t / tasks;
-      const int64_t end = n * (t + 1) / tasks;
-      const Table slice = table->Slice(begin, end);
-      return Project(slice, filter, projections);
+      return Project(*table, filter, projections, n * t / tasks,
+                     n * (t + 1) / tasks);
     };
     return AddStage(std::move(stage));
   }

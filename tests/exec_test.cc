@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "exec/datagen.h"
@@ -345,6 +347,154 @@ TEST(ProjectTest, FilterThenProject) {
               {{Mul(Col("v"), Lit(2.0)), "v2"}, {Col("s"), "s"}});
   EXPECT_EQ(out.num_rows(), 3);  // k==1 at rows 1,4,7
   EXPECT_DOUBLE_EQ(out.column("v2").doubles()[0], 3.0);
+}
+
+// Project over a row range copies only the columns it reads. Every case is
+// checked against the unpruned form: slice all columns, filter all columns,
+// then evaluate each projection.
+
+/// Int, double, a dictionary-encoded string and a long string without a
+/// dictionary (every value distinct).
+Table ScanTable() {
+  Table t({{"k", DataType::kInt64},
+           {"v", DataType::kFloat64},
+           {"d", DataType::kString},
+           {"c", DataType::kString}});
+  const std::vector<std::string> words = {"alpha", "beta", "gamma", "delta"};
+  for (int64_t i = 0; i < 100; ++i) {
+    t.column(0).AppendInt((i * 7) % 11);
+    t.column(1).AppendDouble(static_cast<double>(i) * 0.37);
+    t.column(2).AppendString(words[static_cast<size_t>(i * 3 % 4)]);
+    t.column(3).AppendString("a comment long enough to live on the heap #" +
+                             std::to_string(i));
+  }
+  t.FinishBulkAppend();
+  CACKLE_CHECK(t.column(2).DictEncode());
+  return t;
+}
+
+Table UnprunedProject(const Table& t, int64_t begin, int64_t end,
+                      const ExprPtr& filter,
+                      const std::vector<NamedExpr>& projections) {
+  Table rows = t.Slice(begin, end);
+  if (filter != nullptr) rows = Filter(rows, filter);
+  Table out;
+  for (const NamedExpr& ne : projections) {
+    Column col = ne.expr->Eval(rows);
+    out.AddColumn(ColumnDef{ne.name, col.type()}, std::move(col));
+  }
+  return out;
+}
+
+void ExpectSameTable(const Table& want, const Table& got) {
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  ASSERT_EQ(got.num_columns(), want.num_columns());
+  for (int c = 0; c < want.num_columns(); ++c) {
+    SCOPED_TRACE(want.column_def(c).name);
+    EXPECT_EQ(got.column_def(c).name, want.column_def(c).name);
+    ASSERT_EQ(got.column_def(c).type, want.column_def(c).type);
+    const Column& a = want.column(c);
+    const Column& b = got.column(c);
+    switch (a.type()) {
+      case DataType::kInt64: EXPECT_EQ(b.ints(), a.ints()); break;
+      case DataType::kFloat64: EXPECT_EQ(b.doubles(), a.doubles()); break;
+      case DataType::kString:
+        EXPECT_EQ(b.strings(), a.strings());
+        ASSERT_EQ(b.has_dict(), a.has_dict());
+        if (a.has_dict()) {
+          EXPECT_EQ(b.dict_ptr(), a.dict_ptr());
+          EXPECT_EQ(b.codes(), a.codes());
+        }
+        break;
+    }
+  }
+}
+
+/// Runs `filter` + `projections` as a scan split into `tasks` ranges and
+/// compares every range with the unpruned form.
+void ExpectScanMatchesUnpruned(const Table& t, int tasks, const ExprPtr& filter,
+                               const std::vector<NamedExpr>& projections) {
+  const int64_t n = t.num_rows();
+  for (int task = 0; task < tasks; ++task) {
+    SCOPED_TRACE(testing::Message() << "task " << task << " of " << tasks);
+    const int64_t begin = n * task / tasks;
+    const int64_t end = n * (task + 1) / tasks;
+    ExpectSameTable(UnprunedProject(t, begin, end, filter, projections),
+                    Project(t, filter, projections, begin, end));
+  }
+}
+
+struct ScanCase {
+  const char* label;
+  ExprPtr filter;
+  std::vector<NamedExpr> projections;
+};
+
+std::vector<ScanCase> ScanCases() {
+  return {
+      {"no filter", nullptr,
+       {{Col("k"), "k"}, {Col("d"), "d"}, {Col("c"), "c"}}},
+      {"filter on an unprojected column", Lt(Col("v"), Lit(20.0)),
+       {{Col("d"), "d"}, {Col("k"), "k"}}},
+      {"same column twice", Eq(Col("k"), Lit(int64_t{3})),
+       {{Col("d"), "d1"}, {Col("c"), "c"}, {Col("d"), "d2"}}},
+      {"pass-through and computed", Eq(Col("d"), Lit("beta")),
+       {{Col("v"), "v"}, {Mul(Col("v"), Lit(2.0)), "v2"}, {Col("d"), "d"}}},
+      {"literals only", Gt(Col("k"), Lit(int64_t{5})),
+       {{Lit(int64_t{7}), "seven"}, {Lit("x"), "x"}}},
+      {"literals only, no filter", nullptr, {{Lit(1.5), "w"}}},
+      {"literal filter", Lit(int64_t{1}), {{Col("c"), "c"}}},
+  };
+}
+
+TEST(ProjectTest, ScanRangesMatchUnprunedProjection) {
+  const Table t = ScanTable();
+  for (const ScanCase& sc : ScanCases()) {
+    SCOPED_TRACE(sc.label);
+    for (const int tasks : {1, 3, 7}) {
+      ExpectScanMatchesUnpruned(t, tasks, sc.filter, sc.projections);
+    }
+  }
+}
+
+TEST(ProjectTest, EmptyRangesAndMoreTasksThanRows) {
+  const Table t = ScanTable();
+  for (const ScanCase& sc : ScanCases()) {
+    SCOPED_TRACE(sc.label);
+    ExpectSameTable(UnprunedProject(t, 40, 40, sc.filter, sc.projections),
+                    Project(t, sc.filter, sc.projections, 40, 40));
+    ExpectScanMatchesUnpruned(t, 150, sc.filter, sc.projections);
+  }
+}
+
+TEST(ProjectTest, ProjectedDictionaryColumnsShareTheSourceDictionary) {
+  const Table t = ScanTable();
+  const Column& source = t.column("d");
+  ASSERT_TRUE(source.has_dict());
+  ASSERT_FALSE(t.column("c").has_dict());
+  for (const ExprPtr& filter : {ExprPtr(), Eq(Col("k"), Lit(int64_t{3}))}) {
+    const Table out = Project(t, filter, {{Col("d"), "d"}, {Col("c"), "c"}},
+                              10, 90);
+    ASSERT_GT(out.num_rows(), 0);
+    const Column& d = out.column("d");
+    ASSERT_TRUE(d.has_dict());
+    EXPECT_EQ(d.dict_ptr(), source.dict_ptr());
+    for (int64_t r = 0; r < out.num_rows(); ++r) {
+      EXPECT_EQ(d.dict().value(d.codes()[static_cast<size_t>(r)]),
+                d.strings()[static_cast<size_t>(r)]);
+    }
+  }
+}
+
+TEST(ProjectTest, OutputColumnsFollowProjectionOrder) {
+  const Table t = ScanTable();
+  const Table out = Project(
+      t, Lt(Col("k"), Lit(int64_t{4})),
+      {{Col("c"), "z"}, {Lit(int64_t{0}), "a"}, {Col("k"), "m"}}, 5, 60);
+  ASSERT_EQ(out.num_columns(), 3);
+  EXPECT_EQ(out.column_def(0).name, "z");
+  EXPECT_EQ(out.column_def(1).name, "a");
+  EXPECT_EQ(out.column_def(2).name, "m");
 }
 
 // ---------------------------------------------------------------------------
