@@ -3,8 +3,8 @@
 # engine (tools/lint/) runs before anything is compiled and fails the script
 # on any non-baselined violation. Then three build/test configurations —
 # Release (with -Werror), AddressSanitizer+UBSan, and ThreadSanitizer —
-# perfbench determinism self-checks on engine_chaos_tenants, trace_replay
-# and engine_paper, microbenchmark smoke passes whose artifacts land in
+# perfbench self-checks on engine_chaos_tenants, trace_replay, engine_paper
+# and exec_tpch, microbenchmark smoke passes whose artifacts land in
 # build-release/, and a check of fig14's folded-trace snapshot. Any test
 # failure or sanitizer report (sanitizers run with -fno-sanitize-recover=all)
 # fails the script.
@@ -143,6 +143,13 @@ python3 perfbench/selftest.py engine_chaos_tenants
 echo "=== perfbench selftest (trace_replay, engine_paper) ==="
 python3 perfbench/selftest.py trace_replay engine_paper
 
+# The executor end to end: exec_tpch runs all 25 TPC-H plans at SF 0.1 on a
+# min(4, nproc)-thread executor, every scan task projecting its row range of
+# the catalog table, and checks each result against the single-threaded
+# executor's checksums; a traced run must pass the same checks.
+echo "=== perfbench selftest (exec_tpch) ==="
+python3 perfbench/selftest.py exec_tpch
+
 # Bench smoke: a short microbenchmark pass that both exercises the bench
 # binaries and leaves a machine-readable artifact for trend tracking.
 echo "=== bench smoke (micro_exec) ==="
@@ -170,7 +177,7 @@ echo "bench artifact: build-release/BENCH_micro_strategy_smoke.json"
 # multi-core machine (see EXPERIMENTS.md), never by a CI run.
 echo "=== bench kernels (micro_exec, 3 repetitions) ==="
 ./build-release/bench/micro_exec \
-  --benchmark_filter='BM_Filter|BM_HashJoin|BM_HashAggregate|BM_PartitionByHash|BM_FlatMap|BM_GatherRows|BM_DictEncode|BM_MultiStagePlan' \
+  --benchmark_filter='BM_Filter|BM_HashJoin|BM_HashAggregate|BM_PartitionByHash|BM_FlatMap|BM_GatherRows|BM_DictEncode|BM_MultiStagePlan|BM_TpchQuery' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json \

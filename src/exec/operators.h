@@ -16,9 +16,9 @@ struct NamedExpr {
   std::string name;
 };
 
-/// Evaluates `projections` over rows [begin, end) of `input` (end < 0 means
-/// the last row), producing a new table with one column per projection, in
-/// order. A null filter keeps all rows; otherwise only rows where `filter`
+/// Evaluates `projections` over rows [begin, end) of `input` (a negative
+/// `end` means `input.num_rows()`), producing a new table with one column
+/// per projection, in order. A null filter keeps all rows; otherwise only rows where `filter`
 /// is non-zero survive (filter applied before projection). This is the
 /// scan kernel: it copies only what the query reads. The filter runs over
 /// its own referenced columns, only the columns the projections reference
