@@ -382,11 +382,10 @@ Table Project(const Table& input, const ExprPtr& filter,
     source = &owned;
   }
   const auto read_once = [&refs](const std::string& name) {
-    int readers = 0;
-    for (const std::set<std::string>& r : refs) {
-      readers += r.count(name) != 0 ? 1 : 0;
-    }
-    return readers == 1;
+    return std::count_if(refs.begin(), refs.end(),
+                         [&name](const std::set<std::string>& r) {
+                           return r.count(name) != 0;
+                         }) == 1;
   };
 
   Table out;
