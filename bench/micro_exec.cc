@@ -5,15 +5,12 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
-#include <memory>
 #include <string>
 #include <thread>
 
-#include "common/thread_pool.h"
 #include "exec/datagen.h"
 #include "exec/expr.h"
 #include "exec/flat_hash.h"
-#include "exec/op_context.h"
 #include "exec/operators.h"
 #include "exec/plan.h"
 #include "exec/logical.h"
@@ -64,73 +61,6 @@ void BM_HashAggregateLineitem(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cat.lineitem.num_rows());
 }
 BENCHMARK(BM_HashAggregateLineitem);
-
-// ---------------------------------------------------------------------------
-// Morsel-parallel variants of the join and aggregate kernels. Each variant
-// name maps to its scalar sibling by dropping the suffix (bench_compare.py
-// pairs them), so the artifact records what morsel splitting buys — or
-// costs — against the exact same workload in the same run. The variants run
-// on a ThreadPool, so they report wall-clock time (UseRealTime); CPU time of
-// the main thread would hide the workers' work. On a 1-core CI runner the
-// MorselN variants mostly measure scheduling overhead and determinism, not
-// speedup; the artifact header records available_cores so readers can tell
-// which regime a number came from.
-// ---------------------------------------------------------------------------
-
-void JoinWithMorsels(benchmark::State& state, int pool_threads,
-                     int64_t morsel_rows) {
-  const Catalog& cat = BenchCatalog();
-  const Table orders = SelectColumns(cat.orders, {"o_orderkey", "o_custkey"});
-  const Table line = SelectColumns(cat.lineitem, {"l_orderkey", "l_quantity"});
-  std::unique_ptr<ThreadPool> pool;
-  if (pool_threads > 1) pool = std::make_unique<ThreadPool>(pool_threads);
-  OpExecContext ctx;
-  ctx.pool = pool.get();
-  ctx.morsel_rows = morsel_rows;
-  const ScopedOpExecContext scope(&ctx);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        HashJoin(line, {"l_orderkey"}, orders, {"o_orderkey"}));
-  }
-  state.SetItemsProcessed(state.iterations() * line.num_rows());
-}
-
-void BM_HashJoinOrdersLineitemMorsel2(benchmark::State& state) {
-  JoinWithMorsels(state, 2, /*morsel_rows=*/4096);
-}
-BENCHMARK(BM_HashJoinOrdersLineitemMorsel2)->UseRealTime();
-
-void BM_HashJoinOrdersLineitemMorsel4(benchmark::State& state) {
-  JoinWithMorsels(state, 4, /*morsel_rows=*/4096);
-}
-BENCHMARK(BM_HashJoinOrdersLineitemMorsel4)->UseRealTime();
-
-void AggregateWithMorsels(benchmark::State& state, int pool_threads,
-                          int64_t morsel_rows) {
-  const Catalog& cat = BenchCatalog();
-  ThreadPool pool(pool_threads);
-  OpExecContext ctx;
-  ctx.pool = &pool;
-  ctx.morsel_rows = morsel_rows;
-  const ScopedOpExecContext scope(&ctx);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HashAggregate(
-        cat.lineitem, {"l_returnflag", "l_linestatus"},
-        {{AggOp::kSum, Col("l_quantity"), "sum_qty"},
-         {AggOp::kCount, nullptr, "cnt"}}));
-  }
-  state.SetItemsProcessed(state.iterations() * cat.lineitem.num_rows());
-}
-
-void BM_HashAggregateLineitemMorsel2(benchmark::State& state) {
-  AggregateWithMorsels(state, 2, 4096);
-}
-BENCHMARK(BM_HashAggregateLineitemMorsel2)->UseRealTime();
-
-void BM_HashAggregateLineitemMorsel4(benchmark::State& state) {
-  AggregateWithMorsels(state, 4, 4096);
-}
-BENCHMARK(BM_HashAggregateLineitemMorsel4)->UseRealTime();
 
 void BM_FilterDictStringPredicate(benchmark::State& state) {
   // String equality over a dictionary-encoded column: the predicate is

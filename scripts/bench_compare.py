@@ -62,9 +62,7 @@ def environment_header(path):
     Pulls available_cores / cxx_flags out of google-benchmark's context
     block (micro_exec registers them via AddCustomContext) so the committed
     artifact states on its face how many cores the numbers were measured
-    on. On a 1-core runner the morsel variants only prove determinism, not
-    speedup — the caveat spells that out rather than leaving a misleading
-    ~1.0x in the record.
+    on.
     """
     with open(path) as f:
         ctx = json.load(f).get("context", {})
@@ -73,16 +71,11 @@ def environment_header(path):
         cores = int(cores)
     except (TypeError, ValueError):
         cores = None
-    header = {
+    return {
         "available_cores": cores,
         "cxx_flags": ctx.get("cxx_flags"),
         "library_build_type": ctx.get("library_build_type"),
     }
-    if cores is not None and cores <= 1:
-        header["caveat"] = (
-            "measured on a 1-core runner: MorselN variants exercise "
-            "scheduling determinism, not parallel speedup")
-    return header
 
 
 def spawn_speedups(run):
@@ -92,17 +85,15 @@ def spawn_speedups(run):
     the multi-stage plan benchmarks as Spawn/Pipelined (per-stage
     thread-spawn baseline vs DAG-pipelined pool scheduling), the
     simulation-kernel arrival-skew mix as ScheduleAt/Stream (one ScheduleAt
-    per arrival vs the sorted arrival stream), and the morsel-parallel
-    variants as MorselN suffixes whose scalar sibling is the same name with
-    the suffix dropped. The pooled and thread-spawning variants report
-    wall-clock time, so their speedups are wall-clock speedups.
+    per arrival vs the sorted arrival stream). The pooled and
+    thread-spawning variants report wall-clock time, so their speedups are
+    wall-clock speedups.
     For each non-baseline variant this reports how much faster it runs than
     its baseline sibling of the same invocation, so the artifact records
     the win even when the committed cross-run baseline predates these
     benchmarks.
     """
-    pairs = (("Pipelined", "Spawn"), ("Stream", "ScheduleAt"),
-             ("Morsel2", ""), ("Morsel4", ""))
+    pairs = (("Pipelined", "Spawn"), ("Stream", "ScheduleAt"))
     out = {}
     for name, entry in run.items():
         for variant, baseline in pairs:

@@ -98,10 +98,9 @@ run_config build-asan - -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   "-DCACKLE_SANITIZE=address;undefined"
 # TSan covers the genuinely multithreaded code: the work-stealing
 # ThreadPool, the DAG-pipelined PlanExecutor running on it (including the
-# vectorized kernels pooled tasks call into, and the morsel-parallel
-# join/aggregate paths — the `exec` pattern pulls in morsel_exec_test and
-# the golden suite runs the 1/4/8-thread morsel matrix), and the SweepRunner
-# fan-out. Each Simulation instance is single-threaded by construction, but
+# vectorized kernels pooled tasks call into — the golden suite runs every
+# TPC-H plan at 4 and 8 threads against the serial executor), and the
+# SweepRunner fan-out. Each Simulation instance is single-threaded by construction, but
 # the sweep harness runs many of them on pool threads, so the simulation and
 # scheduler suites run here too.
 run_config build-tsan \
@@ -170,8 +169,8 @@ echo "=== bench smoke (micro_strategy) ==="
 echo "bench artifact: build-release/BENCH_micro_strategy_smoke.json"
 
 # Kernel benchmarks with repetitions, compared against the committed
-# baseline (bench/results/.baseline_raw.json, captured before the
-# vectorized executor landed). Prints old-vs-new throughput and writes the
+# baseline (bench/results/BENCH_micro_exec_baseline.json, captured before
+# the vectorized executor landed). Prints old-vs-new throughput and writes the
 # combined artifact to build-release/; the committed
 # bench/results/BENCH_micro_exec.json is regenerated by hand on a
 # multi-core machine (see EXPERIMENTS.md), never by a CI run.
@@ -183,7 +182,7 @@ echo "=== bench kernels (micro_exec, 3 repetitions) ==="
   --benchmark_format=json \
   > build-release/BENCH_micro_exec_raw.json
 python3 scripts/bench_compare.py \
-  bench/results/.baseline_raw.json \
+  bench/results/BENCH_micro_exec_baseline.json \
   build-release/BENCH_micro_exec_raw.json \
   --out build-release/BENCH_micro_exec.json
 

@@ -116,11 +116,6 @@ inline constexpr char kExecFilterSelectionVectors[] =
     "exec.filter.selection_vectors";
 inline constexpr char kExecFilterDictPredicates[] =
     "exec.filter.dict_predicates";
-// Intra-operator parallelism counters (morsel scheduling). The
-// exec.morsel.* prefix is reserved to this header by the
-// cackle-metric-prefix lint check.
-inline constexpr char kExecMorselTasks[] = "exec.morsel.tasks";
-inline constexpr char kExecMorselOperators[] = "exec.morsel.operators";
 
 // ------------------------------------------- PlanExecutor suffixes (+prefix)
 inline constexpr char kSuffixPlansRun[] = ".plans_run";

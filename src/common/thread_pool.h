@@ -17,8 +17,8 @@ namespace cackle {
 class MetricsRegistry;
 class TaskGroup;
 
-/// \brief A persistent work-stealing thread pool (morsel-style execution
-/// substrate for the query executor).
+/// \brief A persistent work-stealing thread pool (the execution substrate
+/// for the query executor's stage tasks).
 ///
 /// Each worker owns a deque: the owner pushes and pops at the back (LIFO,
 /// cache-friendly for task chains that spawn subtasks), thieves steal half

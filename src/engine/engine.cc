@@ -35,7 +35,7 @@ struct CackleEngine::QueryState {
 };
 
 CackleEngine::CackleEngine(const CostModel* cost, EngineOptions options)
-    : cost_(cost), options_(std::move(options)), sim_(options_.sim),
+    : cost_(cost), options_(std::move(options)),
       chaos_rng_(Rng::StreamSeed(options_.seed, kChaosStreamTag)) {
   obs_ = options_.observability;
   metrics_ = obs_ != nullptr ? &obs_->metrics : &own_metrics_;

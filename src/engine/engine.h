@@ -164,11 +164,6 @@ struct EngineOptions {
   /// scheduled events), the same zero-cost contract as the fault injector.
   Observability* observability = nullptr;
 
-  /// Event-scheduler backend and tuning for the simulation kernel. Both
-  /// schedulers are bit-identical by contract (sim_differential_test); the
-  /// knob exists so tests and benches can run the same workload under each.
-  SimOptions sim;
-
   uint64_t seed = 1234;
 };
 

@@ -2,8 +2,10 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -56,47 +58,101 @@ bool ParseDoubleValue(const std::string& s, double* out) {
   errno = 0;
   const double v = std::strtod(s.c_str(), &parse_end);
   if (errno != 0 || parse_end != s.c_str() + s.size()) return false;
+  if (!std::isfinite(v)) return false;
   *out = v;
   return true;
 }
+
+// The range a numeric key must fall in. These mirror the CACKLE_CHECKs in
+// FaultInjector, ChaosTimeline, RetryPolicy, CircuitBreaker and VmFleet,
+// and what WorkloadGenerator needs to terminate, so a scenario the parser
+// accepts never aborts an engine constructor or hangs workload generation.
+struct Bounds {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;  // true: the value must be strictly above `lo`
+
+  bool Contains(double v) const {
+    return (lo_open ? v > lo : v >= lo) && v <= hi;
+  }
+  std::string ToString() const {
+    std::ostringstream out;
+    if (std::isinf(hi)) {
+      out << (lo_open ? "> " : ">= ") << lo;
+    } else {
+      out << "in [" << lo << ", " << hi << "]";
+    }
+    return out.str();
+  }
+};
+
+constexpr Bounds kUnbounded{};
+constexpr Bounds AtLeast(double lo) {
+  return {lo, std::numeric_limits<double>::infinity(), false};
+}
+constexpr Bounds Above(double lo) {
+  return {lo, std::numeric_limits<double>::infinity(), true};
+}
+constexpr Bounds Between(double lo, double hi) { return {lo, hi, false}; }
+
+// FaultInjector and ChaosTimeline cap error rates here: a retry loop with an
+// error rate near 1 never terminates.
+constexpr double kMaxTransientErrorRate = 0.95;
 
 // One settable field: dotted key plus a typed destination in the scenario.
 // A table keeps the parser exhaustive and the error message for an unknown
 // key trivially correct.
 struct FieldBinding {
   const char* key;
-  enum Kind { kInt64, kUint64, kDouble, kString } kind;
+  enum Kind { kInt, kInt64, kUint64, kDouble, kString } kind;
   void* dest;
+  Bounds bounds = kUnbounded;
 };
 
 Status ApplyBinding(const FieldBinding& binding, const std::string& value) {
+  const auto error = [&](const std::string& what) {
+    return Status::InvalidArgument("scenario key '" +
+                                   std::string(binding.key) + "': " + what);
+  };
+  double number = 0.0;
   switch (binding.kind) {
-    case FieldBinding::kInt64:
-      if (!ParseInt64Value(value, static_cast<int64_t*>(binding.dest))) {
-        return Status::InvalidArgument("scenario key '" +
-                                       std::string(binding.key) +
-                                       "': bad integer '" + value + "'");
+    case FieldBinding::kInt:
+    case FieldBinding::kInt64: {
+      int64_t v = 0;
+      if (!ParseInt64Value(value, &v)) {
+        return error("bad integer '" + value + "'");
       }
-      return Status::OK();
+      if (binding.kind == FieldBinding::kInt) {
+        if (v < std::numeric_limits<int>::min() ||
+            v > std::numeric_limits<int>::max()) {
+          return error("integer '" + value + "' out of range");
+        }
+        *static_cast<int*>(binding.dest) = static_cast<int>(v);
+      } else {
+        *static_cast<int64_t*>(binding.dest) = v;
+      }
+      number = static_cast<double>(v);
+      break;
+    }
     case FieldBinding::kUint64:
       if (!ParseUint64Value(value, static_cast<uint64_t*>(binding.dest))) {
-        return Status::InvalidArgument(
-            "scenario key '" + std::string(binding.key) +
-            "': bad unsigned integer '" + value + "'");
+        return error("bad unsigned integer '" + value + "'");
       }
       return Status::OK();
     case FieldBinding::kDouble:
-      if (!ParseDoubleValue(value, static_cast<double*>(binding.dest))) {
-        return Status::InvalidArgument("scenario key '" +
-                                       std::string(binding.key) +
-                                       "': bad number '" + value + "'");
+      if (!ParseDoubleValue(value, &number)) {
+        return error("bad number '" + value + "'");
       }
-      return Status::OK();
+      *static_cast<double*>(binding.dest) = number;
+      break;
     case FieldBinding::kString:
       *static_cast<std::string*>(binding.dest) = value;
       return Status::OK();
   }
-  return Status::Internal("unreachable");
+  if (!binding.bounds.Contains(number)) {
+    return error("'" + value + "' must be " + binding.bounds.ToString());
+  }
+  return Status::OK();
 }
 
 std::vector<FieldBinding> Bindings(ChaosScenario* s) {
@@ -105,49 +161,52 @@ std::vector<FieldBinding> Bindings(ChaosScenario* s) {
       {"description", FieldBinding::kString, &s->description},
       {"seed", FieldBinding::kUint64, &s->seed},
       {"workload.num_queries", FieldBinding::kInt64,
-       &s->workload.num_queries},
+       &s->workload.num_queries, AtLeast(0.0)},
       {"workload.duration_ms", FieldBinding::kInt64,
-       &s->workload.duration_ms},
+       &s->workload.duration_ms, Above(0.0)},
       {"workload.baseline_load", FieldBinding::kDouble,
        &s->workload.baseline_load},
       {"workload.arrival_period_ms", FieldBinding::kInt64,
-       &s->workload.arrival_period_ms},
+       &s->workload.arrival_period_ms, Above(0.0)},
       {"workload.batch_fraction", FieldBinding::kDouble,
        &s->workload.batch_fraction},
       {"workload.seed", FieldBinding::kUint64, &s->workload.seed},
       {"faults.elastic_failure_rate", FieldBinding::kDouble,
-       &s->faults.elastic_failure_rate},
+       &s->faults.elastic_failure_rate, Between(0.0, kMaxTransientErrorRate)},
       {"faults.elastic_concurrency_limit", FieldBinding::kInt64,
-       &s->faults.elastic_concurrency_limit},
+       &s->faults.elastic_concurrency_limit, AtLeast(0.0)},
       {"faults.elastic_straggler_rate", FieldBinding::kDouble,
-       &s->faults.elastic_straggler_rate},
+       &s->faults.elastic_straggler_rate, AtLeast(0.0)},
       {"faults.elastic_straggler_slowdown", FieldBinding::kDouble,
-       &s->faults.elastic_straggler_slowdown},
+       &s->faults.elastic_straggler_slowdown, Above(0.0)},
       {"faults.store_error_rate", FieldBinding::kDouble,
-       &s->faults.store_error_rate},
+       &s->faults.store_error_rate, Between(0.0, kMaxTransientErrorRate)},
       {"faults.vm_launch_failure_rate", FieldBinding::kDouble,
-       &s->faults.vm_launch_failure_rate},
+       &s->faults.vm_launch_failure_rate,
+       Between(0.0, kMaxTransientErrorRate)},
       {"faults.shuffle_crash_rate_per_hour", FieldBinding::kDouble,
-       &s->faults.shuffle_crash_rate_per_hour},
-      {"chaos.horizon_ms", FieldBinding::kInt64, &s->chaos.horizon_ms},
+       &s->faults.shuffle_crash_rate_per_hour, AtLeast(0.0)},
+      {"chaos.horizon_ms", FieldBinding::kInt64, &s->chaos.horizon_ms,
+       AtLeast(0.0)},
       {"chaos.outage.windows_per_hour", FieldBinding::kDouble,
-       &s->chaos.outage.windows_per_hour},
+       &s->chaos.outage.windows_per_hour, AtLeast(0.0)},
       {"chaos.outage.mean_window_ms", FieldBinding::kInt64,
-       &s->chaos.outage.mean_window_ms},
+       &s->chaos.outage.mean_window_ms, Above(0.0)},
       {"chaos.outage.elastic_failure_fraction", FieldBinding::kDouble,
-       &s->chaos.outage.elastic_failure_fraction},
+       &s->chaos.outage.elastic_failure_fraction, Between(0.0, 1.0)},
       {"chaos.storm.storms_per_hour", FieldBinding::kDouble,
-       &s->chaos.storm.storms_per_hour},
+       &s->chaos.storm.storms_per_hour, AtLeast(0.0)},
       {"chaos.storm.mean_storm_ms", FieldBinding::kInt64,
-       &s->chaos.storm.mean_storm_ms},
+       &s->chaos.storm.mean_storm_ms, Above(0.0)},
       {"chaos.storm.reclaim_fraction_per_minute", FieldBinding::kDouble,
-       &s->chaos.storm.reclaim_fraction_per_minute},
+       &s->chaos.storm.reclaim_fraction_per_minute, Between(0.0, 1.0)},
       {"chaos.brownout.windows_per_hour", FieldBinding::kDouble,
-       &s->chaos.brownout.windows_per_hour},
+       &s->chaos.brownout.windows_per_hour, AtLeast(0.0)},
       {"chaos.brownout.mean_window_ms", FieldBinding::kInt64,
-       &s->chaos.brownout.mean_window_ms},
+       &s->chaos.brownout.mean_window_ms, Above(0.0)},
       {"chaos.brownout.store_error_rate", FieldBinding::kDouble,
-       &s->chaos.brownout.store_error_rate},
+       &s->chaos.brownout.store_error_rate,
+       Between(0.0, kMaxTransientErrorRate)},
       {"chaos.brownout.base_read_latency_ms", FieldBinding::kInt64,
        &s->chaos.brownout.base_read_latency_ms},
       {"chaos.brownout.latency_inflation", FieldBinding::kDouble,
@@ -157,24 +216,26 @@ std::vector<FieldBinding> Bindings(ChaosScenario* s) {
       {"chaos.brownout.tail_multiplier", FieldBinding::kDouble,
        &s->chaos.brownout.tail_multiplier},
       {"chaos.price_shock.shocks_per_hour", FieldBinding::kDouble,
-       &s->chaos.price_shock.shocks_per_hour},
+       &s->chaos.price_shock.shocks_per_hour, AtLeast(0.0)},
       {"chaos.price_shock.mean_shock_ms", FieldBinding::kInt64,
-       &s->chaos.price_shock.mean_shock_ms},
+       &s->chaos.price_shock.mean_shock_ms, Above(0.0)},
       {"chaos.price_shock.price_multiplier", FieldBinding::kDouble,
-       &s->chaos.price_shock.price_multiplier},
+       &s->chaos.price_shock.price_multiplier, Above(0.0)},
       {"spot_mean_lifetime_hours", FieldBinding::kDouble,
-       &s->spot_mean_lifetime_hours},
+       &s->spot_mean_lifetime_hours, AtLeast(0.0)},
       {"admission.max_outstanding_tasks", FieldBinding::kInt64,
        &s->admission.max_outstanding_tasks},
       {"admission.shed_after_ms", FieldBinding::kInt64,
        &s->admission.shed_after_ms},
-      {"retry_budget_ms", FieldBinding::kInt64, &s->retry_budget_ms},
+      {"retry_budget_ms", FieldBinding::kInt64, &s->retry_budget_ms,
+       AtLeast(0.0)},
       {"hedge_after_ms", FieldBinding::kInt64, &s->hedge_after_ms},
-      {"breaker.failure_threshold", FieldBinding::kInt64,
-       &s->store_breaker.failure_threshold},
-      {"breaker.open_ms", FieldBinding::kInt64, &s->store_breaker.open_ms},
-      {"breaker.success_threshold", FieldBinding::kInt64,
-       &s->store_breaker.success_threshold},
+      {"breaker.failure_threshold", FieldBinding::kInt,
+       &s->store_breaker.failure_threshold, AtLeast(0.0)},
+      {"breaker.open_ms", FieldBinding::kInt64, &s->store_breaker.open_ms,
+       Above(0.0)},
+      {"breaker.success_threshold", FieldBinding::kInt,
+       &s->store_breaker.success_threshold, AtLeast(1.0)},
   };
 }
 

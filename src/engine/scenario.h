@@ -18,7 +18,8 @@ namespace cackle {
 /// without recompiling: each `<name>.scenario` file is a flat list of
 /// `key = value` lines (`#` comments, blank lines ignored) with dotted keys
 /// mirroring this struct. Unknown keys are an error — a typo must not
-/// silently weaken a scenario.
+/// silently weaken a scenario — and so are non-finite numbers and values
+/// outside the range the engine's components accept.
 struct ChaosScenario {
   std::string name;
   std::string description;

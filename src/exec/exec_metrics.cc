@@ -16,8 +16,6 @@ void ExecKernelMetrics::Reset() {
   gather_rows.store(0, std::memory_order_relaxed);
   selection_filters.store(0, std::memory_order_relaxed);
   dict_predicate_evals.store(0, std::memory_order_relaxed);
-  morsel_tasks.store(0, std::memory_order_relaxed);
-  morsel_operators.store(0, std::memory_order_relaxed);
 }
 
 ExecKernelMetrics& ExecMetrics() {
@@ -45,8 +43,6 @@ void PublishExecMetrics(MetricsRegistry& registry) {
                       get(m.selection_filters));
   registry.SetCounter(mn::kExecFilterDictPredicates,
                       get(m.dict_predicate_evals));
-  registry.SetCounter(mn::kExecMorselTasks, get(m.morsel_tasks));
-  registry.SetCounter(mn::kExecMorselOperators, get(m.morsel_operators));
 }
 
 }  // namespace cackle::exec

@@ -4,36 +4,22 @@
 #include <cstdint>
 #include <functional>
 
-namespace cackle {
-class ThreadPool;
-}
-
 namespace cackle::exec {
 
-/// \brief Ambient execution context for intra-operator parallelism.
+/// \brief Ambient execution context for operators.
 ///
 /// Operators (HashJoin, HashAggregate, PartitionByHash) are invoked through
-/// stage `run` closures captured at lowering time, so executor knobs cannot
+/// stage `run` closures captured at lowering time, so executor state cannot
 /// travel through operator signatures without rethreading every call site.
 /// Instead the executor installs an OpExecContext in a thread-local slot
 /// around each task body (ScopedOpExecContext in PlanRun::RunTask) and
 /// operators read it via CurrentOpExecContext(). With no context installed
-/// (unit tests, direct operator calls) the defaults reproduce serial
-/// behavior exactly.
-///
-/// Determinism contract: every knob here changes only how work is split and
-/// scheduled, never the produced rows or their order. Morsel partial states
-/// land in per-index slots and merge in morsel-index order.
+/// (unit tests, direct operator calls) nothing is reported.
 struct OpExecContext {
-  /// Pool for intra-operator morsel/partition tasks; null runs them inline
-  /// (still in the same deterministic order).
-  ThreadPool* pool = nullptr;
-  /// Rows per morsel for intra-operator splitting. 0 disables splitting.
-  int64_t morsel_rows = 0;
   /// Scratch reporting hook: an operator calls this once with the transient
   /// high-water bytes of its side allocations (packed-key vectors, hash
-  /// table, morsel emit buffers) so PlanRunStats::peak_resident_bytes can
-  /// account for them. May be null.
+  /// table) so PlanRunStats::peak_resident_bytes can account for them. May
+  /// be null.
   std::function<void(int64_t)> report_scratch_bytes;
 };
 
@@ -41,8 +27,8 @@ namespace internal {
 inline thread_local const OpExecContext* g_op_exec_context = nullptr;
 }  // namespace internal
 
-/// The context installed on this thread, or an all-defaults context (serial,
-/// no morsels) when none is installed.
+/// The context installed on this thread, or an all-defaults context (no
+/// reporting hook) when none is installed.
 inline const OpExecContext& CurrentOpExecContext() {
   static const OpExecContext kDefault;
   const OpExecContext* ctx = internal::g_op_exec_context;

@@ -7,6 +7,10 @@
 namespace cackle::exec {
 namespace {
 
+/// A join's right side is broadcast (replicated to every task) instead of
+/// co-partitioned when its estimated row count is at most this.
+constexpr int64_t kBroadcastRowThreshold = 50'000;
+
 bool SchemaHasAll(const std::vector<ColumnDef>& schema,
                   const std::set<std::string>& columns) {
   for (const std::string& name : columns) {
@@ -123,14 +127,13 @@ Status PushDownFilters(const LogicalNodePtr& node,
 }
 
 void ChooseBroadcastJoins(const LogicalNodePtr& node,
-                          const TableResolver& resolver,
-                          const OptimizerOptions& options) {
+                          const TableResolver& resolver) {
   for (const LogicalNodePtr& child : node->children) {
-    ChooseBroadcastJoins(child, resolver, options);
+    ChooseBroadcastJoins(child, resolver);
   }
   if (node->type == LogicalOpType::kJoin) {
-    node->broadcast_right = EstimateRows(node->children[1], resolver) <=
-                            options.broadcast_row_threshold;
+    node->broadcast_right =
+        EstimateRows(node->children[1], resolver) <= kBroadcastRowThreshold;
   }
 }
 
@@ -249,31 +252,26 @@ int64_t EstimateRows(const LogicalNodePtr& node,
 }
 
 StatusOr<LogicalNodePtr> Optimize(LogicalNodePtr plan,
-                                  const TableResolver& resolver,
-                                  const OptimizerOptions& options) {
+                                  const TableResolver& resolver) {
   // Validate the input tree first: every rule below may assume schemas
   // resolve.
   CACKLE_RETURN_IF_ERROR(OutputSchema(plan, resolver).status());
 
-  if (options.push_down_filters) {
-    // The root itself may be a filter; wrap in a trivial holder so the rule
-    // sees it as a child.
-    auto holder = std::make_shared<LogicalNode>();
-    holder->type = LogicalOpType::kSort;  // placeholder; only children used
-    holder->children = {plan};
-    CACKLE_RETURN_IF_ERROR(PushDownFilters(holder, resolver));
-    plan = holder->children[0];
-  }
-  if (options.choose_broadcast_joins) {
-    ChooseBroadcastJoins(plan, resolver, options);
-  }
-  if (options.prune_columns) {
-    CACKLE_ASSIGN_OR_RETURN(const std::vector<ColumnDef> root_schema,
-                            OutputSchema(plan, resolver));
-    std::set<std::string> all;
-    for (const ColumnDef& def : root_schema) all.insert(def.name);
-    CACKLE_RETURN_IF_ERROR(PruneColumns(plan, all, resolver));
-  }
+  // The root itself may be a filter; wrap in a trivial holder so the
+  // pushdown rule sees it as a child.
+  auto holder = std::make_shared<LogicalNode>();
+  holder->type = LogicalOpType::kSort;  // placeholder; only children used
+  holder->children = {plan};
+  CACKLE_RETURN_IF_ERROR(PushDownFilters(holder, resolver));
+  plan = holder->children[0];
+
+  ChooseBroadcastJoins(plan, resolver);
+
+  CACKLE_ASSIGN_OR_RETURN(const std::vector<ColumnDef> root_schema,
+                          OutputSchema(plan, resolver));
+  std::set<std::string> all;
+  for (const ColumnDef& def : root_schema) all.insert(def.name);
+  CACKLE_RETURN_IF_ERROR(PruneColumns(plan, all, resolver));
   // The rules must preserve schema validity.
   CACKLE_RETURN_IF_ERROR(OutputSchema(plan, resolver).status());
   return plan;

@@ -8,25 +8,14 @@
 
 namespace cackle::exec {
 
-/// \brief Optimizer knobs.
-struct OptimizerOptions {
-  /// A join's right side is broadcast (replicated to every task) instead of
-  /// co-partitioned when its estimated row count is at most this.
-  int64_t broadcast_row_threshold = 50'000;
-  /// Rule toggles (for ablation and tests).
-  bool push_down_filters = true;
-  bool prune_columns = true;
-  bool choose_broadcast_joins = true;
-};
-
 /// \brief Rule-based logical optimizer. Applies, in order:
 ///
 ///  1. *Filter pushdown*: each conjunct moves as deep as its referenced
 ///     columns allow — through projections (when the referenced columns
 ///     pass through unchanged), into the matching side of a join, and into
 ///     the scan itself (`scan_predicates`).
-///  2. *Broadcast selection*: joins whose right side is estimated small
-///     (scans of small tables, shrunk by filters) are marked
+///  2. *Broadcast selection*: joins whose right side is estimated at most
+///     50 000 rows (scans of small tables, shrunk by filters) are marked
 ///     `broadcast_right`, avoiding a shuffle of the big side.
 ///  3. *Column pruning*: scans read only the columns some ancestor needs
 ///     (`scan_columns`).
@@ -34,8 +23,7 @@ struct OptimizerOptions {
 /// The input tree is consumed; the returned tree produces identical results
 /// (tested against unoptimized execution) with less work.
 [[nodiscard]] StatusOr<LogicalNodePtr> Optimize(LogicalNodePtr plan,
-                                  const TableResolver& resolver,
-                                  const OptimizerOptions& options = {});
+                                                const TableResolver& resolver);
 
 /// Row-count estimate used by broadcast selection (exposed for tests):
 /// base-table rows for scans, scaled by 0.25 per pushed filter conjunct,

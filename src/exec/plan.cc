@@ -16,12 +16,8 @@
 
 namespace cackle::exec {
 
-PlanExecutor::PlanExecutor(int num_threads)
-    : PlanExecutor(ExecutorOptions{.num_threads = num_threads}) {}
-
-PlanExecutor::PlanExecutor(const ExecutorOptions& options)
-    : options_(options) {
-  CACKLE_CHECK_GE(options.num_threads, 1);
+PlanExecutor::PlanExecutor(int num_threads) : num_threads_(num_threads) {
+  CACKLE_CHECK_GE(num_threads, 1);
 }
 
 PlanExecutor::~PlanExecutor() = default;
@@ -30,7 +26,7 @@ ThreadPool* PlanExecutor::EnsurePool() {
   if (pool_ == nullptr) {
     // The calling thread helps while waiting on task groups, so N-1 workers
     // plus the caller give num_threads concurrent executors.
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
+    pool_ = std::make_unique<ThreadPool>(num_threads_ - 1);
   }
   return pool_.get();
 }
@@ -91,10 +87,8 @@ namespace {
 /// fully-consumed stage's partitions are freed immediately.
 class PlanRun {
  public:
-  PlanRun(const StagePlan& plan, const ExecutorOptions& options,
-          PlanRunStats* stats)
+  PlanRun(const StagePlan& plan, PlanRunStats* stats)
       : plan_(plan),
-        options_(options),
         stats_(stats),
         outputs_(plan.stages.size()),
         stages_(plan.stages.size()) {
@@ -124,8 +118,6 @@ class PlanRun {
   }
 
   Table Run(ThreadPool* pool) {
-    op_context_.pool = pool;
-    op_context_.morsel_rows = options_.morsel_rows;
     op_context_.report_scratch_bytes = [this](int64_t bytes) {
       ReportScratch(bytes);
     };
@@ -386,7 +378,6 @@ class PlanRun {
   }
 
   const StagePlan& plan_;
-  const ExecutorOptions& options_;
   PlanRunStats* stats_;
   std::vector<StageOutput> outputs_;
   std::vector<StageState> stages_;
@@ -395,7 +386,7 @@ class PlanRun {
   std::map<int, std::vector<int>> consumers_;
   std::unique_ptr<TaskGroup> group_;
   /// Installed thread-locally around every task body (ScopedOpExecContext)
-  /// so operators see the executor's intra-operator knobs.
+  /// so operators can report their scratch bytes.
   OpExecContext op_context_;
   /// Residency accounting is the one piece of PlanRun state concurrent
   /// tasks mutate outside per-index slots; everything else merges in fixed
@@ -414,9 +405,9 @@ Table PlanExecutor::Execute(const StagePlan& plan, PlanRunStats* stats) {
   // NOLINTNEXTLINE(cackle-determinism): profiling-only timing.
   const auto t0 = std::chrono::steady_clock::now();
   const bool pooled =
-      options_.num_threads > 1 &&
+      num_threads_ > 1 &&
       !(plan.stages.size() == 1 && plan.stages[0].num_tasks == 1);
-  PlanRun run(plan, options_, stats);
+  PlanRun run(plan, stats);
   Table result = run.Run(pooled ? EnsurePool() : nullptr);
   ++plans_run_;
   stages_run_ += static_cast<int64_t>(plan.stages.size());

@@ -74,19 +74,6 @@ struct PlanRunStats {
   int64_t peak_resident_bytes = 0;
 };
 
-/// \brief Execution knobs for PlanExecutor.
-struct ExecutorOptions {
-  /// Total executor threads. 1 = serial in index order. With N >= 2 the
-  /// executor keeps a persistent work-stealing pool of N-1 workers and the
-  /// calling thread helps while waiting, so N threads execute tasks.
-  int num_threads = 1;
-  /// Intra-operator parallelism: rows per morsel for HashJoin/HashAggregate
-  /// build, probe, and emit loops (chunks scheduled as pool tasks inside one
-  /// stage task; partial states merge in morsel-index order, so results stay
-  /// bit-identical at any thread count). 0 (default) keeps single loops.
-  int64_t morsel_rows = 0;
-};
-
 /// \brief Executes a StagePlan, measuring each task's wall time and each
 /// stage's shuffled output size.
 ///
@@ -103,8 +90,11 @@ struct ExecutorOptions {
 /// One executor must not be used from several threads at once.
 class PlanExecutor {
  public:
+  /// `num_threads` is the total executor threads. 1 = serial in index
+  /// order. With N >= 2 the executor keeps a persistent work-stealing pool
+  /// of N-1 workers and the calling thread helps while waiting, so N threads
+  /// execute tasks.
   explicit PlanExecutor(int num_threads = 1);
-  explicit PlanExecutor(const ExecutorOptions& options);
   ~PlanExecutor();
 
   PlanExecutor(const PlanExecutor&) = delete;
@@ -113,8 +103,7 @@ class PlanExecutor {
   /// Runs the plan; returns the result table. `stats` may be null.
   Table Execute(const StagePlan& plan, PlanRunStats* stats = nullptr);
 
-  int num_threads() const { return options_.num_threads; }
-  const ExecutorOptions& options() const { return options_; }
+  int num_threads() const { return num_threads_; }
 
   /// Exports pool counters (tasks run, steals, queue depth, busy time) and
   /// executor totals under `prefix`, conventionally "exec.pool".
@@ -125,7 +114,7 @@ class PlanExecutor {
   /// Lazily creates the persistent pool (num_threads - 1 workers).
   ThreadPool* EnsurePool();
 
-  ExecutorOptions options_;
+  int num_threads_;
   std::unique_ptr<ThreadPool> pool_;
   int64_t plans_run_ = 0;
   int64_t stages_run_ = 0;

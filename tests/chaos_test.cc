@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -365,6 +367,77 @@ TEST(ScenarioTest, BadNumberIsRejected) {
 
   const auto trailing = ParseScenario("name = x\nretry_budget_ms = 5s\n");
   ASSERT_FALSE(trailing.ok());
+
+  for (const char* value : {"nan", "NAN", "inf", "-inf", "infinity"}) {
+    SCOPED_TRACE(value);
+    const auto non_finite = ParseScenario(
+        std::string("name = x\nfaults.elastic_failure_rate = ") + value);
+    ASSERT_FALSE(non_finite.ok());
+    EXPECT_EQ(non_finite.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  // An int-typed key rejects a value that does not fit instead of
+  // truncating it.
+  const auto wide =
+      ParseScenario("name = x\nbreaker.failure_threshold = 4294967297\n");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ScenarioTest, OutOfRangeValueIsRejectedNamingTheKey) {
+  // One out-of-range value per bounded key. Each would otherwise fail a
+  // CHECK in the engine's constructor, or make workload generation abort
+  // or loop forever.
+  const std::pair<const char*, const char*> kCases[] = {
+      {"workload.num_queries", "-1"},
+      {"workload.duration_ms", "0"},
+      {"workload.arrival_period_ms", "0"},
+      {"faults.elastic_failure_rate", "0.96"},
+      {"faults.elastic_concurrency_limit", "-1"},
+      {"faults.elastic_straggler_rate", "-0.1"},
+      {"faults.elastic_straggler_slowdown", "0"},
+      {"faults.store_error_rate", "0.99"},
+      {"faults.vm_launch_failure_rate", "1.0"},
+      {"faults.shuffle_crash_rate_per_hour", "-1"},
+      {"chaos.horizon_ms", "-1"},
+      {"chaos.outage.windows_per_hour", "-2"},
+      {"chaos.outage.mean_window_ms", "0"},
+      {"chaos.outage.elastic_failure_fraction", "1.5"},
+      {"chaos.storm.storms_per_hour", "-1"},
+      {"chaos.storm.mean_storm_ms", "-5"},
+      {"chaos.storm.reclaim_fraction_per_minute", "1.01"},
+      {"chaos.brownout.windows_per_hour", "-1"},
+      {"chaos.brownout.mean_window_ms", "0"},
+      {"chaos.brownout.store_error_rate", "0.951"},
+      {"chaos.price_shock.shocks_per_hour", "-1"},
+      {"chaos.price_shock.mean_shock_ms", "0"},
+      {"chaos.price_shock.price_multiplier", "0"},
+      {"spot_mean_lifetime_hours", "-1"},
+      {"retry_budget_ms", "-1"},
+      {"breaker.failure_threshold", "-1"},
+      {"breaker.open_ms", "0"},
+      {"breaker.success_threshold", "0"},
+  };
+  for (const auto& [key, value] : kCases) {
+    SCOPED_TRACE(key);
+    const auto parsed = ParseScenario(std::string("name = x\n") + key +
+                                      " = " + value + "\n");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().ToString().find(key), std::string::npos)
+        << parsed.status().ToString();
+  }
+
+  // The bounds themselves are accepted.
+  const auto edges = ParseScenario(
+      "name = x\n"
+      "faults.store_error_rate = 0.95\n"
+      "chaos.storm.reclaim_fraction_per_minute = 1\n"
+      "retry_budget_ms = 0\n"
+      "breaker.success_threshold = 1\n");
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  CostModel cost;
+  const CackleEngine engine(&cost, edges.value().ToEngineOptions());
 }
 
 TEST(ScenarioTest, MissingNameOrAssignmentIsRejected) {
@@ -422,6 +495,9 @@ TEST(ScenarioTest, EveryLibraryScenarioLoadsAndValidates) {
     EXPECT_EQ(loaded.value().name, name);
     EXPECT_GT(loaded.value().workload.num_queries, 0);
     EXPECT_FALSE(loaded.value().description.empty());
+    // Its options pass every constructor CHECK.
+    CostModel cost;
+    const CackleEngine engine(&cost, loaded.value().ToEngineOptions());
   }
 }
 

@@ -1,11 +1,16 @@
 // Edge-case and property coverage for the executor's operators beyond the
 // happy paths in exec_test.cc: string and composite join keys, empty
-// inputs, join multiplicity, sort totality, and partition determinism.
+// inputs, join multiplicity, skewed and tiny join shapes against a
+// nested-loop reference, sort totality, and partition determinism.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "exec/expr.h"
@@ -95,6 +100,136 @@ TEST(HashJoinEdgeTest, OuterJoinPadsAllTypes) {
   EXPECT_DOUBLE_EQ(j.column("d").doubles()[0], 0.0);
   EXPECT_EQ(j.column("s").strings()[0], "");
 }
+
+// ------------------------------------------ hash join vs nested-loop join
+
+struct JoinCase {
+  const char* label;
+  std::vector<int64_t> left_keys;
+  std::vector<int64_t> right_keys;
+};
+
+std::vector<JoinCase> JoinCases() {
+  std::vector<JoinCase> cases;
+  {
+    // Dense many-to-many with misses on both sides.
+    JoinCase c;
+    c.label = "dense";
+    for (int64_t i = 0; i < 4000; ++i) c.left_keys.push_back(i % 257);
+    for (int64_t i = 0; i < 900; ++i) c.right_keys.push_back((i * 3) % 300);
+    cases.push_back(std::move(c));
+  }
+  {
+    // Full skew: every build (right) key identical, so one group's chain
+    // holds every build row.
+    JoinCase c;
+    c.label = "single_key_skew";
+    for (int64_t i = 0; i < 1000; ++i) {
+      c.left_keys.push_back(i % 7 == 0 ? 42 : i);
+    }
+    c.right_keys.assign(64, 42);
+    cases.push_back(std::move(c));
+  }
+  {
+    // Tiny build side: almost every probe misses.
+    JoinCase c;
+    c.label = "tiny_build";
+    for (int64_t i = 0; i < 500; ++i) c.left_keys.push_back(i);
+    c.right_keys = {3, 141, 59, 265};
+    cases.push_back(std::move(c));
+  }
+  {
+    // Empty build side entirely: every probe misses.
+    JoinCase c;
+    c.label = "empty_build";
+    for (int64_t i = 0; i < 100; ++i) c.left_keys.push_back(i);
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+/// A (key, payload) table whose payload is ten times the row index.
+Table KeyPayload(const std::string& key_name, const std::vector<int64_t>& keys,
+                 const std::string& payload_name) {
+  Table t({{key_name, DataType::kInt64}, {payload_name, DataType::kInt64}});
+  for (size_t i = 0; i < keys.size(); ++i) {
+    t.column(0).AppendInt(keys[i]);
+    t.column(1).AppendInt(static_cast<int64_t>(i) * 10);
+  }
+  t.FinishBulkAppend();
+  return t;
+}
+
+/// The rows a nested-loop join emits: left rows in order, each followed by
+/// its matching build rows in ascending order; an unmatched left-outer row
+/// pads the right columns with 0.
+std::vector<std::vector<int64_t>> NestedLoopJoin(const JoinCase& jc,
+                                                 JoinType type) {
+  std::vector<std::vector<int64_t>> rows;
+  for (size_t l = 0; l < jc.left_keys.size(); ++l) {
+    const std::vector<int64_t> left_row = {jc.left_keys[l],
+                                           static_cast<int64_t>(l) * 10};
+    std::vector<int64_t> matches;
+    for (size_t r = 0; r < jc.right_keys.size(); ++r) {
+      if (jc.right_keys[r] == jc.left_keys[l]) {
+        matches.push_back(static_cast<int64_t>(r));
+      }
+    }
+    switch (type) {
+      case JoinType::kInner:
+      case JoinType::kLeftOuter:
+        for (const int64_t r : matches) {
+          rows.push_back(left_row);
+          rows.back().push_back(jc.right_keys[static_cast<size_t>(r)]);
+          rows.back().push_back(r * 10);
+        }
+        if (matches.empty() && type == JoinType::kLeftOuter) {
+          rows.push_back(left_row);
+          rows.back().push_back(0);
+          rows.back().push_back(0);
+        }
+        break;
+      case JoinType::kLeftSemi:
+        if (!matches.empty()) rows.push_back(left_row);
+        break;
+      case JoinType::kLeftAnti:
+        if (matches.empty()) rows.push_back(left_row);
+        break;
+    }
+  }
+  return rows;
+}
+
+std::vector<std::vector<int64_t>> IntRows(const Table& t) {
+  std::vector<std::vector<int64_t>> rows(static_cast<size_t>(t.num_rows()));
+  for (int c = 0; c < t.num_columns(); ++c) {
+    const std::vector<int64_t>& xs = t.column(c).ints();
+    for (size_t r = 0; r < rows.size(); ++r) rows[r].push_back(xs[r]);
+  }
+  return rows;
+}
+
+class HashJoinShapeTest : public ::testing::TestWithParam<JoinType> {};
+
+TEST_P(HashJoinShapeTest, MatchesNestedLoopJoinRowForRow) {
+  const JoinType type = GetParam();
+  for (const JoinCase& jc : JoinCases()) {
+    SCOPED_TRACE(jc.label);
+    const Table left = KeyPayload("k", jc.left_keys, "lpay");
+    const Table right = KeyPayload("rk", jc.right_keys, "rpay");
+    const Table joined = HashJoin(left, {"k"}, right, {"rk"}, type);
+    const bool emit_right =
+        type == JoinType::kInner || type == JoinType::kLeftOuter;
+    ASSERT_EQ(joined.num_columns(), emit_right ? 4 : 2);
+    EXPECT_EQ(IntRows(joined), NestedLoopJoin(jc, type));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllJoinTypes, HashJoinShapeTest,
+                         ::testing::Values(JoinType::kInner,
+                                           JoinType::kLeftOuter,
+                                           JoinType::kLeftSemi,
+                                           JoinType::kLeftAnti));
 
 TEST(AggregateEdgeTest, StringGroupKeysAndEmptyGroups) {
   const Table t = KeyValue({{"x", 1}, {"y", 2}, {"x", 3}});

@@ -16,9 +16,6 @@ Enforces source-level invariants that sanitizers and tests cannot see:
                             src/common/thread_pool.{h,cc}
   cackle-metric-name        MetricsRegistry calls must take names from
                             src/common/metric_names.h, never inline literals
-  cackle-metric-prefix      the exec.morsel.* metric namespace is reserved:
-                            string literals with that prefix may only appear
-                            in src/common/metric_names.h
   cackle-ptr-order          no ordering by pointer value: pointer-keyed
                             std::map/set, std::less<T*>, or sort comparators
                             that cast pointers to integers (address order is
@@ -81,7 +78,6 @@ CHECK_IDS = (
     "cackle-status-discipline",
     "cackle-raw-thread",
     "cackle-metric-name",
-    "cackle-metric-prefix",
     "cackle-ptr-order",
     "cackle-float-merge",
     "cackle-rng-stream",
@@ -126,7 +122,7 @@ SORT_ALGOS = {"sort", "stable_sort", "partial_sort", "nth_element"}
 PTR_CAST_IDENTS = {"uintptr_t", "intptr_t", "reinterpret_cast"}
 
 # Comment marker that sanctions a float accumulation inside a task body: it
-# asserts the merge happens in ascending morsel/partition index order, which
+# asserts the merge happens in ascending task/partition index order, which
 # pins the reassociation order and keeps results bit-identical.
 FLOAT_MERGE_MARKER = "ascending-index merge"
 FLOAT_TYPES = ("float", "double")
@@ -139,12 +135,6 @@ POOL_SUBMIT_METHODS = {"Submit", "SubmitRange"}
 METRIC_NAME_ALLOWLIST = {
     "common/metric_names.h",
 }
-
-# Metric namespaces minted by the intra-operator parallelism work. Their
-# spellings live in metric_names.h only; any other file spelling one out as
-# a literal (even outside a registry call, e.g. in a snapshot filter) is a
-# violation of cackle-metric-prefix.
-RESERVED_METRIC_PREFIXES = ("exec.morsel.",)
 
 METRIC_CALL_METHODS = {
     "GetCounter", "GetGauge", "GetHistogram",
@@ -431,24 +421,6 @@ def check_metric_name(engine, f):
                     f, toks[j].line, check,
                     f"string literal {toks[j].text} passed to {t.text}(); "
                     "use a constant from common/metric_names.h")
-                break
-
-
-def check_metric_prefix(engine, f):
-    check = "cackle-metric-prefix"
-    if f.relpath_in_src in METRIC_NAME_ALLOWLIST:
-        return
-    for t in f.tokens:
-        if t.kind != "string" or not t.text.startswith('"'):
-            continue  # raw strings never spell metric names here
-        body = t.text[1:]
-        for prefix in RESERVED_METRIC_PREFIXES:
-            if body.startswith(prefix):
-                yield engine.violation(
-                    f, t.line, check,
-                    f"literal {t.text} uses the reserved metric namespace "
-                    f"'{prefix}*'; spell it via a constant in "
-                    "common/metric_names.h")
                 break
 
 
@@ -835,7 +807,6 @@ CHECKS = (
     check_status_discipline,
     check_raw_thread,
     check_metric_name,
-    check_metric_prefix,
     check_ptr_order,
     check_float_merge,
     check_rng_stream,
