@@ -16,7 +16,6 @@
 #include "exec/logical.h"
 #include "exec/lowering.h"
 #include "exec/optimizer.h"
-#include "exec/storage.h"
 #include "exec/tpch_queries.h"
 
 namespace cackle::exec {
@@ -118,9 +117,11 @@ void BM_DictEncodeShipmode(benchmark::State& state) {
   // Dictionary construction over a low-cardinality string column.
   const Catalog& cat = BenchCatalog();
   const int col = cat.lineitem.ColumnIndex("l_shipmode");
+  const Column& src = cat.lineitem.column(col);
+  Column plain(DataType::kString);
+  for (int64_t r = 0; r < src.size(); ++r) plain.AppendString(src.str(r));
   for (auto _ : state) {
-    Column copy(DataType::kString);
-    copy.strings() = cat.lineitem.column(col).strings();
+    Column copy = plain;
     benchmark::DoNotOptimize(copy.DictEncode());
   }
   state.SetItemsProcessed(state.iterations() * cat.lineitem.num_rows());
@@ -240,7 +241,12 @@ StagePlan MakeBenchPlan(int width, int depth, int tasks) {
     int prev = -1;
     for (int l = 0; l < depth; ++l) {
       PlanStage stage;
-      stage.label = "c" + std::to_string(c) + "_l" + std::to_string(l);
+      // Append form: GCC 12 -O3 -Wrestrict false-positives on the
+      // `"literal" + std::to_string(...)` operator+ chain.
+      stage.label = "c";
+      stage.label += std::to_string(c);
+      stage.label += "_l";
+      stage.label += std::to_string(l);
       stage.num_tasks = tasks;
       const bool last_in_chain = (l + 1 == depth);
       stage.output_keys = last_in_chain ? std::vector<std::string>{}
@@ -306,31 +312,6 @@ void BM_MultiStagePlanPipelined(benchmark::State& state) {
                           static_cast<int64_t>(plan.stages.size()));
 }
 BENCHMARK(BM_MultiStagePlanPipelined)->Arg(4)->UseRealTime();
-
-void BM_StorageEncodeLineitem(benchmark::State& state) {
-  const Catalog& cat = BenchCatalog();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(WriteTableFile(cat.lineitem));
-  }
-  state.SetBytesProcessed(state.iterations() * cat.lineitem.EstimateBytes());
-}
-BENCHMARK(BM_StorageEncodeLineitem);
-
-void BM_StorageScanWithPushdown(benchmark::State& state) {
-  const Catalog& cat = BenchCatalog();
-  const std::string bytes = WriteTableFile(cat.lineitem);
-  ColumnRange range;
-  range.column = "l_shipdate";
-  range.lo = static_cast<double>(DateFromCivil(1994, 1, 1));
-  range.hi = static_cast<double>(DateFromCivil(1994, 2, 1));
-  for (auto _ : state) {
-    auto r = ScanTableFile(bytes, {"l_extendedprice", "l_discount"}, {range});
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(bytes.size()));
-}
-BENCHMARK(BM_StorageScanWithPushdown);
 
 LogicalNodePtr AdHocQuery() {
   return LSort(

@@ -104,7 +104,7 @@ run_config build-asan - -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # the sweep harness runs many of them on pool threads, so the simulation and
 # scheduler suites run here too.
 run_config build-tsan \
-  "thread_pool|exec|golden|operators|logical|storage|vectorized|simulation|sim_scheduler|sim_differential|sweep_runner|multitenant" \
+  "thread_pool|exec|golden|operators|logical|vectorized|simulation|sim_scheduler|sim_differential|sweep_runner|multitenant" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCACKLE_SANITIZE=thread
 
 # ------------------------------------------------------------- chaos smoke

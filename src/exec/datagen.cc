@@ -112,6 +112,12 @@ std::string MakePhone(int64_t nation_key, Rng* rng) {
   return buf;
 }
 
+/// Reserves `rows` in every column of `t`, so generation appends without
+/// regrowing and leaves no outgrown buffers behind in the heap.
+void ReserveRows(Table* t, int64_t rows) {
+  for (int c = 0; c < t->num_columns(); ++c) t->column(c).Reserve(rows);
+}
+
 Table MakeRegion() {
   Table t({{"r_regionkey", DataType::kInt64},
            {"r_name", DataType::kString},
@@ -181,6 +187,7 @@ Catalog GenerateTpch(double scale_factor, uint64_t seed) {
              {"s_phone", DataType::kString},
              {"s_acctbal", DataType::kFloat64},
              {"s_comment", DataType::kString}});
+    ReserveRows(&t, num_supplier);
     for (int64_t k = 1; k <= num_supplier; ++k) {
       const int64_t nation = rng.NextInt(0, 24);
       t.column(0).AppendInt(k);
@@ -215,6 +222,7 @@ Catalog GenerateTpch(double scale_factor, uint64_t seed) {
              {"p_container", DataType::kString},
              {"p_retailprice", DataType::kFloat64},
              {"p_comment", DataType::kString}});
+    ReserveRows(&t, num_part);
     for (int64_t k = 1; k <= num_part; ++k) {
       t.column(0).AppendInt(k);
       // p_name: five distinct colors.
@@ -263,6 +271,7 @@ Catalog GenerateTpch(double scale_factor, uint64_t seed) {
              {"ps_availqty", DataType::kInt64},
              {"ps_supplycost", DataType::kFloat64},
              {"ps_comment", DataType::kString}});
+    ReserveRows(&t, 4 * num_part);
     for (int64_t k = 1; k <= num_part; ++k) {
       for (int64_t i = 0; i < 4; ++i) {
         const int64_t s = num_supplier;
@@ -290,6 +299,7 @@ Catalog GenerateTpch(double scale_factor, uint64_t seed) {
              {"c_acctbal", DataType::kFloat64},
              {"c_mktsegment", DataType::kString},
              {"c_comment", DataType::kString}});
+    ReserveRows(&t, num_customer);
     for (int64_t k = 1; k <= num_customer; ++k) {
       const int64_t nation = rng.NextInt(0, 24);
       t.column(0).AppendInt(k);
@@ -336,6 +346,9 @@ Catalog GenerateTpch(double scale_factor, uint64_t seed) {
                     {"l_shipinstruct", DataType::kString},
                     {"l_shipmode", DataType::kString},
                     {"l_comment", DataType::kString}});
+    // At most 7 lines per order; capacity never written is never resident.
+    ReserveRows(&orders, num_orders);
+    ReserveRows(&lineitem, 7 * num_orders);
     const int64_t current_date = DateFromCivil(1995, 6, 17);
     for (int64_t o = 1; o <= num_orders; ++o) {
       // Sparse order keys: 8 per group of 32 (spec).

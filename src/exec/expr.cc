@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -116,7 +117,7 @@ class ColRef final : public Expr {
     return input.column_def(input.ColumnIndex(name_)).type;
   }
   Column Eval(const Table& input) const override {
-    return input.column(name_);  // copy; fine at this scale
+    return input.column(name_);  // a copy; operators borrow via TryBorrow
   }
   const Column* TryBorrow(const Table& input) const override {
     return &input.column(name_);
@@ -175,7 +176,8 @@ class StringLit final : public Expr {
   }
   Column Eval(const Table& input) const override {
     Column c(DataType::kString);
-    c.strings().assign(static_cast<size_t>(input.num_rows()), v_);
+    c.Reserve(input.num_rows());
+    for (int64_t r = 0; r < input.num_rows(); ++r) c.AppendString(v_);
     return c;
   }
 
@@ -203,8 +205,10 @@ class Arith final : public Expr {
                : DataType::kFloat64;
   }
   Column Eval(const Table& input) const override {
-    const Column ca = a_->Eval(input);
-    const Column cb = b_->Eval(input);
+    Column sa;
+    Column sb;
+    const Column& ca = *BorrowOrEval(*a_, input, &sa);
+    const Column& cb = *BorrowOrEval(*b_, input, &sb);
     const int64_t n = input.num_rows();
     if (OutputType(input) == DataType::kInt64) {
       Column out(DataType::kInt64);
@@ -258,17 +262,18 @@ class Compare final : public Expr {
     return DataType::kInt64;
   }
   Column Eval(const Table& input) const override {
-    const Column ca = a_->Eval(input);
-    const Column cb = b_->Eval(input);
+    Column sa;
+    Column sb;
+    const Column& ca = *BorrowOrEval(*a_, input, &sa);
+    const Column& cb = *BorrowOrEval(*b_, input, &sb);
     const int64_t n = input.num_rows();
     Column out(DataType::kInt64);
     out.ints().resize(static_cast<size_t>(n));
     if (ca.type() == DataType::kString) {
       CACKLE_CHECK(cb.type() == DataType::kString);
       for (int64_t r = 0; r < n; ++r) {
-        const int cmp = ca.strings()[static_cast<size_t>(r)].compare(
-            cb.strings()[static_cast<size_t>(r)]);
-        out.ints()[static_cast<size_t>(r)] = Apply(cmp);
+        out.ints()[static_cast<size_t>(r)] =
+            Apply(ca.str(r).compare(cb.str(r)));
       }
     } else {
       for (int64_t r = 0; r < n; ++r) {
@@ -353,11 +358,8 @@ class Compare final : public Expr {
       }
       const Column* cb = BorrowOrEval(*b_, input, &sb);
       CACKLE_CHECK(cb->type() == DataType::kString);
-      const auto& xs = ca->strings();
-      const auto& ys = cb->strings();
       CompactSelection(sel, [&](int64_t r) {
-        const size_t i = static_cast<size_t>(r);
-        return Apply(xs[i].compare(ys[i])) != 0;
+        return Apply(ca->str(r).compare(cb->str(r))) != 0;
       });
       return;
     }
@@ -413,7 +415,9 @@ class Logical final : public Expr {
     return DataType::kInt64;
   }
   Column Eval(const Table& input) const override {
-    const Column ca = a_->Eval(input);
+    Column sa;
+    Column sb;
+    const Column& ca = *BorrowOrEval(*a_, input, &sa);
     const int64_t n = input.num_rows();
     Column out(DataType::kInt64);
     out.ints().resize(static_cast<size_t>(n));
@@ -424,7 +428,7 @@ class Logical final : public Expr {
       }
       return out;
     }
-    const Column cb = b_->Eval(input);
+    const Column& cb = *BorrowOrEval(*b_, input, &sb);
     for (int64_t r = 0; r < n; ++r) {
       const bool x = ca.ints()[static_cast<size_t>(r)] != 0;
       const bool y = cb.ints()[static_cast<size_t>(r)] != 0;
@@ -472,7 +476,8 @@ class InIntExpr final : public Expr {
     return DataType::kInt64;
   }
   Column Eval(const Table& input) const override {
-    const Column cx = x_->Eval(input);
+    Column storage;
+    const Column& cx = *BorrowOrEval(*x_, input, &storage);
     const int64_t n = input.num_rows();
     Column out(DataType::kInt64);
     out.ints().resize(static_cast<size_t>(n));
@@ -509,13 +514,13 @@ class InStringExpr final : public Expr {
     return DataType::kInt64;
   }
   Column Eval(const Table& input) const override {
-    const Column cx = x_->Eval(input);
+    Column storage;
+    const Column& cx = *BorrowOrEval(*x_, input, &storage);
     const int64_t n = input.num_rows();
     Column out(DataType::kInt64);
     out.ints().resize(static_cast<size_t>(n));
     for (int64_t r = 0; r < n; ++r) {
-      out.ints()[static_cast<size_t>(r)] =
-          values_.count(cx.strings()[static_cast<size_t>(r)]) > 0;
+      out.ints()[static_cast<size_t>(r)] = values_.count(cx.str(r)) > 0;
     }
     return out;
   }
@@ -538,15 +543,22 @@ class InStringExpr final : public Expr {
       });
       return;
     }
-    const auto& xs = cx->strings();
-    CompactSelection(sel, [&](int64_t r) {
-      return values_.count(xs[static_cast<size_t>(r)]) > 0;
-    });
+    CompactSelection(
+        sel, [&](int64_t r) { return values_.count(cx->str(r)) > 0; });
   }
 
  private:
+  /// Hashes std::string and std::string_view alike, so rows are looked up
+  /// without building a std::string.
+  struct ViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   ExprPtr x_;
-  std::unordered_set<std::string> values_;
+  std::unordered_set<std::string, ViewHash, std::equal_to<>> values_;
 };
 
 enum class StrMatch { kContains, kPrefix, kSuffix, kContainsSeq };
@@ -562,13 +574,13 @@ class StringMatch final : public Expr {
     return DataType::kInt64;
   }
   Column Eval(const Table& input) const override {
-    const Column cx = x_->Eval(input);
+    Column storage;
+    const Column& cx = *BorrowOrEval(*x_, input, &storage);
     const int64_t n = input.num_rows();
     Column out(DataType::kInt64);
     out.ints().resize(static_cast<size_t>(n));
     for (int64_t r = 0; r < n; ++r) {
-      out.ints()[static_cast<size_t>(r)] =
-          MatchOne(cx.strings()[static_cast<size_t>(r)]);
+      out.ints()[static_cast<size_t>(r)] = MatchOne(cx.str(r));
     }
     return out;
   }
@@ -600,16 +612,14 @@ class StringMatch final : public Expr {
       });
       return;
     }
-    const auto& xs = cx->strings();
-    CompactSelection(
-        sel, [&](int64_t r) { return MatchOne(xs[static_cast<size_t>(r)]); });
+    CompactSelection(sel, [&](int64_t r) { return MatchOne(cx->str(r)); });
   }
 
  private:
-  bool MatchOne(const std::string& s) const {
+  bool MatchOne(std::string_view s) const {
     switch (kind_) {
       case StrMatch::kContains:
-        return s.find(a_) != std::string::npos;
+        return s.find(a_) != std::string_view::npos;
       case StrMatch::kPrefix:
         return s.rfind(a_, 0) == 0;
       case StrMatch::kSuffix:
@@ -617,8 +627,8 @@ class StringMatch final : public Expr {
                s.compare(s.size() - a_.size(), a_.size(), a_) == 0;
       case StrMatch::kContainsSeq: {
         const size_t p = s.find(a_);
-        return p != std::string::npos &&
-               s.find(b_, p + a_.size()) != std::string::npos;
+        return p != std::string_view::npos &&
+               s.find(b_, p + a_.size()) != std::string_view::npos;
       }
     }
     return false;
@@ -651,9 +661,12 @@ class IfExpr final : public Expr {
                : DataType::kFloat64;
   }
   Column Eval(const Table& input) const override {
-    const Column cc = cond_->Eval(input);
-    const Column ca = a_->Eval(input);
-    const Column cb = b_->Eval(input);
+    Column sc;
+    Column sa;
+    Column sb;
+    const Column& cc = *BorrowOrEval(*cond_, input, &sc);
+    const Column& ca = *BorrowOrEval(*a_, input, &sa);
+    const Column& cb = *BorrowOrEval(*b_, input, &sb);
     const int64_t n = input.num_rows();
     const DataType out_type = OutputType(input);
     Column out(out_type);
@@ -668,7 +681,7 @@ class IfExpr final : public Expr {
           out.doubles().push_back(NumAt(src, r));
           break;
         case DataType::kString:
-          out.strings().push_back(src.strings()[static_cast<size_t>(r)]);
+          out.AppendString(src.str(r));
           break;
       }
     }
@@ -691,7 +704,8 @@ class YearExpr final : public Expr {
     return DataType::kInt64;
   }
   Column Eval(const Table& input) const override {
-    const Column cd = date_->Eval(input);
+    Column storage;
+    const Column& cd = *BorrowOrEval(*date_, input, &storage);
     const int64_t n = input.num_rows();
     Column out(DataType::kInt64);
     out.ints().resize(static_cast<size_t>(n));
@@ -716,11 +730,12 @@ class SubstrExpr final : public Expr {
     return DataType::kString;
   }
   Column Eval(const Table& input) const override {
-    const Column cx = x_->Eval(input);
+    Column storage;
+    const Column& cx = *BorrowOrEval(*x_, input, &storage);
     Column out(DataType::kString);
-    out.strings().reserve(static_cast<size_t>(input.num_rows()));
-    for (const std::string& s : cx.strings()) {
-      out.strings().push_back(s.substr(0, static_cast<size_t>(n_)));
+    out.Reserve(input.num_rows());
+    for (int64_t r = 0; r < input.num_rows(); ++r) {
+      out.AppendString(cx.str(r).substr(0, static_cast<size_t>(n_)));
     }
     return out;
   }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <numeric>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -26,10 +27,11 @@ inline int64_t DoubleKeyBits(double v) {
 
 /// A hashable/comparable composite key over selected columns of a row.
 /// Fallback representation for keys the packed-uint64 fast path can't
-/// express (see PlanPackedKeys below).
+/// express (see PlanPackedKeys below). String parts view the key columns,
+/// which outlive every map that holds the key.
 struct RowKey {
   std::vector<int64_t> ints;
-  std::vector<std::string> strings;
+  std::vector<std::string_view> strings;
 
   bool operator==(const RowKey& other) const {
     return ints == other.ints && strings == other.strings;
@@ -43,7 +45,9 @@ struct RowKeyHash {
       h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     };
     for (int64_t v : key.ints) mix(std::hash<int64_t>{}(v));
-    for (const std::string& s : key.strings) mix(std::hash<std::string>{}(s));
+    for (const std::string_view s : key.strings) {
+      mix(std::hash<std::string_view>{}(s));
+    }
     return h;
   }
 };
@@ -63,7 +67,7 @@ RowKey ExtractKey(const Table& t, const std::vector<int>& cols, int64_t row) {
             DoubleKeyBits(col.doubles()[static_cast<size_t>(row)]));
         break;
       case DataType::kString:
-        key.strings.push_back(col.strings()[static_cast<size_t>(row)]);
+        key.strings.push_back(col.str(row));
         break;
     }
   }
@@ -620,7 +624,7 @@ Table HashAggregate(const Table& input,
   std::vector<std::vector<double>> sums(na), mins(na), maxs(na);
   std::vector<std::vector<int64_t>> counts(na);
   std::vector<std::vector<std::set<int64_t>>> distinct_i(na);
-  std::vector<std::vector<std::set<std::string>>> distinct_s(na);
+  std::vector<std::vector<std::set<std::string_view>>> distinct_s(na);
   auto run_aggregate = [&](size_t a) {
     const AggSpec& spec = aggregates[a];
     if (spec.op == AggOp::kCount) {
@@ -636,7 +640,7 @@ Table HashAggregate(const Table& input,
         distinct_s[a].resize(static_cast<size_t>(num_groups));
         for (int64_t r = 0; r < n; ++r) {
           distinct_s[a][static_cast<size_t>(gid[static_cast<size_t>(r)])]
-              .insert(in.strings()[static_cast<size_t>(r)]);
+              .insert(in.str(r));
         }
       } else if (in.type() == DataType::kInt64) {
         distinct_i[a].resize(static_cast<size_t>(num_groups));
@@ -778,8 +782,7 @@ Table SortBy(const Table& input, const std::vector<SortKey>& keys,
           break;
         }
         case DataType::kString:
-          cmp = c.strings()[static_cast<size_t>(a)].compare(
-              c.strings()[static_cast<size_t>(b)]);
+          cmp = c.str(a).compare(c.str(b));
           break;
       }
       if (cmp != 0) return keys[k].ascending ? cmp < 0 : cmp > 0;
@@ -789,7 +792,7 @@ Table SortBy(const Table& input, const std::vector<SortKey>& keys,
   if (limit >= 0 && limit < static_cast<int64_t>(rows.size())) {
     rows.resize(static_cast<size_t>(limit));
   }
-  return input.TakeRows(rows);
+  return input.GatherRows(rows);
 }
 
 std::vector<Table> PartitionByHash(const Table& input,
@@ -864,10 +867,11 @@ std::vector<Table> PartitionByHash(const Table& input,
             sc.code_hash[static_cast<size_t>(codes[static_cast<size_t>(r)])]);
       }
     } else {
-      const std::vector<std::string>& xs = sc.col->strings();
+      // std::hash<std::string_view> equals std::hash<std::string> on the
+      // same characters, so both forms place a value identically.
       for (int64_t r = 0; r < n; ++r) {
         mix(hash[static_cast<size_t>(r)],
-            std::hash<std::string>{}(xs[static_cast<size_t>(r)]));
+            std::hash<std::string_view>{}(sc.col->str(r)));
       }
     }
   }

@@ -31,7 +31,8 @@ int64_t Column::size() const {
     case DataType::kFloat64:
       return static_cast<int64_t>(doubles_.size());
     case DataType::kString:
-      return static_cast<int64_t>(strings_.size());
+      return dict_ != nullptr ? static_cast<int64_t>(codes_.size())
+                              : PlainRows();
   }
   return 0;
 }
@@ -45,28 +46,65 @@ void Column::Reserve(int64_t n) {
       doubles_.reserve(static_cast<size_t>(n));
       break;
     case DataType::kString:
-      strings_.reserve(static_cast<size_t>(n));
-      if (dict_ != nullptr) codes_.reserve(static_cast<size_t>(n));
+      if (dict_ != nullptr) {
+        codes_.reserve(static_cast<size_t>(n));
+      } else {
+        offsets_.reserve(static_cast<size_t>(n) + 1);
+      }
       break;
   }
+}
+
+void Column::PushPlain(std::string_view v) {
+  if (offsets_.empty()) offsets_.push_back(0);
+  bytes_.insert(bytes_.end(), v.begin(), v.end());
+  offsets_.push_back(static_cast<int64_t>(bytes_.size()));
+}
+
+void Column::AppendString(std::string_view v) {
+  CACKLE_CHECK(type_ == DataType::kString);
+  DecodeToPlain();
+  PushPlain(v);
+}
+
+void Column::DecodeToPlain() {
+  if (dict_ == nullptr) return;
+  const std::vector<std::string>& values = dict_->values();
+  size_t total = 0;
+  for (const int32_t code : codes_) {
+    total += values[static_cast<size_t>(code)].size();
+  }
+  offsets_.clear();
+  bytes_.clear();
+  offsets_.reserve(codes_.size() + 1);
+  bytes_.reserve(total);
+  offsets_.push_back(0);
+  for (const int32_t code : codes_) {
+    const std::string& v = values[static_cast<size_t>(code)];
+    bytes_.insert(bytes_.end(), v.begin(), v.end());
+    offsets_.push_back(static_cast<int64_t>(bytes_.size()));
+  }
+  dict_.reset();
+  codes_ = std::vector<int32_t>();
 }
 
 bool Column::DictEncode(int64_t max_dict_size) {
   CACKLE_CHECK(type_ == DataType::kString);
   if (dict_ != nullptr) return true;
-  const int64_t rows = static_cast<int64_t>(strings_.size());
+  const int64_t rows = PlainRows();
   // Profitability rule: a dictionary pays when values repeat. The +64 slack
   // lets tiny tables (nation, region) encode even at distinct == rows, so
   // their keys stay packable after joins.
-  std::unordered_map<std::string, int32_t> index;
+  std::unordered_map<std::string_view, int32_t> index;
   std::vector<int32_t> codes;
-  codes.reserve(strings_.size());
+  codes.reserve(static_cast<size_t>(rows));
   std::vector<std::string> values;
-  for (const std::string& s : strings_) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const std::string_view s = str(r);
     auto [it, inserted] =
         index.try_emplace(s, static_cast<int32_t>(values.size()));
     if (inserted) {
-      values.push_back(s);
+      values.emplace_back(s);
       const int64_t distinct = static_cast<int64_t>(values.size());
       if (distinct > max_dict_size || distinct * 2 > rows + 64) {
         ExecMetrics().dict_encodes_abandoned.fetch_add(
@@ -78,6 +116,8 @@ bool Column::DictEncode(int64_t max_dict_size) {
   }
   dict_ = std::make_shared<StringDictionary>(std::move(values));
   codes_ = std::move(codes);
+  offsets_ = std::vector<int64_t>();
+  bytes_ = std::vector<char>();
   ExecMetrics().dict_columns_encoded.fetch_add(1, std::memory_order_relaxed);
   ExecMetrics().dict_total_entries.fetch_add(dict_->size(),
                                              std::memory_order_relaxed);
@@ -87,41 +127,11 @@ bool Column::DictEncode(int64_t max_dict_size) {
 void Column::AttachDictionary(DictPtr dict, std::vector<int32_t> codes) {
   CACKLE_CHECK(type_ == DataType::kString);
   CACKLE_CHECK(dict != nullptr);
-  CACKLE_CHECK_EQ(codes.size(), strings_.size());
-  if (!codes.empty()) {
-    // Spot-check the invariant on the first and last rows.
-    CACKLE_CHECK(dict->value(codes.front()) == strings_.front());
-    CACKLE_CHECK(dict->value(codes.back()) == strings_.back());
-  }
+  CACKLE_CHECK_EQ(size(), 0);
+  offsets_ = std::vector<int64_t>();
+  bytes_ = std::vector<char>();
   dict_ = std::move(dict);
   codes_ = std::move(codes);
-}
-
-void Column::AppendFrom(const Column& other, int64_t row) {
-  CACKLE_CHECK(type_ == other.type_);
-  const size_t r = static_cast<size_t>(row);
-  switch (type_) {
-    case DataType::kInt64:
-      ints_.push_back(other.ints_[r]);
-      break;
-    case DataType::kFloat64:
-      doubles_.push_back(other.doubles_[r]);
-      break;
-    case DataType::kString: {
-      if (strings_.empty() && dict_ == nullptr && other.dict_ != nullptr) {
-        dict_ = other.dict_;  // adopt on first append into an empty column
-      }
-      if (dict_ != nullptr) {
-        if (dict_ == other.dict_) {
-          codes_.push_back(other.codes_[r]);
-        } else {
-          DropDictionary();
-        }
-      }
-      strings_.push_back(other.strings_[r]);
-      break;
-    }
-  }
 }
 
 void Column::AppendRange(const Column& src, int64_t begin, int64_t end) {
@@ -137,19 +147,27 @@ void Column::AppendRange(const Column& src, int64_t begin, int64_t end) {
                       src.doubles_.begin() + e);
       break;
     case DataType::kString: {
-      if (strings_.empty() && dict_ == nullptr && src.dict_ != nullptr) {
-        dict_ = src.dict_;
+      if (AdoptsDictOf(src)) dict_ = src.dict_;
+      if (dict_ != nullptr && dict_ == src.dict_) {
+        codes_.insert(codes_.end(), src.codes_.begin() + b,
+                      src.codes_.begin() + e);
+        break;
       }
-      if (dict_ != nullptr) {
-        if (dict_ == src.dict_) {
-          codes_.insert(codes_.end(), src.codes_.begin() + b,
-                        src.codes_.begin() + e);
-        } else {
-          DropDictionary();
-        }
+      DecodeToPlain();
+      if (src.dict_ != nullptr) {
+        for (int64_t r = begin; r < end; ++r) PushPlain(src.str(r));
+        break;
       }
-      strings_.insert(strings_.end(), src.strings_.begin() + b,
-                      src.strings_.begin() + e);
+      if (begin == end) break;
+      // Plain to plain: one copy of the byte run, offsets rebased.
+      if (offsets_.empty()) offsets_.push_back(0);
+      const int64_t shift =
+          static_cast<int64_t>(bytes_.size()) - src.offsets_[b];
+      bytes_.insert(bytes_.end(), src.bytes_.begin() + src.offsets_[b],
+                    src.bytes_.begin() + src.offsets_[e]);
+      for (size_t r = b + 1; r <= e; ++r) {
+        offsets_.push_back(src.offsets_[r] + shift);
+      }
       break;
     }
   }
@@ -181,26 +199,23 @@ void Column::AppendGather(const Column& src, const std::vector<int64_t>& rows) {
       break;
     }
     case DataType::kString: {
-      if (strings_.empty() && dict_ == nullptr && src.dict_ != nullptr) {
-        dict_ = src.dict_;
-      }
-      if (dict_ != nullptr) {
-        if (dict_ == src.dict_) {
-          const size_t base = codes_.size();
-          codes_.resize(base + rows.size());
-          int32_t* out = codes_.data() + base;
-          const int32_t* in = src.codes_.data();
-          for (size_t i = 0; i < rows.size(); ++i) {
-            out[i] = in[static_cast<size_t>(rows[i])];
-          }
-        } else {
-          DropDictionary();
+      if (AdoptsDictOf(src)) dict_ = src.dict_;
+      if (dict_ != nullptr && dict_ == src.dict_) {
+        const size_t base = codes_.size();
+        codes_.resize(base + rows.size());
+        int32_t* out = codes_.data() + base;
+        const int32_t* in = src.codes_.data();
+        for (size_t i = 0; i < rows.size(); ++i) {
+          out[i] = in[static_cast<size_t>(rows[i])];
         }
+        break;
       }
-      strings_.reserve(strings_.size() + rows.size());
-      for (const int64_t r : rows) {
-        strings_.push_back(src.strings_[static_cast<size_t>(r)]);
-      }
+      DecodeToPlain();
+      size_t total = 0;
+      for (const int64_t r : rows) total += src.str(r).size();
+      bytes_.reserve(bytes_.size() + total);
+      offsets_.reserve(offsets_.size() + rows.size() + 1);
+      for (const int64_t r : rows) PushPlain(src.str(r));
       break;
     }
   }
@@ -233,14 +248,10 @@ void Column::AppendGatherPadded(const Column& src,
       break;
     }
     case DataType::kString: {
-      DropDictionary();  // pad values may be absent from any dictionary
-      strings_.reserve(strings_.size() + rows.size());
+      DecodeToPlain();  // pad values may be absent from any dictionary
+      offsets_.reserve(offsets_.size() + rows.size() + 1);
       for (const int64_t r : rows) {
-        if (r >= 0) {
-          strings_.push_back(src.strings_[static_cast<size_t>(r)]);
-        } else {
-          strings_.emplace_back();
-        }
+        PushPlain(r >= 0 ? src.str(r) : std::string_view());
       }
       break;
     }
@@ -254,19 +265,18 @@ int64_t Column::EstimateBytes() const {
     case DataType::kFloat64:
       return static_cast<int64_t>(doubles_.size()) * 8;
     case DataType::kString: {
-      int64_t bytes = 0;
-      for (const std::string& s : strings_) {
-        bytes += 4 + static_cast<int64_t>(s.size());
+      if (dict_ == nullptr) {
+        return PlainRows() * 4 + static_cast<int64_t>(bytes_.size());
       }
-      if (dict_ != nullptr) {
-        // The sidecar is real resident memory: 4 bytes/row of codes plus
-        // the dictionary's own strings. Counting it keeps the executor's
-        // peak-residency accounting honest now that operators report their
-        // scratch (packed keys, hash tables) the same way.
-        bytes += static_cast<int64_t>(codes_.size()) * 4;
-        for (const std::string& s : dict_->values()) {
-          bytes += 4 + static_cast<int64_t>(s.size());
-        }
+      // Every row's string as in the plain form, plus 4 bytes of code per
+      // row and the dictionary's own strings.
+      const std::vector<std::string>& values = dict_->values();
+      int64_t bytes = static_cast<int64_t>(codes_.size()) * (4 + 4);
+      for (const int32_t code : codes_) {
+        bytes += static_cast<int64_t>(values[static_cast<size_t>(code)].size());
+      }
+      for (const std::string& s : values) {
+        bytes += 4 + static_cast<int64_t>(s.size());
       }
       return bytes;
     }
@@ -282,7 +292,7 @@ std::string Column::ValueToString(int64_t row) const {
     case DataType::kFloat64:
       return FormatDouble(doubles_[r], 4);
     case DataType::kString:
-      return strings_[r];
+      return std::string(str(row));
   }
   return "";
 }
@@ -324,14 +334,6 @@ void Table::FinishBulkAppend() {
   for (const Column& c : columns_) CACKLE_CHECK_EQ(c.size(), num_rows_);
 }
 
-void Table::AppendRowFrom(const Table& other, int64_t row) {
-  CACKLE_CHECK_EQ(columns_.size(), other.columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].AppendFrom(other.columns_[c], row);
-  }
-  ++num_rows_;
-}
-
 Table Table::Slice(int64_t begin, int64_t end) const {
   CACKLE_CHECK_GE(begin, 0);
   CACKLE_CHECK_LE(begin, end);
@@ -351,10 +353,6 @@ Table Table::GatherRows(const std::vector<int64_t>& rows) const {
   }
   out.num_rows_ = static_cast<int64_t>(rows.size());
   return out;
-}
-
-Table Table::TakeRows(const std::vector<int64_t>& rows) const {
-  return GatherRows(rows);
 }
 
 void Table::DictEncodeStringColumns(int64_t max_dict_size) {
@@ -412,12 +410,11 @@ void ConcatStringColumn(const std::vector<Table>& tables, int c, int64_t rows,
     }
   }
   if (!all_dict || shared == nullptr) {
-    // Plain concatenation (also the empty-input case).
-    std::vector<std::string>& outs = out->strings();
-    outs.reserve(static_cast<size_t>(rows));
+    // Plain concatenation (also the empty-input case). A leading dictionary
+    // chunk is adopted, then decoded by the first plain chunk.
+    out->Reserve(rows);
     for (const Table& t : tables) {
-      const auto& src = t.column(c).strings();
-      outs.insert(outs.end(), src.begin(), src.end());
+      if (t.num_rows() > 0) out->AppendRange(t.column(c), 0, t.num_rows());
     }
     return;
   }
@@ -453,14 +450,6 @@ void ConcatStringColumn(const std::vector<Table>& tables, int c, int64_t rows,
     }
     dict = std::make_shared<StringDictionary>(std::move(values));
   }
-  {
-    std::vector<std::string>& outs = out->strings();
-    outs.reserve(static_cast<size_t>(rows));
-    for (const Table& t : tables) {
-      const auto& src = t.column(c).strings();
-      outs.insert(outs.end(), src.begin(), src.end());
-    }
-  }
   out->AttachDictionary(std::move(dict), std::move(codes));
 }
 
@@ -475,9 +464,7 @@ Table Concat(const std::vector<Table>& tables) {
   }
   Table out(tables[0].schema());
   if (out.num_columns() == 0) {
-    for (const Table& t : tables) {
-      for (int64_t r = 0; r < t.num_rows(); ++r) out.AppendRowFrom(t, r);
-    }
+    out.num_rows_ = rows;
     return out;
   }
   for (int c = 0; c < out.num_columns(); ++c) {
@@ -491,7 +478,7 @@ Table Concat(const std::vector<Table>& tables) {
       dst.AppendRange(t.column(c), 0, t.num_rows());
     }
   }
-  if (out.num_columns() > 0) out.FinishBulkAppend();
+  out.FinishBulkAppend();
   return out;
 }
 

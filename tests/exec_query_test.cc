@@ -42,8 +42,7 @@ void ExpectTablesNear(const Table& a, const Table& b, double rel_tol) {
           break;
         }
         case DataType::kString:
-          ASSERT_EQ(a.column(c).strings()[static_cast<size_t>(r)],
-                    b.column(c).strings()[static_cast<size_t>(r)])
+          ASSERT_EQ(a.column(c).str(r), b.column(c).str(r))
               << "col " << a.column_def(c).name << " row " << r;
           break;
       }
@@ -123,8 +122,8 @@ TEST(TpchReferenceTest, Q1MatchesDirectComputation) {
   for (int64_t r = 0; r < l.num_rows(); ++r) {
     const size_t i = static_cast<size_t>(r);
     if (l.column("l_shipdate").ints()[i] > cutoff) continue;
-    Acc& acc = groups[{l.column("l_returnflag").strings()[i],
-                       l.column("l_linestatus").strings()[i]}];
+    Acc& acc = groups[{std::string(l.column("l_returnflag").str(r)),
+                       std::string(l.column("l_linestatus").str(r))}];
     const double ep = l.column("l_extendedprice").doubles()[i];
     const double d = l.column("l_discount").doubles()[i];
     const double tax = l.column("l_tax").doubles()[i];
@@ -138,9 +137,9 @@ TEST(TpchReferenceTest, Q1MatchesDirectComputation) {
   ASSERT_EQ(result.num_rows(), static_cast<int64_t>(groups.size()));
   for (int64_t r = 0; r < result.num_rows(); ++r) {
     const size_t i = static_cast<size_t>(r);
-    const auto key = std::make_pair(
-        result.column("l_returnflag").strings()[i],
-        result.column("l_linestatus").strings()[i]);
+    const auto key =
+        std::make_pair(std::string(result.column("l_returnflag").str(r)),
+                       std::string(result.column("l_linestatus").str(r)));
     const Acc& acc = groups.at(key);
     EXPECT_NEAR(result.column("sum_qty").doubles()[i], acc.qty,
                 1e-6 * acc.qty + 1e-6);
@@ -201,14 +200,15 @@ TEST(TpchReferenceTest, Q4MatchesDirectComputation) {
     const int64_t date = o.column("o_orderdate").ints()[i];
     if (date >= lo && date < hi &&
         late_orders.count(o.column("o_orderkey").ints()[i])) {
-      ++expected[o.column("o_orderpriority").strings()[i]];
+      ++expected[std::string(o.column("o_orderpriority").str(r))];
     }
   }
   ASSERT_EQ(result.num_rows(), static_cast<int64_t>(expected.size()));
   for (int64_t r = 0; r < result.num_rows(); ++r) {
     const size_t i = static_cast<size_t>(r);
     EXPECT_EQ(result.column("order_count").ints()[i],
-              expected.at(result.column("o_orderpriority").strings()[i]));
+              expected.at(
+                  std::string(result.column("o_orderpriority").str(r))));
   }
 }
 
@@ -222,7 +222,7 @@ TEST(TpchReferenceTest, Q3MatchesDirectComputation) {
   std::set<int64_t> building_custs;
   for (int64_t r = 0; r < cat.customer.num_rows(); ++r) {
     const size_t i = static_cast<size_t>(r);
-    if (cat.customer.column("c_mktsegment").strings()[i] == "BUILDING") {
+    if (cat.customer.column("c_mktsegment").str(r) == "BUILDING") {
       building_custs.insert(cat.customer.column("c_custkey").ints()[i]);
     }
   }
@@ -277,14 +277,14 @@ TEST(TpchReferenceTest, Q12MatchesDirectComputation) {
   for (int64_t r = 0; r < cat.orders.num_rows(); ++r) {
     const size_t i = static_cast<size_t>(r);
     order_priority[cat.orders.column("o_orderkey").ints()[i]] =
-        cat.orders.column("o_orderpriority").strings()[i];
+        cat.orders.column("o_orderpriority").str(r);
   }
   const int64_t lo = DateFromCivil(1994, 1, 1);
   const int64_t hi = DateFromCivil(1995, 1, 1);
   std::map<std::string, std::pair<int64_t, int64_t>> expected;  // high, low
   for (int64_t r = 0; r < cat.lineitem.num_rows(); ++r) {
     const size_t i = static_cast<size_t>(r);
-    const std::string& mode = cat.lineitem.column("l_shipmode").strings()[i];
+    const std::string mode(cat.lineitem.column("l_shipmode").str(r));
     if (mode != "MAIL" && mode != "SHIP") continue;
     const int64_t commit = cat.lineitem.column("l_commitdate").ints()[i];
     const int64_t receipt = cat.lineitem.column("l_receiptdate").ints()[i];
@@ -306,7 +306,7 @@ TEST(TpchReferenceTest, Q12MatchesDirectComputation) {
   for (int64_t r = 0; r < result.num_rows(); ++r) {
     const size_t i = static_cast<size_t>(r);
     const auto& counts =
-        expected.at(result.column("l_shipmode").strings()[i]);
+        expected.at(std::string(result.column("l_shipmode").str(r)));
     EXPECT_EQ(result.column("high_line_count").ints()[i], counts.first);
     EXPECT_EQ(result.column("low_line_count").ints()[i], counts.second);
   }
@@ -320,7 +320,7 @@ TEST(TpchReferenceTest, Q14MatchesDirectComputation) {
   for (int64_t r = 0; r < cat.part.num_rows(); ++r) {
     const size_t i = static_cast<size_t>(r);
     part_is_promo[cat.part.column("p_partkey").ints()[i]] =
-        cat.part.column("p_type").strings()[i].rfind("PROMO", 0) == 0;
+        cat.part.column("p_type").str(r).rfind("PROMO", 0) == 0;
   }
   const int64_t lo = DateFromCivil(1995, 9, 1);
   const int64_t hi = AddMonths(lo, 1);

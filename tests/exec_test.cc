@@ -62,6 +62,11 @@ TEST(DateTest, FormatDate) {
 // Table
 // ---------------------------------------------------------------------------
 
+std::vector<std::string> Strings(const Column& c) {
+  const Column::StringRange range = c.strings();
+  return std::vector<std::string>(range.begin(), range.end());
+}
+
 Table SmallTable() {
   Table t({{"k", DataType::kInt64},
            {"v", DataType::kFloat64},
@@ -79,11 +84,11 @@ TEST(TableTest, SliceAndTake) {
   const Table t = SmallTable();
   const Table s = t.Slice(2, 5);
   EXPECT_EQ(s.num_rows(), 3);
-  EXPECT_EQ(s.column("s").strings()[0], "row2");
-  const Table taken = t.TakeRows({9, 0});
+  EXPECT_EQ(s.column("s").str(0), "row2");
+  const Table taken = t.GatherRows({9, 0});
   EXPECT_EQ(taken.num_rows(), 2);
   EXPECT_EQ(taken.column("k").ints()[0], 0);  // 9 % 3
-  EXPECT_EQ(taken.column("s").strings()[1], "row0");
+  EXPECT_EQ(taken.column("s").str(1), "row0");
 }
 
 TEST(TableTest, ConcatAndBytes) {
@@ -98,6 +103,165 @@ TEST(TableTest, ColumnLookup) {
   const Table t = SmallTable();
   EXPECT_EQ(t.ColumnIndex("v"), 1);
   EXPECT_EQ(t.FindColumn("nope"), -1);
+}
+
+// A string column is either dictionary codes or plain offsets + bytes. These
+// pin that both forms read the same through str(), and that EstimateBytes
+// keeps its logical definition in either form.
+
+/// One-column string table; dictionary-encoded when `dict` is set.
+Table StringTable(const std::vector<std::string>& values, bool dict) {
+  Table t({{"s", DataType::kString}});
+  for (const std::string& v : values) t.column(0).AppendString(v);
+  t.FinishBulkAppend();
+  if (dict) CACKLE_CHECK(t.column(0).DictEncode());
+  return t;
+}
+
+/// EstimateBytes as defined by content: 4 bytes plus the length per row,
+/// and for a dictionary column 4 bytes of code per row plus 4 bytes plus
+/// the length per dictionary entry.
+int64_t LogicalBytes(const Column& c) {
+  int64_t bytes = 0;
+  for (const std::string& s : c.strings()) {
+    bytes += 4 + static_cast<int64_t>(s.size());
+  }
+  if (c.has_dict()) {
+    bytes += 4 * c.size();
+    for (const std::string& s : c.dict().values()) {
+      bytes += 4 + static_cast<int64_t>(s.size());
+    }
+  }
+  return bytes;
+}
+
+const std::vector<std::string> kWords = {"ship", "", "rail", "ship",
+                                         "truck", "rail", "ship", "air"};
+
+TEST(StringColumnTest, EstimateBytesKeepsTheLogicalDefinition) {
+  const Table plain = StringTable(kWords, false);
+  const Table dict = StringTable(kWords, true);
+  ASSERT_FALSE(plain.column(0).has_dict());
+  ASSERT_TRUE(dict.column(0).has_dict());
+  // 8 rows of 4 bytes plus 28 bytes of text.
+  EXPECT_EQ(plain.column(0).EstimateBytes(), 8 * 4 + 28);
+  EXPECT_EQ(plain.column(0).EstimateBytes(), LogicalBytes(plain.column(0)));
+  // Plus 8 codes and the 5 entries "ship", "", "rail", "truck", "air".
+  EXPECT_EQ(dict.column(0).EstimateBytes(), 8 * 4 + 28 + 8 * 4 + 5 * 4 + 16);
+  EXPECT_EQ(dict.column(0).EstimateBytes(), LogicalBytes(dict.column(0)));
+
+  Column padded(DataType::kString);
+  padded.AppendGatherPadded(dict.column(0), {3, -1, 0, -1, 4});
+  EXPECT_FALSE(padded.has_dict());
+  EXPECT_EQ(padded.EstimateBytes(), 5 * 4 + 13);
+  EXPECT_EQ(padded.EstimateBytes(), LogicalBytes(padded));
+
+  const Table other = StringTable({"air", "mail", "mail", "air"}, true);
+  const Table unioned = Concat({dict, other});
+  ASSERT_TRUE(unioned.column(0).has_dict());
+  EXPECT_EQ(unioned.column(0).dict().size(), 6);
+  EXPECT_EQ(unioned.column(0).EstimateBytes(), LogicalBytes(unioned.column(0)));
+  EXPECT_EQ(unioned.column(0).EstimateBytes(),
+            12 * 4 + 42 + 12 * 4 + 6 * 4 + 20);
+}
+
+TEST(StringColumnTest, ValuesRoundTripThroughEveryAppendPath) {
+  for (const bool dict : {false, true}) {
+    SCOPED_TRACE(dict ? "dictionary" : "plain");
+    const Table t = StringTable(kWords, dict);
+    const Column& src = t.column(0);
+
+    Column range(DataType::kString);
+    range.AppendRange(src, 2, 7);
+    range.AppendRange(src, 0, 2);
+    EXPECT_EQ(range.has_dict(), dict);
+    ASSERT_EQ(range.size(), 7);
+    for (int64_t r = 0; r < 5; ++r) EXPECT_EQ(range.str(r), kWords[r + 2]);
+    EXPECT_EQ(range.str(5), kWords[0]);
+    EXPECT_EQ(range.str(6), kWords[1]);
+
+    const std::vector<int64_t> rows = {7, 1, 1, 4, 0};
+    Column gathered(DataType::kString);
+    gathered.AppendGather(src, rows);
+    EXPECT_EQ(gathered.has_dict(), dict);
+    ASSERT_EQ(gathered.size(), 5);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(gathered.str(static_cast<int64_t>(i)),
+                kWords[static_cast<size_t>(rows[i])]);
+    }
+
+    const Table sorted = SortBy(t, {{"s", true}});
+    std::vector<std::string> want = kWords;
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(Strings(sorted.column(0)), want);
+    EXPECT_EQ(sorted.column(0).has_dict(), dict);
+  }
+}
+
+TEST(StringColumnTest, ConcatKeepsValuesAcrossDictionaries) {
+  const Table dict = StringTable(kWords, true);
+  const Table other = StringTable({"air", "mail", "mail", "air"}, true);
+  const Table plain = StringTable({"barge", "ship"}, false);
+  std::vector<std::string> want = kWords;
+  want.insert(want.end(), kWords.begin(), kWords.end());
+
+  // Same dictionary: codes are appended and the dictionary is shared.
+  const Table same = Concat({dict.Slice(0, 8), dict});
+  ASSERT_TRUE(same.column(0).has_dict());
+  EXPECT_EQ(same.column(0).dict_ptr(), dict.column(0).dict_ptr());
+  EXPECT_EQ(Strings(same.column(0)), want);
+
+  // Different dictionaries: unioned in first-occurrence order.
+  const Table unioned = Concat({dict, other});
+  ASSERT_TRUE(unioned.column(0).has_dict());
+  want = kWords;
+  want.insert(want.end(), {"air", "mail", "mail", "air"});
+  EXPECT_EQ(Strings(unioned.column(0)), want);
+  EXPECT_EQ(unioned.column(0).codes()[7], unioned.column(0).codes()[8]);
+
+  // Mixed dictionary and plain chunks, in both orders, are plain.
+  want = kWords;
+  want.insert(want.end(), {"barge", "ship"});
+  const Table dict_first = Concat({dict, plain});
+  EXPECT_FALSE(dict_first.column(0).has_dict());
+  EXPECT_EQ(Strings(dict_first.column(0)), want);
+  want = {"barge", "ship"};
+  want.insert(want.end(), kWords.begin(), kWords.end());
+  const Table plain_first = Concat({plain, dict});
+  EXPECT_FALSE(plain_first.column(0).has_dict());
+  EXPECT_EQ(Strings(plain_first.column(0)), want);
+}
+
+TEST(StringColumnTest, PaddedGatherYieldsEmptyStringsInPlainForm) {
+  for (const bool dict : {false, true}) {
+    SCOPED_TRACE(dict ? "dictionary" : "plain");
+    const Table t = StringTable(kWords, dict);
+    Column padded(DataType::kString);
+    padded.AppendGatherPadded(t.column(0), {-1, 2, -1, 7});
+    EXPECT_FALSE(padded.has_dict());
+    EXPECT_EQ(Strings(padded),
+              (std::vector<std::string>{"", "rail", "", "air"}));
+  }
+}
+
+TEST(StringColumnTest, PartitionByHashPlacesBothFormsAlike) {
+  std::vector<std::string> values;
+  for (int i = 0; i < 200; ++i) {
+    std::string v = kWords[static_cast<size_t>(i % 8)];
+    v += '#';
+    v += std::to_string(i % 5);
+    values.push_back(v);
+  }
+  const Table plain = StringTable(values, false);
+  const Table dict = StringTable(values, true);
+  const std::vector<Table> a = PartitionByHash(plain, {"s"}, 7);
+  const std::vector<Table> b = PartitionByHash(dict, {"s"}, 7);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t p = 0; p < a.size(); ++p) {
+    EXPECT_FALSE(a[p].column(0).has_dict());
+    EXPECT_TRUE(b[p].column(0).has_dict());
+    EXPECT_EQ(Strings(a[p].column(0)), Strings(b[p].column(0)));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -160,7 +324,7 @@ TEST(ExprTest, IfYearSubstr) {
   const Column y = Year(Col("d"))->Eval(t);
   EXPECT_EQ(y.ints(), (std::vector<int64_t>{1995, 1996}));
   const Column s = Substr(Col("p"), 2)->Eval(t);
-  EXPECT_EQ(s.strings(), (std::vector<std::string>{"13", "29"}));
+  EXPECT_EQ(Strings(s), (std::vector<std::string>{"13", "29"}));
   const Column iv =
       If(Eq(Col("p"), Lit("13-555")), Lit(int64_t{7}), Lit(int64_t{0}))
           ->Eval(t);
@@ -313,11 +477,11 @@ TEST(SortTest, MultiKeyWithLimit) {
   }
   t.FinishBulkAppend();
   const Table sorted = SortBy(t, {{"a", true}, {"b", false}});
-  EXPECT_EQ(sorted.column("b").strings(),
+  EXPECT_EQ(Strings(sorted.column("b")),
             (std::vector<std::string>{"z", "m", "a", "x", "m"}));
   const Table limited = SortBy(t, {{"a", true}, {"b", true}}, 2);
   EXPECT_EQ(limited.num_rows(), 2);
-  EXPECT_EQ(limited.column("b").strings()[0], "a");
+  EXPECT_EQ(limited.column("b").str(0), "a");
 }
 
 TEST(PartitionTest, UnionEqualsInputAndKeysStayTogether) {
@@ -399,7 +563,7 @@ void ExpectSameTable(const Table& want, const Table& got) {
       case DataType::kInt64: EXPECT_EQ(b.ints(), a.ints()); break;
       case DataType::kFloat64: EXPECT_EQ(b.doubles(), a.doubles()); break;
       case DataType::kString:
-        EXPECT_EQ(b.strings(), a.strings());
+        EXPECT_EQ(Strings(b), Strings(a));
         ASSERT_EQ(b.has_dict(), a.has_dict());
         if (a.has_dict()) {
           EXPECT_EQ(b.dict_ptr(), a.dict_ptr());
@@ -475,13 +639,16 @@ TEST(ProjectTest, ProjectedDictionaryColumnsShareTheSourceDictionary) {
   for (const ExprPtr& filter : {ExprPtr(), Eq(Col("k"), Lit(int64_t{3}))}) {
     const Table out = Project(t, filter, {{Col("d"), "d"}, {Col("c"), "c"}},
                               10, 90);
+    const Table want =
+        filter == nullptr ? t.Slice(10, 90) : Filter(t.Slice(10, 90), filter);
     ASSERT_GT(out.num_rows(), 0);
+    ASSERT_EQ(out.num_rows(), want.num_rows());
     const Column& d = out.column("d");
     ASSERT_TRUE(d.has_dict());
     EXPECT_EQ(d.dict_ptr(), source.dict_ptr());
     for (int64_t r = 0; r < out.num_rows(); ++r) {
       EXPECT_EQ(d.dict().value(d.codes()[static_cast<size_t>(r)]),
-                d.strings()[static_cast<size_t>(r)]);
+                want.column("d").str(r));
     }
   }
 }
@@ -621,7 +788,7 @@ void ExpectTablesIdentical(const Table& a, const Table& b) {
           ASSERT_EQ(a.column(c).doubles()[i], b.column(c).doubles()[i]);
           break;
         case DataType::kString:
-          ASSERT_EQ(a.column(c).strings()[i], b.column(c).strings()[i]);
+          ASSERT_EQ(a.column(c).str(r), b.column(c).str(r));
           break;
       }
     }
@@ -766,11 +933,8 @@ TEST(DatagenTest, VocabulariesMatchQueryPredicates) {
   bool has_brand = false;
   bool has_container = false;
   for (int64_t r = 0; r < cat.part.num_rows(); ++r) {
-    has_brand |= cat.part.column("p_brand").strings()[static_cast<size_t>(r)] ==
-                 "Brand#23";
-    has_container |=
-        cat.part.column("p_container").strings()[static_cast<size_t>(r)] ==
-        "MED BOX";
+    has_brand |= cat.part.column("p_brand").str(r) == "Brand#23";
+    has_container |= cat.part.column("p_container").str(r) == "MED BOX";
   }
   EXPECT_TRUE(has_brand);
   EXPECT_TRUE(has_container);

@@ -362,7 +362,7 @@ std::vector<std::vector<Cell>> SortedRows(const Table& table) {
           row.emplace_back(table.column(c).doubles()[static_cast<size_t>(r)]);
           break;
         case DataType::kString:
-          row.emplace_back(table.column(c).strings()[static_cast<size_t>(r)]);
+          row.emplace_back(std::string(table.column(c).str(r)));
           break;
       }
     }

@@ -37,8 +37,7 @@ TEST(HashJoinEdgeTest, StringKeys) {
   const Table j = HashJoin(left, {"lk"}, right, {"rk"});
   ASSERT_EQ(j.num_rows(), 2);
   for (int64_t r = 0; r < j.num_rows(); ++r) {
-    EXPECT_EQ(j.column("lk").strings()[static_cast<size_t>(r)],
-              j.column("rk").strings()[static_cast<size_t>(r)]);
+    EXPECT_EQ(j.column("lk").str(r), j.column("rk").str(r));
   }
 }
 
@@ -84,7 +83,7 @@ TEST(HashJoinEdgeTest, EmptySides) {
       HashJoin(left, {"lk"}, empty, {"rk"}, JoinType::kLeftOuter);
   ASSERT_EQ(outer.num_rows(), 1);
   EXPECT_EQ(outer.column("rv").ints()[0], 0);  // null padding
-  EXPECT_EQ(outer.column("rk").strings()[0], "");
+  EXPECT_EQ(outer.column("rk").str(0), "");
 }
 
 TEST(HashJoinEdgeTest, OuterJoinPadsAllTypes) {
@@ -98,7 +97,7 @@ TEST(HashJoinEdgeTest, OuterJoinPadsAllTypes) {
   const Table j = HashJoin(left, {"k"}, right, {"rk"}, JoinType::kLeftOuter);
   ASSERT_EQ(j.num_rows(), 1);
   EXPECT_DOUBLE_EQ(j.column("d").doubles()[0], 0.0);
-  EXPECT_EQ(j.column("s").strings()[0], "");
+  EXPECT_EQ(j.column("s").str(0), "");
 }
 
 // ------------------------------------------ hash join vs nested-loop join
@@ -240,7 +239,7 @@ TEST(AggregateEdgeTest, StringGroupKeysAndEmptyGroups) {
   ASSERT_EQ(agg.column_def(1).type, DataType::kInt64);
   std::map<std::string, int64_t> sums;
   for (int64_t r = 0; r < agg.num_rows(); ++r) {
-    sums[agg.column("k").strings()[static_cast<size_t>(r)]] =
+    sums[std::string(agg.column("k").str(r))] =
         agg.column("sum").ints()[static_cast<size_t>(r)];
   }
   EXPECT_EQ(sums.at("x"), 4);
@@ -296,7 +295,7 @@ TEST(SortEdgeTest, AllTypesAndEmpty) {
   t.column(2).AppendString("a");
   t.FinishBulkAppend();
   const Table sorted = SortBy(t, {{"i", true}, {"d", true}, {"s", true}});
-  EXPECT_EQ(sorted.column("s").strings()[0], "a");
+  EXPECT_EQ(sorted.column("s").str(0), "a");
 }
 
 TEST(PartitionEdgeTest, SinglePartitionIsIdentityOrder) {
@@ -344,7 +343,7 @@ TEST(SelectRenameTest, ReorderAndRename) {
   EXPECT_EQ(sel.column_def(0).name, "v");
   const Table ren = RenameColumns(sel, {"value", "key"});
   EXPECT_EQ(ren.column_def(1).name, "key");
-  EXPECT_EQ(ren.column("key").strings()[0], "a");
+  EXPECT_EQ(ren.column("key").str(0), "a");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Coverage for the vectorized executor kernels: dictionary-encoded string
-// columns (encode/decode round-trips, sidecar propagation through gathers
-// and storage), the packed-key flat hash table (growth, fallback parity),
+// columns (encode/decode round-trips, dictionary propagation through
+// gathers), the packed-key flat hash table (growth, fallback parity),
 // exact double key semantics, and selection-vector filtering.
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "exec/expr.h"
 #include "exec/flat_hash.h"
 #include "exec/operators.h"
-#include "exec/storage.h"
 #include "exec/table.h"
 
 namespace cackle::exec {
@@ -96,7 +95,7 @@ TEST(DictionaryTest, EncodeRoundTrip) {
   EXPECT_EQ(col.dict().value(1), "a");
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(col.dict().value(col.codes()[i]), values[i]);
-    EXPECT_EQ(col.strings()[i], values[i]);
+    EXPECT_EQ(col.str(static_cast<int64_t>(i)), values[i]);
   }
 }
 
@@ -110,15 +109,18 @@ TEST(DictionaryTest, HighCardinalityAbandoned) {
   EXPECT_FALSE(t.column(0).has_dict());
 }
 
-TEST(DictionaryTest, MutableStringAccessDropsDict) {
+TEST(DictionaryTest, AppendStringDecodesToPlain) {
   Table t({{"s", DataType::kString}});
   t.column(0).AppendString("x");
   t.column(0).AppendString("x");
   t.FinishBulkAppend();
   ASSERT_TRUE(t.column(0).DictEncode());
-  t.column(0).strings()[0] = "y";  // mutable access desyncs codes
+  t.column(0).AppendString("y");  // "y" is not in the dictionary
+  t.FinishBulkAppend();
   EXPECT_FALSE(t.column(0).has_dict());
-  EXPECT_EQ(t.column(0).strings()[0], "y");
+  EXPECT_EQ(t.column(0).str(0), "x");
+  EXPECT_EQ(t.column(0).str(1), "x");
+  EXPECT_EQ(t.column(0).str(2), "y");
 }
 
 TEST(DictionaryTest, GatherAndFilterKeepDict) {
@@ -134,61 +136,11 @@ TEST(DictionaryTest, GatherAndFilterKeepDict) {
   const Table g = t.GatherRows({1, 3, 5});
   ASSERT_TRUE(g.column(0).has_dict());
   EXPECT_EQ(g.column(0).dict_ptr(), t.column(0).dict_ptr());  // shared
-  EXPECT_EQ(g.column(0).strings()[0], "odd");
+  EXPECT_EQ(g.column(0).str(0), "odd");
 
   const Table f = Filter(t, Eq(Col("s"), Lit(std::string("even"))));
   EXPECT_EQ(f.num_rows(), 5);
   EXPECT_TRUE(f.column(0).has_dict());
-}
-
-TEST(DictionaryTest, StorageRoundTripSharesCodesAcrossChunks) {
-  Table t({{"s", DataType::kString}, {"v", DataType::kInt64}});
-  // 12 rows over 3 stripes of 4; "red" appears in every stripe.
-  const std::vector<std::string> values = {"red",  "red",  "blue", "blue",
-                                           "red",  "red",  "lime", "lime",
-                                           "blue", "red",  "red",  "red"};
-  for (size_t i = 0; i < values.size(); ++i) {
-    t.column(0).AppendString(values[i]);
-    t.column(1).AppendInt(static_cast<int64_t>(i));
-  }
-  t.FinishBulkAppend();
-  StorageWriteOptions options;
-  options.rows_per_stripe = 4;
-  auto read = ReadTableFile(WriteTableFile(t, options));
-  ASSERT_TRUE(read.ok());
-  const Table& rt = read.value();
-  ASSERT_EQ(rt.num_rows(), t.num_rows());
-  const Column& col = rt.column(0);
-  ASSERT_TRUE(col.has_dict());
-  for (size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(col.strings()[i], values[i]);
-  }
-  // Equal strings from different stripes share one code in the unioned
-  // dictionary: rows 0 (stripe 0), 4 (stripe 1), and 9 (stripe 2).
-  EXPECT_EQ(col.codes()[0], col.codes()[4]);
-  EXPECT_EQ(col.codes()[0], col.codes()[9]);
-  EXPECT_EQ(col.codes()[2], col.codes()[8]);
-}
-
-TEST(DictionaryTest, WriterFastPathIsByteIdentical) {
-  // The same logical column must serialize identically whether or not it
-  // carries the in-memory sidecar (the codes-based writer fast path).
-  Table plain({{"s", DataType::kString}});
-  Table dicted({{"s", DataType::kString}});
-  for (int i = 0; i < 100; ++i) {
-    // Append form: GCC 12 -O3 -Wrestrict false-positives on the
-    // `"literal" + std::to_string(...)` operator+ chain.
-    std::string v = "v";
-    v += std::to_string(i % 7);
-    plain.column(0).AppendString(v);
-    dicted.column(0).AppendString(v);
-  }
-  plain.FinishBulkAppend();
-  dicted.FinishBulkAppend();
-  ASSERT_TRUE(dicted.column(0).DictEncode());
-  StorageWriteOptions options;
-  options.rows_per_stripe = 16;
-  EXPECT_EQ(WriteTableFile(plain, options), WriteTableFile(dicted, options));
 }
 
 // --- flat hash table --------------------------------------------------------
