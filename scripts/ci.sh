@@ -102,9 +102,11 @@ run_config build-asan - -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # TPC-H plan at 4 and 8 threads against the serial executor), and the
 # SweepRunner fan-out. Each Simulation instance is single-threaded by construction, but
 # the sweep harness runs many of them on pool threads, so the simulation and
-# scheduler suites run here too.
+# scheduler suites run here too. The dynamic strategy's TargetSeries prices
+# its lookback-window shards on a pool while the calling thread decides, so
+# the strategy suite runs here as well.
 run_config build-tsan \
-  "thread_pool|exec|golden|operators|logical|vectorized|simulation|sim_scheduler|sim_differential|sweep_runner|multitenant" \
+  "thread_pool|exec|golden|operators|logical|vectorized|simulation|sim_scheduler|sim_differential|sweep_runner|multitenant|strategy" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCACKLE_SANITIZE=thread
 
 # ------------------------------------------------------------- chaos smoke

@@ -927,10 +927,13 @@ EngineResult CackleEngine::Run(const std::vector<QueryArrival>& arrivals,
   // Cold-start priming: replay the expected demand through the history and
   // the strategy so expert weights are differentiated before t=0. The
   // replay is bookkeeping only — no resources are provisioned for it.
+  std::vector<int64_t> primed;
+  primed.reserve(options_.primed_history.size());
   for (int64_t expected : options_.primed_history) {
-    history_.Append(std::max<int64_t>(0, expected));
-    strategy_->Target(history_);
+    primed.push_back(std::max<int64_t>(0, expected));
+    history_.Append(primed.back());
   }
+  strategy_->TargetSeries(primed);
 
   // The coordinator ticks from t=0 until the workload drains.
   sim_.ScheduleAt(0, [this] { CoordinatorTick(); });

@@ -38,6 +38,14 @@ void AllocationModel::RefreshEnvironment() {
   elastic_price_s_ = cost_->ElasticCostPerSecond();
 }
 
+template <typename Batch>
+void AllocationModel::Ring<Batch>::Grow() {
+  std::vector<Batch> grown(std::max<size_t>(4, 2 * buf_.size()));
+  for (size_t k = 0; k < size_; ++k) grown[k] = at(k);
+  buf_.swap(grown);
+  head_ = 0;
+}
+
 void AllocationModel::StartVms(size_t i, Batches& b, int64_t count) {
   if (!b.running.empty() && b.running.back().start_s == now_s_) {
     b.running.back().count += count;
@@ -49,13 +57,18 @@ void AllocationModel::StartVms(size_t i, Batches& b, int64_t count) {
 
 void AllocationModel::ApplyTarget(size_t i, int64_t target, int64_t demand) {
   CACKLE_CHECK_GE(target, 0);
-  if (batches_[i] == nullptr) batches_[i] = std::make_unique<Batches>();
-  Batches& b = *batches_[i];
+  Batches& b = batches_[i];
 
   // 1. VMs whose startup delay elapsed become available.
   while (!b.pending.empty() && b.pending.front().ready_s <= now_s_) {
     StartVms(i, b, b.pending.front().count);
     b.pending.pop_front();
+  }
+  // VMs that met their minimum billing time join the interchangeable pool.
+  while (!b.running.empty() &&
+         now_s_ - b.running.front().start_s >= min_billing_s_) {
+    b.mature += b.running.front().count;
+    b.running.pop_front();
   }
 
   // 2. Apply the new target. A rise requests VMs (available after the
@@ -79,21 +92,17 @@ void AllocationModel::ApplyTarget(size_t i, int64_t target, int64_t demand) {
       allocated -= cancel;
       if (batch.count == 0) b.pending.pop_back();
     }
-    // Terminate idle VMs (oldest first); busy ones stay until released,
-    // and VMs still inside their minimum billing window stay too — there
-    // is no value in shutting them down before the minimum elapses
-    // (Section 3), and they may be reused if demand returns.
+    // Terminate idle VMs that met their minimum billing time; busy ones
+    // stay until released, and VMs still inside their minimum billing
+    // window stay too — there is no value in shutting them down before the
+    // minimum elapses (Section 3), and they may be reused if demand returns.
     const int64_t busy = std::min<int64_t>(demand, running_[i]);
-    int64_t idle = running_[i] - busy;
-    while (allocated > target && idle > 0 && !b.running.empty() &&
-           now_s_ - b.running.front().start_s >= min_billing_s_) {
-      RunningBatch& oldest = b.running.front();
-      const int64_t stop = std::min({oldest.count, allocated - target, idle});
-      oldest.count -= stop;
+    const int64_t stop =
+        std::min({b.mature, allocated - target, running_[i] - busy});
+    if (stop > 0) {
+      b.mature -= stop;
       running_[i] -= stop;
-      idle -= stop;
       allocated -= stop;
-      if (oldest.count == 0) b.running.pop_front();
     }
   }
   next_ready_s_[i] = b.pending.empty() ? kNever : b.pending.front().ready_s;
@@ -151,16 +160,16 @@ void AllocationModel::Finish() {
   // added once per VM, oldest first: n repeated additions differ from one
   // addition of n times the penalty in floating point.
   for (size_t i = 0; i < size(); ++i) {
-    if (batches_[i] != nullptr) {
-      for (const RunningBatch& batch : batches_[i]->running) {
-        const int64_t owed_s = min_billing_s_ - (now_s_ - batch.start_s);
-        if (owed_s <= 0) continue;
-        const double penalty = static_cast<double>(owed_s) * vm_price_s_;
-        for (int64_t v = 0; v < batch.count; ++v) vm_cost_[i] += penalty;
-        vm_seconds_[i] += owed_s * batch.count;
-      }
+    Ring<RunningBatch>& running = batches_[i].running;
+    for (size_t k = 0; k < running.size(); ++k) {
+      const RunningBatch& batch = running.at(k);
+      const int64_t owed_s = min_billing_s_ - (now_s_ - batch.start_s);
+      if (owed_s <= 0) continue;
+      const double penalty = static_cast<double>(owed_s) * vm_price_s_;
+      for (int64_t v = 0; v < batch.count; ++v) vm_cost_[i] += penalty;
+      vm_seconds_[i] += owed_s * batch.count;
     }
-    batches_[i].reset();
+    batches_[i] = Batches();
     running_[i] = 0;
     allocated_[i] = 0;
     next_ready_s_[i] = kNever;

@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,8 +33,9 @@ namespace cackle {
 /// its allocation and whose oldest pending request is not yet due has
 /// nothing to apply, so its second is only billing; only the others touch
 /// their VM batches (VMs requested or started in the same second are one
-/// batch). Per-model state is held as parallel arrays, and a model's batch
-/// lists are allocated the first time it has batch work.
+/// batch). Per-model state is held as parallel arrays. The minimum
+/// billing time is assumed never to grow mid-run: VMs that met it once stay
+/// free to terminate.
 class AllocationModel {
  public:
   /// `n` models reading prices, startup delay and minimum billing from
@@ -97,10 +96,47 @@ class AllocationModel {
     int64_t start_s;  // second at which these VMs became available
     int64_t count;
   };
-  /// One model's requests and VMs, oldest first.
+  /// A batch list, oldest first: a ring in one power-of-two buffer that
+  /// grows by doubling and never shrinks, so a list that stays short
+  /// allocates nothing once warm.
+  template <typename Batch>
+  class Ring {
+   public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    /// The k-th oldest batch.
+    Batch& at(size_t k) { return buf_[(head_ + k) & (buf_.size() - 1)]; }
+    Batch& front() { return at(0); }
+    Batch& back() { return at(size_ - 1); }
+    void push_back(Batch batch) {
+      if (size_ == buf_.size()) Grow();
+      at(size_++) = batch;
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+    }
+    void pop_back() { --size_; }
+
+   private:
+    /// Doubles the buffer (four batches at first), oldest batch first.
+    void Grow();
+
+    std::vector<Batch> buf_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
+  /// One model's requests and VMs, oldest first. VMs past their minimum
+  /// billing time are interchangeable (Finish() charges them nothing and
+  /// termination may take any of them), so ApplyTarget folds their batches
+  /// into `mature`, oldest of all; `running` keeps only younger batches,
+  /// which bounds it by the minimum billing time (and `pending` by the
+  /// startup delay).
   struct Batches {
-    std::deque<PendingBatch> pending;
-    std::deque<RunningBatch> running;
+    Ring<PendingBatch> pending;
+    Ring<RunningBatch> running;
+    int64_t mature = 0;
   };
 
   /// Re-reads the environment from the CostModel (when constructed from one).
@@ -128,8 +164,7 @@ class AllocationModel {
   std::vector<double> elastic_cost_;
   std::vector<int64_t> vm_seconds_;
   std::vector<int64_t> elastic_seconds_;
-  /// Null until the model first has batch work.
-  std::vector<std::unique_ptr<Batches>> batches_;
+  std::vector<Batches> batches_;
 };
 
 }  // namespace cackle

@@ -1,7 +1,9 @@
 #include "strategy/cost_calculator.h"
 
+#include <utility>
+
+#include "common/logging.h"
 #include "strategy/allocation_model.h"
-#include "strategy/workload_history.h"
 
 namespace cackle {
 
@@ -10,21 +12,17 @@ StrategyEvaluation EvaluateStrategy(
     const std::vector<int64_t>& demand_per_second, const CostModel& cost,
     bool record_series) {
   StrategyEvaluation eval;
-  WorkloadHistory history;
+  std::vector<int64_t> targets = strategy->TargetSeries(demand_per_second);
+  CACKLE_CHECK_EQ(targets.size(), demand_per_second.size());
   AllocationModel model(&cost);
   if (record_series) {
-    eval.target_series.reserve(demand_per_second.size());
     eval.allocation_series.reserve(demand_per_second.size());
   }
-  for (int64_t demand : demand_per_second) {
-    history.Append(demand);
-    const int64_t target = strategy->Target(history);
-    const auto step = model.Step(target, demand);
-    if (record_series) {
-      eval.target_series.push_back(target);
-      eval.allocation_series.push_back(step.available);
-    }
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const auto step = model.Step(targets[t], demand_per_second[t]);
+    if (record_series) eval.allocation_series.push_back(step.available);
   }
+  if (record_series) eval.target_series = std::move(targets);
   model.Finish();
   eval.vm_cost = model.vm_cost();
   eval.elastic_cost = model.elastic_cost();

@@ -22,9 +22,10 @@ struct StrategyEvaluation {
   std::vector<int64_t> allocation_series;
 };
 
-/// \brief Replays `demand_per_second` through `strategy`, feeding the
-/// workload history one second at a time and pricing the induced allocation
-/// with the cost model (Sections 4.4.1-4.4.3 as one pipeline).
+/// \brief Replays `demand_per_second` through `strategy` (its TargetSeries:
+/// the targets per-second replay of the workload history yields) and prices
+/// the induced allocation with the cost model (Sections 4.4.1-4.4.3 as one
+/// pipeline).
 ///
 /// This is the compute-layer cost calculation used by both the analytical
 /// model and the experiments; the engine simulation exercises the same

@@ -62,9 +62,19 @@ struct DynamicStrategyOptions {
 /// from the weight distribution. The played expert's current target is the
 /// strategy's output.
 ///
+/// The experts are held in one shard per lookback window: the window's run
+/// of the family and its own AllocationModel batch. Expert costs depend
+/// only on the demand series, never on the played target, so TargetSeries
+/// prices a series it holds in full ahead of the decisions: the shards run
+/// on a thread pool, a block of update intervals at a time, each keeping
+/// its own sorted window over the series, and the calling thread then runs
+/// the block's decisions in interval order. Target() is the same pipeline
+/// one second at a time; both give bit-identical results.
+///
 /// If the cost model changes mid-workload (price or startup-time change),
 /// the expert evaluations pick up the new conditions from the next step —
-/// no parameters encode the old prices.
+/// no parameters encode the old prices. TargetSeries reads one cost model
+/// throughout, so it must not change during that call.
 class DynamicStrategy : public ProvisioningStrategy {
  public:
   DynamicStrategy(const CostModel* cost,
@@ -73,6 +83,8 @@ class DynamicStrategy : public ProvisioningStrategy {
 
   std::string name() const override { return "dynamic"; }
   int64_t Target(const WorkloadHistory& history) override;
+  std::vector<int64_t> TargetSeries(
+      const std::vector<int64_t>& demand) override;
 
   /// Tenant-aware aggregation (see DynamicStrategyOptions::tenant_aware):
   /// maintains a per-tenant sliding-window demand peak; the next Target()
@@ -104,14 +116,55 @@ class DynamicStrategy : public ProvisioningStrategy {
   int64_t expert_switches() const { return switches_; }
 
  private:
+  /// The experts [begin, end) of the family, which share one lookback
+  /// window: one allocation model each, this second's targets and the
+  /// costs of the current update interval so far. A shard's state is its
+  /// own, so shards on different threads never write the same memory.
+  struct Shard {
+    size_t begin;
+    size_t end;
+    int64_t lookback_s;
+    AllocationModel models;
+    std::vector<int64_t> targets;
+    std::vector<double> interval_cost;
+  };
+
+  /// Whether the strategy's `second` (1-based) is a decision point: an
+  /// update boundary, or its first second, when the played target is set.
+  bool DecisionPoint(int64_t second) const {
+    return second % options_.update_interval_s == 0 || second <= 1;
+  }
+  /// Prices `shard`'s experts on the strategy's `second`, given their
+  /// window's ascending samples `sorted` and that second's `demand`. At a
+  /// decision point it copies their targets into `row_targets` and at an
+  /// update boundary their interval costs into `row_costs` (rows of
+  /// num_experts(), indexed by expert), starting the next interval.
+  void PriceSecond(Shard& shard, const std::vector<int64_t>& sorted,
+                   int64_t demand, int64_t second, int64_t* row_targets,
+                   double* row_costs);
+  /// PriceSecond for seconds [begin, end) of `demand`, the first of them
+  /// the strategy's second `seen` + 1, writing one row per decision point.
+  /// `window` holds the shard's sorted window before `begin` and is
+  /// advanced.
+  void PriceBlock(Shard& shard, const std::vector<int64_t>& demand,
+                  int64_t begin, int64_t end, int64_t seen,
+                  std::vector<int64_t>* window, int64_t* row_targets,
+                  double* row_costs);
+  /// The decision point seconds_seen_ given its rows: an update round at a
+  /// boundary, otherwise the first second playing the chosen expert.
+  void Play(const double* row_costs, const int64_t* row_targets);
+  /// One update round: turns the experts' interval costs into penalties,
+  /// updates the weights, picks the next expert, plays its `targets` entry
+  /// and records the decision snapshot.
+  void Decide(const double* interval_cost, const int64_t* targets);
+
   const CostModel* cost_;
   DynamicStrategyOptions options_;
   PercentileFamily family_;
-  /// This second's target of every expert (scratch, reused).
-  std::vector<int64_t> expert_targets_;
-  /// One allocation model per expert, stepped in lockstep.
-  AllocationModel models_;
-  std::vector<double> interval_cost_;
+  std::vector<Shard> shards_;
+  /// Target()'s decision rows (scratch, reused).
+  std::vector<int64_t> row_targets_;
+  std::vector<double> row_costs_;
   /// Per-update MW penalties (scratch, reused).
   std::vector<double> penalties_;
   std::unique_ptr<MultiplicativeWeights> mw_;

@@ -30,22 +30,25 @@ void MultiplicativeWeights::Normalize() {
 
 void MultiplicativeWeights::Update(const std::vector<double>& penalties) {
   CACKLE_CHECK_EQ(penalties.size(), weights_.size());
-  total_weight_ = 0.0;
+  // Two passes: scale every weight and find the maximum, then apply the
+  // floor (when set) while summing the total. Weights are never negative,
+  // so a positive maximum means a positive total.
+  double max_weight = 0.0;
   for (size_t i = 0; i < weights_.size(); ++i) {
     const double penalty = std::clamp(penalties[i], 0.0, 1.0);
     weights_[i] *= (1.0 - epsilon_ * penalty);
-    total_weight_ += weights_[i];
+    max_weight = std::max(max_weight, weights_[i]);
   }
-  CACKLE_CHECK_GT(total_weight_, 0.0);
+  CACKLE_CHECK_GT(max_weight, 0.0);
+  total_weight_ = 0.0;
   if (weight_floor_ratio_ > 0.0) {
-    double max_weight = 0.0;
-    for (double w : weights_) max_weight = std::max(max_weight, w);
     const double floor = weight_floor_ratio_ * max_weight;
-    total_weight_ = 0.0;
     for (double& w : weights_) {
       w = std::max(w, floor);
       total_weight_ += w;
     }
+  } else {
+    for (double w : weights_) total_weight_ += w;
   }
   ++rounds_;
   if ((rounds_ & 0x3F) == 0 ||

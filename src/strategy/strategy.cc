@@ -9,6 +9,18 @@
 
 namespace cackle {
 
+std::vector<int64_t> ProvisioningStrategy::TargetSeries(
+    const std::vector<int64_t>& demand) {
+  WorkloadHistory history;
+  std::vector<int64_t> targets;
+  targets.reserve(demand.size());
+  for (int64_t d : demand) {
+    history.Append(d);
+    targets.push_back(Target(history));
+  }
+  return targets;
+}
+
 std::string MeanStrategy::name() const {
   // Built with append() rather than operator+ chains: GCC 12's -O3
   // -Wrestrict false-positives on the temporary produced by
@@ -102,42 +114,30 @@ PercentileStrategy PercentileFamily::Expert(size_t i) const {
                             multiplier[i]);
 }
 
-void PercentileFamily::Targets(const WorkloadHistory& history,
-                               std::vector<int64_t>* targets) {
-  targets->resize(size());
-  if (rank_.size() != size()) {
-    rank_.assign(size(), 0);
-    rank_fill_.assign(size(), -1);
+void PercentileFamily::RunTargets(size_t begin, size_t end,
+                                  const std::vector<int64_t>& sorted,
+                                  int64_t* out) {
+  const int64_t n = static_cast<int64_t>(sorted.size());
+  if (n == 0) {
+    std::fill(out, out + (end - begin), 0);
+    return;
+  }
+  if (rank_fill_[begin] != n) {
+    for (size_t i = begin; i < end; ++i) {
+      rank_[i] = NearestRank(percentile[i], n);
+    }
+    rank_fill_[begin] = n;
   }
   // Every sample below 2^53 converts to double exactly, so a multiplier of
   // 1 leaves it unchanged: ceil(double(v) * 1.0) == v.
   constexpr int64_t kExactDouble = int64_t{1} << 53;
-  for (size_t begin = 0, end = 0; begin < size(); begin = end) {
-    const uint32_t slot = window[begin];
-    end = begin + 1;
-    while (end < size() && window[end] == slot) ++end;
-    const std::vector<int64_t>& sorted =
-        history.SortedWindow(lookbacks_s[slot]);
-    const int64_t n = static_cast<int64_t>(sorted.size());
-    if (n == 0) {
-      std::fill(targets->begin() + static_cast<std::ptrdiff_t>(begin),
-                targets->begin() + static_cast<std::ptrdiff_t>(end), 0);
-      continue;
-    }
-    if (rank_fill_[begin] != n) {
-      for (size_t i = begin; i < end; ++i) {
-        rank_[i] = NearestRank(percentile[i], n);
-      }
-      rank_fill_[begin] = n;
-    }
-    const bool exact = sorted.back() < kExactDouble;
-    for (size_t i = begin; i < end; ++i) {
-      const int64_t pct = sorted[static_cast<size_t>(rank_[i] - 1)];
-      (*targets)[i] = multiplier[i] == 1.0 && exact
-                          ? pct
-                          : static_cast<int64_t>(std::ceil(
-                                static_cast<double>(pct) * multiplier[i]));
-    }
+  const bool exact = sorted.back() < kExactDouble;
+  for (size_t i = begin; i < end; ++i) {
+    const int64_t pct = sorted[static_cast<size_t>(rank_[i] - 1)];
+    out[i - begin] = multiplier[i] == 1.0 && exact
+                         ? pct
+                         : static_cast<int64_t>(std::ceil(
+                               static_cast<double>(pct) * multiplier[i]));
   }
 }
 
@@ -162,6 +162,8 @@ PercentileFamily BuildPercentileFamily(const FamilyOptions& options) {
     }
   }
   CACKLE_CHECK(family.size() > 0);
+  family.rank_.assign(family.size(), 0);
+  family.rank_fill_.assign(family.size(), -1);
   return family;
 }
 

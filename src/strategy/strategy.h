@@ -38,6 +38,14 @@ class ProvisioningStrategy {
   /// Target VM count for the next second.
   virtual int64_t Target(const WorkloadHistory& history) = 0;
 
+  /// Targets for a whole demand series held up front: element t is what
+  /// Target() returns after the t-th sample is appended to a fresh default
+  /// WorkloadHistory, and the strategy ends in the state that per-second
+  /// replay leaves it in. The default is exactly that replay; a strategy
+  /// may override it to price ahead of its decisions, bit for bit equal.
+  virtual std::vector<int64_t> TargetSeries(
+      const std::vector<int64_t>& demand);
+
   /// Per-tenant breakdown of the demand sample about to be Target()ed,
   /// ascending tenant order, zero-demand tenants omitted. Called by
   /// multi-tenant coordinators immediately before Target(); never called in
@@ -140,7 +148,7 @@ struct FamilyOptions {
 /// \brief The percentile strategy family as a flat struct-of-arrays expert
 /// table: expert i is PercentileStrategy(lookbacks_s[window[i]],
 /// percentile[i], multiplier[i]). Several hundred experts with the default
-/// options, evaluated together by Targets().
+/// options, in runs sharing a window, each run evaluated by RunTargets().
 struct PercentileFamily {
   /// The family's lookbacks in FamilyOptions order; window[i] indexes it.
   std::vector<int64_t> lookbacks_s;
@@ -153,17 +161,22 @@ struct PercentileFamily {
   /// Expert `i` as a standalone strategy (its name, or a reference target).
   PercentileStrategy Expert(size_t i) const;
 
-  /// Writes every expert's target on `history` into `targets` (resized to
-  /// size()); element i equals Expert(i).Target(history). Each window is
-  /// looked up once per run of experts sharing it. A nearest rank depends
-  /// only on the percentile and the window's fill count, so each run's
-  /// ranks are cached and recomputed only while its window fills; the
-  /// table must not change once Targets() has been called.
-  void Targets(const WorkloadHistory& history, std::vector<int64_t>* targets);
+  /// Writes the targets of the run of experts [begin, end), which share
+  /// one window, into out[0, end - begin), given that window's ascending
+  /// samples `sorted`: out[i - begin] equals Expert(i).Target() on a
+  /// history whose window holds `sorted`. A nearest rank depends only on
+  /// the percentile and the window's fill count, so each run's ranks are
+  /// cached and recomputed only while its window fills. Calls for
+  /// different runs touch disjoint state and may run concurrently.
+  void RunTargets(size_t begin, size_t end,
+                  const std::vector<int64_t>& sorted, int64_t* out);
 
  private:
+  friend PercentileFamily BuildPercentileFamily(const FamilyOptions& options);
+
   /// rank_[i] is expert i's 1-based nearest rank in a window of
   /// rank_fill_[b] samples, b the first expert of i's run (-1: not yet).
+  /// Sized by BuildPercentileFamily; the table must not change after.
   std::vector<int64_t> rank_;
   std::vector<int64_t> rank_fill_;
 };

@@ -24,6 +24,27 @@ WorkloadHistory::WorkloadHistory(std::vector<int64_t> lookbacks)
   max_demand_ = std::numeric_limits<int64_t>::max() / lookbacks_.back();
 }
 
+void SlideSortedWindow(std::vector<int64_t>* sorted, const int64_t* samples,
+                       int64_t n, int64_t lookback_s) {
+  std::vector<int64_t>& s = *sorted;
+  const int64_t added = samples[n - 1];
+  if (n <= lookback_s) {
+    s.insert(std::upper_bound(s.begin(), s.end(), added), added);
+    return;
+  }
+  const int64_t evicted = samples[n - lookback_s - 1];
+  const auto pos = std::lower_bound(s.begin(), s.end(), evicted);
+  if (added > evicted) {
+    const auto end = std::lower_bound(pos + 1, s.end(), added);
+    std::move(pos + 1, end, pos);
+    *(end - 1) = added;
+  } else if (added < evicted) {
+    const auto begin = std::upper_bound(s.begin(), pos, added);
+    std::move_backward(begin, pos, pos + 1);
+    *begin = added;
+  }
+}
+
 void WorkloadHistory::Append(int64_t demand) {
   CACKLE_CHECK_GE(demand, 0);
   CACKLE_CHECK_LE(demand, max_demand_)
@@ -31,31 +52,15 @@ void WorkloadHistory::Append(int64_t demand) {
   history_.push_back(demand);
   const int64_t now = size();  // number of samples after append
   for (Window& w : windows_) {
-    std::vector<int64_t>& s = w.sorted;
-    if (now <= w.lookback_s) {
-      w.sum += demand;
-      if (w.sorted_live) {
-        s.insert(std::upper_bound(s.begin(), s.end(), demand), demand);
-      }
-      continue;
-    }
+    // Both samples are in [0, max_demand_], so neither the difference nor
+    // the resulting sum of lookback_s samples can overflow.
     const int64_t evicted =
-        history_[static_cast<size_t>(now - w.lookback_s - 1)];
-    // Both are in [0, max_demand_], so neither the difference nor the
-    // resulting sum of lookback_s samples can overflow.
+        now <= w.lookback_s
+            ? 0
+            : history_[static_cast<size_t>(now - w.lookback_s - 1)];
     w.sum += demand - evicted;
-    if (!w.sorted_live) continue;
-    // Overwrite one copy of the evicted value with the new sample, shifting
-    // the elements strictly between the two by one slot.
-    const auto pos = std::lower_bound(s.begin(), s.end(), evicted);
-    if (demand > evicted) {
-      const auto end = std::lower_bound(pos + 1, s.end(), demand);
-      std::move(pos + 1, end, pos);
-      *(end - 1) = demand;
-    } else if (demand < evicted) {
-      const auto begin = std::upper_bound(s.begin(), pos, demand);
-      std::move_backward(begin, pos, pos + 1);
-      *begin = demand;
+    if (w.sorted_live) {
+      SlideSortedWindow(&w.sorted, history_.data(), now, w.lookback_s);
     }
   }
 }

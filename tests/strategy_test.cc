@@ -5,10 +5,16 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/json_writer.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "common/tracer.h"
 #include "strategy/allocation_model.h"
 #include "strategy/cost_calculator.h"
 #include "strategy/dynamic_strategy.h"
@@ -253,6 +259,24 @@ TEST(StrategyTest, FamilyHasSeveralHundredExperts) {
   EXPECT_EQ(family.Expert(665).name(), "p80_x20.00_lb3600");
 }
 
+/// Every expert's target on `history`, one RunTargets() call per run of
+/// experts sharing a window.
+std::vector<int64_t> FamilyTargets(PercentileFamily& family,
+                                   const WorkloadHistory& history) {
+  std::vector<int64_t> targets(family.size());
+  for (size_t begin = 0, end = 0; begin < family.size(); begin = end) {
+    end = begin + 1;
+    while (end < family.size() && family.window[end] == family.window[begin]) {
+      ++end;
+    }
+    family.RunTargets(
+        begin, end,
+        history.SortedWindow(family.lookbacks_s[family.window[begin]]),
+        targets.data() + begin);
+  }
+  return targets;
+}
+
 /// Differential: the batched table's target for every expert equals the
 /// standalone PercentileStrategy's, on an empty history, windows shorter
 /// than their lookback, all-equal and all-zero demand, and values > 2^20.
@@ -263,10 +287,8 @@ TEST_P(PercentileFamilyDifferentialTest, BatchedTargetsMatchStandalone) {
   PercentileFamily family = BuildPercentileFamily();
   Rng rng(GetParam());
   WorkloadHistory history;
-  std::vector<int64_t> targets;
   const auto expect_all_equal = [&](const char* phase) {
-    family.Targets(history, &targets);
-    ASSERT_EQ(targets.size(), family.size());
+    const std::vector<int64_t> targets = FamilyTargets(family, history);
     for (size_t i = 0; i < family.size(); ++i) {
       PercentileStrategy expert = family.Expert(i);
       ASSERT_EQ(targets[i], expert.Target(history))
@@ -316,10 +338,9 @@ TEST(PercentileFamilyTest, SamplesAboveTwoTo53MatchStandalone) {
   PercentileFamily family = BuildPercentileFamily(options);
   WorkloadHistory history(options.lookbacks_s);
   Rng rng(5);
-  std::vector<int64_t> targets;
   for (int s = 0; s < 400; ++s) {
     history.Append((int64_t{1} << 53) + rng.NextInt(0, 1 << 22));
-    family.Targets(history, &targets);
+    const std::vector<int64_t> targets = FamilyTargets(family, history);
     for (size_t i = 0; i < family.size(); ++i) {
       ASSERT_EQ(targets[i], family.Expert(i).Target(history))
           << family.Expert(i).name() << " at second " << s;
@@ -477,16 +498,17 @@ TEST_P(AllocationModelPropertyTest, MatchesReferenceOnRandomTraces) {
   EXPECT_EQ(model.total_vm_seconds(), ref.vm_seconds);
 }
 
-TEST_P(AllocationModelPropertyTest, BatchMatchesReferencesInLockstep) {
-  // A batch of models against as many references. Targets are mostly
-  // steady with a few changes per second, so most models take the
-  // billing-only path each second and a few apply batch work; the VM price
-  // and the startup delay (including 0) change along the way.
+/// A batch of models against as many references over 2000 s. Targets are
+/// mostly steady with a few changes per second, so most models take the
+/// billing-only path each second and a few apply batch work; the VM price
+/// and the startup delay (including 0) change along the way.
+void ExpectBatchMatchesReferences(uint64_t seed, SimTimeMs min_billing_ms) {
   CostModel cost;
-  Rng rng(GetParam() * 7919);
-  cost.vm_startup_ms = GetParam() % 5 == 1 ? 0 : rng.NextInt(1, 4) * 60'000;
+  cost.vm_min_billing_ms = min_billing_ms;
+  Rng rng(seed * 7919);
+  cost.vm_startup_ms = seed % 5 == 1 ? 0 : rng.NextInt(1, 4) * 60'000;
   constexpr size_t kModels = 48;
-  const int64_t max_target = GetParam() % 2 == 0 ? 5'000 : 120;
+  const int64_t max_target = seed % 2 == 0 ? 5'000 : 120;
   AllocationModel batch(&cost, kModels);
   ASSERT_EQ(batch.size(), kModels);
   std::vector<ReferenceAllocation> refs(kModels, ReferenceAllocation(&cost));
@@ -528,6 +550,21 @@ TEST_P(AllocationModelPropertyTest, BatchMatchesReferencesInLockstep) {
     EXPECT_EQ(batch.pending(i), 0);
     EXPECT_EQ(batch.available(i), 0);
   }
+}
+
+TEST_P(AllocationModelPropertyTest, BatchMatchesReferencesInLockstep) {
+  ExpectBatchMatchesReferences(GetParam(), CostModel().vm_min_billing_ms);
+}
+
+TEST_P(AllocationModelPropertyTest, ZeroMinBillingMatchesReferences) {
+  // Every VM is past its minimum billing time the second it starts.
+  ExpectBatchMatchesReferences(GetParam(), 0);
+}
+
+TEST_P(AllocationModelPropertyTest, MinBillingPastEndMatchesReferences) {
+  // No VM ever meets its minimum billing time: none terminates early, and
+  // Finish() charges every one.
+  ExpectBatchMatchesReferences(GetParam(), 3 * kMillisPerHour);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocationModelPropertyTest,
@@ -648,6 +685,53 @@ TEST(MultiplicativeWeightsTest, PenaltiesClamped) {
   mw.Update({5.0, -3.0});  // clamped to {1, 0}
   EXPECT_LT(mw.weights()[0], mw.weights()[1]);
   EXPECT_GT(mw.weights()[0], 0.0);
+}
+
+/// Differential: Update against the textbook three-pass round (scale and
+/// sum, find the maximum, floor and sum again) with its renormalization.
+/// Sampling reads the total, so weights and probabilities must match
+/// exactly, not within a tolerance.
+TEST(MultiplicativeWeightsTest, UpdateMatchesThreePassReference) {
+  constexpr size_t kExperts = 666;
+  constexpr double kEpsilon = 0.25;
+  for (const double floor_ratio : {0.0, 1e-6}) {
+    MultiplicativeWeights mw(kExperts, kEpsilon, floor_ratio);
+    std::vector<double> ref(kExperts, 1.0);
+    double ref_total = static_cast<double>(kExperts);
+    Rng rng(17);
+    std::vector<double> penalties(kExperts);
+    for (int64_t round = 1; round <= 300; ++round) {
+      for (double& p : penalties) {
+        // Mostly small regrets, some clamped from outside [0, 1].
+        p = rng.NextInt(0, 9) == 0 ? rng.NextDouble(-0.5, 1.5)
+                                   : rng.NextDouble(0.0, 0.2);
+      }
+      mw.Update(penalties);
+      ref_total = 0.0;
+      for (size_t i = 0; i < kExperts; ++i) {
+        ref[i] *= 1.0 - kEpsilon * std::clamp(penalties[i], 0.0, 1.0);
+        ref_total += ref[i];
+      }
+      if (floor_ratio > 0.0) {
+        double max_weight = 0.0;
+        for (double w : ref) max_weight = std::max(max_weight, w);
+        ref_total = 0.0;
+        for (double& w : ref) {
+          w = std::max(w, floor_ratio * max_weight);
+          ref_total += w;
+        }
+      }
+      if (round % 64 == 0 || ref_total < 1e-100 * kExperts) {
+        const double scale = static_cast<double>(kExperts) / ref_total;
+        for (double& w : ref) w *= scale;
+        ref_total = static_cast<double>(kExperts);
+      }
+      ASSERT_EQ(mw.weights(), ref) << "round " << round;
+      for (size_t i = 0; i < kExperts; i += 37) {
+        ASSERT_EQ(mw.Probability(i), ref[i] / ref_total) << "round " << round;
+      }
+    }
+  }
 }
 
 /// Property: expected cumulative penalty of MW is within the textbook regret
@@ -1211,6 +1295,121 @@ TEST(BaselineGoldenTest, SinusoidPinned) {
 TEST(BaselineGoldenTest, AzureTracePinned) {
   ExpectBaselineGoldens(AzureGoldenDemand(), 0x40a1640ed916871bULL,
                         0x408325ff0b550f8aULL, 0x40807a5928011762ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Ahead-of-decision pricing: DynamicStrategy::TargetSeries, which prices the
+// experts a block of update intervals at a time on a thread pool, against
+// the base class's per-second Append + Target() replay.
+// ---------------------------------------------------------------------------
+
+/// Everything observable about a dynamic strategy after a replay.
+struct DynamicReplay {
+  std::vector<int64_t> targets;
+  std::vector<uint64_t> expert_cost_bits;
+  std::vector<uint64_t> weight_bits;
+  int64_t switches = 0;
+  std::string metrics_json;
+  std::string tracer_json;
+};
+
+/// Replays `demand` through a fresh strategy, by its own TargetSeries when
+/// `ahead`, else by the base class's per-second loop; then continues online
+/// for `online_s` more seconds, as the engine does after priming.
+DynamicReplay ReplayDynamic(const std::vector<int64_t>& demand,
+                            const DynamicStrategyOptions& options,
+                            int64_t online_s, bool ahead) {
+  const CostModel cost;
+  DynamicStrategy dynamic(&cost, options);
+  MetricsRegistry metrics;
+  Tracer tracer;
+  tracer.set_enabled(true);
+  dynamic.SetObservability(&metrics, &tracer);
+  DynamicReplay r;
+  r.targets = ahead ? dynamic.TargetSeries(demand)
+                    : dynamic.ProvisioningStrategy::TargetSeries(demand);
+  WorkloadHistory history;
+  for (int64_t d : demand) history.Append(d);
+  for (int64_t s = 0; s < online_s; ++s) {
+    history.Append((s * 37) % 90);
+    r.targets.push_back(dynamic.Target(history));
+  }
+  for (size_t i = 0; i < dynamic.num_experts(); ++i) {
+    r.expert_cost_bits.push_back(DoubleBits(dynamic.ExpertCost(i)));
+    r.weight_bits.push_back(DoubleBits(dynamic.weights().weights()[i]));
+  }
+  r.switches = dynamic.expert_switches();
+  std::ostringstream metrics_os;
+  JsonWriter metrics_writer(metrics_os);
+  metrics.WriteJson(metrics_writer);
+  r.metrics_json = metrics_os.str();
+  std::ostringstream tracer_os;
+  JsonWriter tracer_writer(tracer_os);
+  tracer.WriteJson(tracer_writer);
+  r.tracer_json = tracer_os.str();
+  return r;
+}
+
+/// (series length, update interval, sample the expert).
+class TargetSeriesDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, bool>> {};
+
+TEST_P(TargetSeriesDifferentialTest, MatchesPerSecondReplay) {
+  const auto [length, interval, sample] = GetParam();
+  // A random walk with bursts, so experts' targets rise and fall and
+  // their models both request and terminate VMs.
+  Rng rng(static_cast<uint64_t>(length * 31 + interval));
+  std::vector<int64_t> demand;
+  int64_t walk = 40;
+  for (int64_t s = 0; s < length; ++s) {
+    walk = std::clamp<int64_t>(walk + rng.NextInt(-6, 6), 0, 200);
+    demand.push_back(s % 600 < 30 ? walk * 3 : walk);
+  }
+  DynamicStrategyOptions options;
+  options.update_interval_s = interval;
+  options.sample_expert = sample;
+  const DynamicReplay ahead = ReplayDynamic(demand, options, 23, true);
+  const DynamicReplay replay = ReplayDynamic(demand, options, 23, false);
+  ASSERT_EQ(ahead.targets.size(), static_cast<size_t>(length) + 23);
+  EXPECT_EQ(ahead.targets, replay.targets);
+  EXPECT_EQ(ahead.expert_cost_bits, replay.expert_cost_bits);
+  EXPECT_EQ(ahead.weight_bits, replay.weight_bits);
+  EXPECT_EQ(ahead.switches, replay.switches);
+  EXPECT_EQ(ahead.metrics_json, replay.metrics_json);
+  EXPECT_EQ(ahead.tracer_json, replay.tracer_json);
+  if (length > 1000) {
+    EXPECT_GT(ahead.switches, 0);
+  }
+}
+
+// 2001 s is not a whole number of blocks at any of the intervals.
+INSTANTIATE_TEST_SUITE_P(
+    Lengths, TargetSeriesDifferentialTest,
+    ::testing::Combine(::testing::Values<int64_t>(0, 1, 4, 2001),
+                       ::testing::Values<int64_t>(1, 5, 7),
+                       ::testing::Bool()));
+
+TEST(TargetSeriesTest, EvaluateStrategyMatchesPerSecondLoop) {
+  // EvaluateStrategy prices the played targets of TargetSeries; a
+  // hand-written per-second loop over Target() yields the same bits.
+  const CostModel cost;
+  const std::vector<int64_t> demand = SinusoidDemand(3000, 700, 60);
+  DynamicStrategy ahead(&cost);
+  const StrategyEvaluation eval =
+      EvaluateStrategy(&ahead, demand, cost, /*record_series=*/true);
+  DynamicStrategy online(&cost);
+  WorkloadHistory history;
+  AllocationModel played(&cost);
+  std::vector<int64_t> targets;
+  for (int64_t d : demand) {
+    history.Append(d);
+    targets.push_back(online.Target(history));
+    played.Step(targets.back(), d);
+  }
+  played.Finish();
+  EXPECT_EQ(eval.target_series, targets);
+  EXPECT_EQ(DoubleBits(eval.total()), DoubleBits(played.total_cost()));
+  EXPECT_EQ(eval.vm_seconds, played.total_vm_seconds());
 }
 
 TEST(AllocationModelTest, LivePriceChangeTakesEffect) {
