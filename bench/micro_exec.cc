@@ -13,9 +13,6 @@
 #include "exec/flat_hash.h"
 #include "exec/operators.h"
 #include "exec/plan.h"
-#include "exec/logical.h"
-#include "exec/lowering.h"
-#include "exec/optimizer.h"
 #include "exec/tpch_queries.h"
 
 namespace cackle::exec {
@@ -312,44 +309,6 @@ void BM_MultiStagePlanPipelined(benchmark::State& state) {
                           static_cast<int64_t>(plan.stages.size()));
 }
 BENCHMARK(BM_MultiStagePlanPipelined)->Arg(4)->UseRealTime();
-
-LogicalNodePtr AdHocQuery() {
-  return LSort(
-      LAggregate(
-          LFilter(LJoin(LJoin(LScan("orders"), LScan("customer"),
-                              {"o_custkey"}, {"c_custkey"}),
-                        LScan("nation"), {"c_nationkey"}, {"n_nationkey"}),
-                  Eq(Col("c_mktsegment"), Lit("BUILDING"))),
-          {"n_name"}, {{AggOp::kSum, Col("o_totalprice"), "revenue"}}),
-      {{"revenue", false}}, 10);
-}
-
-void BM_OptimizeAndLower(benchmark::State& state) {
-  const Catalog& cat = BenchCatalog();
-  const TableResolver resolver = TableResolver::ForCatalog(cat);
-  for (auto _ : state) {
-    auto optimized = Optimize(AdHocQuery(), resolver);
-    auto lowered = LowerToStagePlan(*optimized, resolver, PlanConfig{4});
-    benchmark::DoNotOptimize(lowered);
-  }
-}
-BENCHMARK(BM_OptimizeAndLower);
-
-void BM_LogicalQueryExecution(benchmark::State& state) {
-  // arg 0: optimized or not — quantifies what pushdown+pruning+broadcast buy.
-  const Catalog& cat = BenchCatalog();
-  const TableResolver resolver = TableResolver::ForCatalog(cat);
-  LogicalNodePtr plan = AdHocQuery();
-  if (state.range(0) == 1) {
-    plan = *Optimize(plan, resolver);
-  }
-  const StagePlan lowered = *LowerToStagePlan(plan, resolver, PlanConfig{4});
-  PlanExecutor executor;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Execute(lowered));
-  }
-}
-BENCHMARK(BM_LogicalQueryExecution)->Arg(0)->Arg(1);
 
 void BM_GenerateTpch(benchmark::State& state) {
   for (auto _ : state) {

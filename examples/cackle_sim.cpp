@@ -24,11 +24,13 @@
 //   --csv              CSV output instead of aligned text
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/parse_number.h"
 #include "common/table_printer.h"
 #include "engine/engine.h"
 #include "model/analytical_model.h"
@@ -40,6 +42,13 @@ namespace {
 
 using namespace cackle;
 
+// One --strategies entry, checked before any work starts.
+struct StrategySpec {
+  std::string name;   // dynamic | predictive | fixed_N | mean_X
+  int64_t fixed = 0;  // N of fixed_N
+  double mean = 0;    // X of mean_X
+};
+
 struct Flags {
   int64_t queries = 4096;
   double hours = 4;
@@ -49,7 +58,7 @@ struct Flags {
   std::string trace;
   double premium = 6.0;
   int64_t startup_s = 180;
-  std::string strategies = "fixed_0,mean_2,predictive,dynamic";
+  std::vector<StrategySpec> strategies;
   bool engine = false;
   bool csv = false;
   uint64_t seed = 42;
@@ -65,31 +74,82 @@ bool ParseFlag(const std::string& arg, const std::string& name,
   return false;
 }
 
+[[noreturn]] void BadFlag(const std::string& arg, const char* want) {
+  std::cerr << "invalid flag " << arg << ": want " << want << "\n";
+  std::exit(2);
+}
+
+StrategySpec ParseStrategy(const std::string& arg, const std::string& name) {
+  StrategySpec spec{name};
+  if (name == "dynamic" || name == "predictive") return spec;
+  if (name.rfind("fixed_", 0) == 0) {
+    if (!ParseInt64(name.substr(6), &spec.fixed) || spec.fixed < 0) {
+      BadFlag(arg, "fixed_N with an integer N >= 0");
+    }
+    return spec;
+  }
+  if (name.rfind("mean_", 0) == 0) {
+    if (!ParseDouble(name.substr(5), &spec.mean) || spec.mean < 0) {
+      BadFlag(arg, "mean_X with a finite X >= 0");
+    }
+    return spec;
+  }
+  BadFlag(arg, "a comma list of dynamic | predictive | fixed_N | mean_X");
+}
+
 Flags ParseFlags(int argc, char** argv) {
   Flags flags;
+  std::string strategies = "fixed_0,mean_2,predictive,dynamic";
+  std::string strategies_arg = "--strategies=" + strategies;
+  // Each bound keeps the value within what the workload generator, the
+  // cost model and the strategies accept, and the millisecond conversions
+  // below within int64.
+  constexpr int64_t kMaxMs = std::numeric_limits<int64_t>::max() / 2;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
     if (ParseFlag(arg, "queries", &value)) {
-      flags.queries = std::atoll(value.c_str());
+      if (!ParseInt64(value, &flags.queries) || flags.queries < 0) {
+        BadFlag(arg, "an integer >= 0");
+      }
     } else if (ParseFlag(arg, "hours", &value)) {
-      flags.hours = std::atof(value.c_str());
+      if (!ParseDouble(value, &flags.hours) || flags.hours <= 0 ||
+          flags.hours > static_cast<double>(kMaxMs / kMillisPerHour)) {
+        BadFlag(arg, "a finite number of hours > 0");
+      }
     } else if (ParseFlag(arg, "period_min", &value)) {
-      flags.period_min = std::atoll(value.c_str());
+      if (!ParseInt64(value, &flags.period_min) || flags.period_min <= 0 ||
+          flags.period_min > kMaxMs / kMillisPerMinute) {
+        BadFlag(arg, "an integer number of minutes > 0");
+      }
     } else if (ParseFlag(arg, "baseline", &value)) {
-      flags.baseline = std::atof(value.c_str());
+      if (!ParseDouble(value, &flags.baseline) || flags.baseline < 0 ||
+          flags.baseline > 1) {
+        BadFlag(arg, "a fraction in [0, 1]");
+      }
     } else if (ParseFlag(arg, "batch", &value)) {
-      flags.batch = std::atof(value.c_str());
+      if (!ParseDouble(value, &flags.batch) || flags.batch < 0 ||
+          flags.batch > 1) {
+        BadFlag(arg, "a fraction in [0, 1]");
+      }
     } else if (ParseFlag(arg, "trace", &value)) {
       flags.trace = value;
     } else if (ParseFlag(arg, "premium", &value)) {
-      flags.premium = std::atof(value.c_str());
+      if (!ParseDouble(value, &flags.premium) || flags.premium <= 0) {
+        BadFlag(arg, "a finite multiple > 0");
+      }
     } else if (ParseFlag(arg, "startup_s", &value)) {
-      flags.startup_s = std::atoll(value.c_str());
+      if (!ParseInt64(value, &flags.startup_s) || flags.startup_s < 0 ||
+          flags.startup_s > kMaxMs / 1000) {
+        BadFlag(arg, "an integer number of seconds >= 0");
+      }
     } else if (ParseFlag(arg, "strategies", &value)) {
-      flags.strategies = value;
+      strategies = value;
+      strategies_arg = arg;
     } else if (ParseFlag(arg, "seed", &value)) {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseUint64(value, &flags.seed)) {
+        BadFlag(arg, "an unsigned integer");
+      }
     } else if (arg == "--engine") {
       flags.engine = true;
     } else if (arg == "--csv") {
@@ -99,24 +159,24 @@ Flags ParseFlags(int argc, char** argv) {
       std::exit(2);
     }
   }
+  std::stringstream names(strategies);
+  std::string name;
+  while (std::getline(names, name, ',')) {
+    flags.strategies.push_back(ParseStrategy(strategies_arg, name));
+  }
   return flags;
 }
 
-std::unique_ptr<ProvisioningStrategy> MakeStrategy(const std::string& name,
+std::unique_ptr<ProvisioningStrategy> MakeStrategy(const StrategySpec& spec,
                                                    const CostModel* cost) {
-  if (name == "dynamic") return std::make_unique<DynamicStrategy>(cost);
-  if (name == "predictive") {
+  if (spec.name == "dynamic") return std::make_unique<DynamicStrategy>(cost);
+  if (spec.name == "predictive") {
     return std::make_unique<PredictiveStrategy>(cost->vm_startup_ms);
   }
-  if (name.rfind("fixed_", 0) == 0) {
-    return std::make_unique<FixedStrategy>(std::atoll(name.c_str() + 6));
+  if (spec.name.rfind("fixed_", 0) == 0) {
+    return std::make_unique<FixedStrategy>(spec.fixed);
   }
-  if (name.rfind("mean_", 0) == 0) {
-    return std::make_unique<MeanStrategy>(std::atof(name.c_str() + 5));
-  }
-  std::cerr << "unknown strategy: " << name
-            << " (use dynamic | predictive | fixed_N | mean_X)\n";
-  std::exit(2);
+  return std::make_unique<MeanStrategy>(spec.mean);
 }
 
 }  // namespace
@@ -177,10 +237,8 @@ int main(int argc, char** argv) {
   }
   TablePrinter table(headers);
 
-  std::stringstream names(flags.strategies);
-  std::string name;
-  while (std::getline(names, name, ',')) {
-    auto strategy = MakeStrategy(name, &cost);
+  for (const StrategySpec& spec : flags.strategies) {
+    auto strategy = MakeStrategy(spec, &cost);
     const auto eval =
         EvaluateStrategy(strategy.get(), demand.tasks_per_second(), cost);
     table.BeginRow();
@@ -192,13 +250,8 @@ int main(int argc, char** argv) {
       EngineOptions engine_opts;
       engine_opts.enable_shuffle = false;
       engine_opts.seed = flags.seed;
-      if (name == "dynamic") {
-        engine_opts.use_dynamic = true;
-      } else {
-        engine_opts.use_dynamic = false;
-        engine_opts.fixed_target =
-            name.rfind("fixed_", 0) == 0 ? std::atoll(name.c_str() + 6) : 0;
-      }
+      engine_opts.use_dynamic = spec.name == "dynamic";
+      engine_opts.fixed_target = spec.fixed;
       CackleEngine engine(&cost, engine_opts);
       const EngineResult r = engine.Run(arrivals, library);
       const double share =

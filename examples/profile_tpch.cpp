@@ -10,10 +10,10 @@
 // statistics). Load the output with ProfileLibrary::LoadText() to drive the
 // analytical model with measured rather than builtin profiles.
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
+#include "common/parse_number.h"
 #include "exec/datagen.h"
 #include "exec/profiler.h"
 
@@ -21,7 +21,12 @@ int main(int argc, char** argv) {
   using namespace cackle;
   using namespace cackle::exec;
 
-  const double sf = argc > 1 ? std::atof(argv[1]) : 0.01;
+  double sf = 0.01;
+  if (argc > 3 || (argc > 1 && (!ParseDouble(argv[1], &sf) || sf <= 0))) {
+    std::cerr << "usage: profile_tpch [scale_factor=0.01, > 0] "
+                 "[out=profiles.txt]\n";
+    return 2;
+  }
   const std::string out_path = argc > 2 ? argv[2] : "profiles.txt";
 
   std::cout << "generating TPC-H data at scale factor " << sf << "...\n";

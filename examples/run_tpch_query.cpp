@@ -6,9 +6,11 @@
 //
 // Query ids 1..22 are TPC-H; 23..25 are the DS-like additions.
 
-#include <cstdlib>
+#include <algorithm>
 #include <iostream>
+#include <limits>
 
+#include "common/parse_number.h"
 #include "common/table_printer.h"
 #include "exec/datagen.h"
 #include "exec/plan.h"
@@ -18,17 +20,30 @@ int main(int argc, char** argv) {
   using namespace cackle;
   using namespace cackle::exec;
 
-  const int query = argc > 1 ? std::atoi(argv[1]) : 1;
-  const double sf = argc > 2 ? std::atof(argv[2]) : 0.01;
+  int64_t query = 1;
+  double sf = 0.01;
+  int64_t tasks = 4;
+  const std::vector<int> ids = AllTpchQueryIds();
+  if (argc > 4 ||
+      (argc > 1 && (!ParseInt64(argv[1], &query) ||
+                    std::find(ids.begin(), ids.end(), query) == ids.end())) ||
+      (argc > 2 && (!ParseDouble(argv[2], &sf) || sf <= 0)) ||
+      (argc > 3 && (!ParseInt64(argv[3], &tasks) || tasks < 1 ||
+                    tasks > std::numeric_limits<int>::max()))) {
+    std::cerr << "usage: run_tpch_query [query=1..25] [scale_factor=0.01, "
+                 "> 0] [tasks=4, >= 1]\n";
+    return 2;
+  }
   PlanConfig config;
-  config.tasks = argc > 3 ? std::atoi(argv[3]) : 4;
+  config.tasks = static_cast<int>(tasks);
 
   std::cout << "generating TPC-H data at scale factor " << sf << "...\n";
   const Catalog catalog = GenerateTpch(sf);
   std::cout << catalog.TotalRows() << " rows / "
             << catalog.TotalBytes() / (1024 * 1024) << " MiB across 8 tables\n\n";
 
-  const StagePlan plan = BuildTpchPlan(query, catalog, config);
+  const StagePlan plan =
+      BuildTpchPlan(static_cast<int>(query), catalog, config);
   std::cout << "executing " << plan.name << " (" << plan.stages.size()
             << " stages, " << config.tasks << " tasks per parallel stage)\n\n";
 

@@ -106,7 +106,7 @@ run_config build-asan - -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # its lookback-window shards on a pool while the calling thread decides, so
 # the strategy suite runs here as well.
 run_config build-tsan \
-  "thread_pool|exec|golden|operators|logical|vectorized|simulation|sim_scheduler|sim_differential|sweep_runner|multitenant|strategy" \
+  "thread_pool|exec|golden|operators|vectorized|simulation|sim_scheduler|sim_differential|sweep_runner|multitenant|strategy" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCACKLE_SANITIZE=thread
 
 # ------------------------------------------------------------- chaos smoke

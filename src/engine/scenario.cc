@@ -1,13 +1,14 @@
 #include "engine/scenario.h"
 
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <vector>
+
+#include "common/parse_number.h"
 
 namespace cackle {
 
@@ -30,37 +31,6 @@ std::string Trim(const std::string& s) {
     --end;
   }
   return s.substr(begin, end - begin);
-}
-
-bool ParseInt64Value(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  char* parse_end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &parse_end, 10);
-  if (errno != 0 || parse_end != s.c_str() + s.size()) return false;
-  *out = static_cast<int64_t>(v);
-  return true;
-}
-
-bool ParseUint64Value(const std::string& s, uint64_t* out) {
-  if (s.empty() || s[0] == '-') return false;
-  char* parse_end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &parse_end, 10);
-  if (errno != 0 || parse_end != s.c_str() + s.size()) return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-bool ParseDoubleValue(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* parse_end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &parse_end);
-  if (errno != 0 || parse_end != s.c_str() + s.size()) return false;
-  if (!std::isfinite(v)) return false;
-  *out = v;
-  return true;
 }
 
 // The range a numeric key must fall in. These mirror the CACKLE_CHECKs in
@@ -119,7 +89,7 @@ Status ApplyBinding(const FieldBinding& binding, const std::string& value) {
     case FieldBinding::kInt:
     case FieldBinding::kInt64: {
       int64_t v = 0;
-      if (!ParseInt64Value(value, &v)) {
+      if (!ParseInt64(value, &v)) {
         return error("bad integer '" + value + "'");
       }
       if (binding.kind == FieldBinding::kInt) {
@@ -135,12 +105,12 @@ Status ApplyBinding(const FieldBinding& binding, const std::string& value) {
       break;
     }
     case FieldBinding::kUint64:
-      if (!ParseUint64Value(value, static_cast<uint64_t*>(binding.dest))) {
+      if (!ParseUint64(value, static_cast<uint64_t*>(binding.dest))) {
         return error("bad unsigned integer '" + value + "'");
       }
       return Status::OK();
     case FieldBinding::kDouble:
-      if (!ParseDoubleValue(value, &number)) {
+      if (!ParseDouble(value, &number)) {
         return error("bad number '" + value + "'");
       }
       *static_cast<double*>(binding.dest) = number;

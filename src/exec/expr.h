@@ -23,8 +23,8 @@ class Expr {
   virtual DataType OutputType(const Table& input) const = 0;
   /// Evaluates over all rows of `input`.
   virtual Column Eval(const Table& input) const = 0;
-  /// Adds the names of all referenced columns to `out` (used by the
-  /// logical optimizer for predicate pushdown and column pruning).
+  /// Adds the names of all referenced columns to `out` (used by Project
+  /// to gather only the columns a ranged scan reads).
   virtual void CollectColumns(std::set<std::string>* out) const = 0;
 
   // --- selection-vector kernels (vectorized Filter) -------------------------

@@ -344,6 +344,205 @@ TEST(TpchReferenceTest, Q14MatchesDirectComputation) {
               100.0 * promo / total, 1e-6);
 }
 
+TEST(TpchReferenceTest, Q5MatchesDirectComputation) {
+  const Catalog& cat = TestCatalog();
+  PlanExecutor executor;
+  const Table result = executor.Execute(BuildTpchPlan(5, cat, PlanConfig{4}));
+
+  // Reference: revenue of lineitems whose customer and supplier share an
+  // ASIA nation, for orders placed in 1994, per nation.
+  std::set<int64_t> asia_regions;
+  for (int64_t r = 0; r < cat.region.num_rows(); ++r) {
+    if (cat.region.column("r_name").str(r) == "ASIA") {
+      asia_regions.insert(
+          cat.region.column("r_regionkey").ints()[static_cast<size_t>(r)]);
+    }
+  }
+  std::map<int64_t, std::string> asia_nation_name;
+  for (int64_t r = 0; r < cat.nation.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    if (asia_regions.count(cat.nation.column("n_regionkey").ints()[i])) {
+      asia_nation_name[cat.nation.column("n_nationkey").ints()[i]] =
+          cat.nation.column("n_name").str(r);
+    }
+  }
+  std::map<int64_t, int64_t> supp_nation;
+  for (int64_t r = 0; r < cat.supplier.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    supp_nation[cat.supplier.column("s_suppkey").ints()[i]] =
+        cat.supplier.column("s_nationkey").ints()[i];
+  }
+  std::map<int64_t, int64_t> cust_nation;
+  for (int64_t r = 0; r < cat.customer.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    cust_nation[cat.customer.column("c_custkey").ints()[i]] =
+        cat.customer.column("c_nationkey").ints()[i];
+  }
+  const int64_t lo = DateFromCivil(1994, 1, 1);
+  const int64_t hi = AddYears(lo, 1);
+  std::map<int64_t, int64_t> order_cust_nation;
+  for (int64_t r = 0; r < cat.orders.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    const int64_t date = cat.orders.column("o_orderdate").ints()[i];
+    if (date >= lo && date < hi) {
+      order_cust_nation[cat.orders.column("o_orderkey").ints()[i]] =
+          cust_nation.at(cat.orders.column("o_custkey").ints()[i]);
+    }
+  }
+  std::map<std::string, double> expected;
+  for (int64_t r = 0; r < cat.lineitem.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    const auto order = order_cust_nation.find(
+        cat.lineitem.column("l_orderkey").ints()[i]);
+    if (order == order_cust_nation.end()) continue;
+    const int64_t nation =
+        supp_nation.at(cat.lineitem.column("l_suppkey").ints()[i]);
+    if (nation != order->second || !asia_nation_name.count(nation)) continue;
+    expected[asia_nation_name.at(nation)] +=
+        cat.lineitem.column("l_extendedprice").doubles()[i] *
+        (1.0 - cat.lineitem.column("l_discount").doubles()[i]);
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(result.num_rows(), static_cast<int64_t>(expected.size()));
+  for (int64_t r = 0; r < result.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    const double want =
+        expected.at(std::string(result.column("n_name").str(r)));
+    EXPECT_NEAR(result.column("revenue").doubles()[i], want, 1e-6 * want);
+    if (r > 0) {
+      EXPECT_GE(result.column("revenue").doubles()[i - 1],
+                result.column("revenue").doubles()[i]);
+    }
+  }
+}
+
+TEST(TpchReferenceTest, Q10MatchesDirectComputation) {
+  const Catalog& cat = TestCatalog();
+  PlanExecutor executor;
+  const Table result = executor.Execute(BuildTpchPlan(10, cat, PlanConfig{4}));
+
+  // Reference: per-customer revenue of returned lineitems of orders placed
+  // in 1993 Q4; the top 20 by revenue desc, custkey asc.
+  const int64_t lo = DateFromCivil(1993, 10, 1);
+  const int64_t hi = AddMonths(lo, 3);
+  std::map<int64_t, int64_t> order_cust;
+  for (int64_t r = 0; r < cat.orders.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    const int64_t date = cat.orders.column("o_orderdate").ints()[i];
+    if (date >= lo && date < hi) {
+      order_cust[cat.orders.column("o_orderkey").ints()[i]] =
+          cat.orders.column("o_custkey").ints()[i];
+    }
+  }
+  std::map<int64_t, double> revenue;
+  for (int64_t r = 0; r < cat.lineitem.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    if (cat.lineitem.column("l_returnflag").str(r) != "R") continue;
+    const auto order =
+        order_cust.find(cat.lineitem.column("l_orderkey").ints()[i]);
+    if (order == order_cust.end()) continue;
+    revenue[order->second] +=
+        cat.lineitem.column("l_extendedprice").doubles()[i] *
+        (1.0 - cat.lineitem.column("l_discount").doubles()[i]);
+  }
+  std::map<int64_t, std::string> nation_name;
+  for (int64_t r = 0; r < cat.nation.num_rows(); ++r) {
+    nation_name[cat.nation.column("n_nationkey")
+                    .ints()[static_cast<size_t>(r)]] =
+        cat.nation.column("n_name").str(r);
+  }
+  std::map<int64_t, int64_t> cust_row;
+  for (int64_t r = 0; r < cat.customer.num_rows(); ++r) {
+    cust_row[cat.customer.column("c_custkey").ints()[static_cast<size_t>(r)]] =
+        r;
+  }
+  std::vector<std::pair<double, int64_t>> ranked;
+  for (const auto& [cust, rev] : revenue) ranked.emplace_back(rev, cust);
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  const int64_t expected_rows =
+      std::min<int64_t>(20, static_cast<int64_t>(ranked.size()));
+  ASSERT_GT(expected_rows, 0);
+  ASSERT_EQ(result.num_rows(), expected_rows);
+  const Table& c = cat.customer;
+  for (int64_t r = 0; r < expected_rows; ++r) {
+    const size_t i = static_cast<size_t>(r);
+    const int64_t cust = ranked[i].second;
+    const int64_t row = cust_row.at(cust);
+    const size_t ci = static_cast<size_t>(row);
+    EXPECT_EQ(result.column("c_custkey").ints()[i], cust) << "rank " << r;
+    EXPECT_NEAR(result.column("revenue").doubles()[i], ranked[i].first,
+                1e-6 * ranked[i].first);
+    EXPECT_EQ(result.column("c_name").str(r), c.column("c_name").str(row));
+    EXPECT_EQ(result.column("c_acctbal").doubles()[i],
+              c.column("c_acctbal").doubles()[ci]);
+    EXPECT_EQ(result.column("n_name").str(r),
+              nation_name.at(c.column("c_nationkey").ints()[ci]));
+    EXPECT_EQ(result.column("c_address").str(r),
+              c.column("c_address").str(row));
+    EXPECT_EQ(result.column("c_phone").str(r), c.column("c_phone").str(row));
+    EXPECT_EQ(result.column("c_comment").str(r),
+              c.column("c_comment").str(row));
+  }
+}
+
+TEST(TpchReferenceTest, Q19MatchesDirectComputation) {
+  const Catalog& cat = TestCatalog();
+  PlanExecutor executor;
+  const Table result = executor.Execute(BuildTpchPlan(19, cat, PlanConfig{4}));
+
+  // Reference: the three brand/container/quantity/size branches of the
+  // disjunction, checked per lineitem against its part.
+  struct Branch {
+    std::string brand;
+    std::set<std::string> containers;
+    double min_qty, max_qty;
+    int64_t max_size;
+  };
+  const std::vector<Branch> branches = {
+      {"Brand#12", {"SM CASE", "SM BOX", "SM PACK", "SM PKG"}, 1, 11, 5},
+      {"Brand#23", {"MED BAG", "MED BOX", "MED PKG", "MED PACK"}, 10, 20, 10},
+      {"Brand#34", {"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 20, 30, 15},
+  };
+  std::map<int64_t, int64_t> part_row;
+  for (int64_t r = 0; r < cat.part.num_rows(); ++r) {
+    part_row[cat.part.column("p_partkey").ints()[static_cast<size_t>(r)]] = r;
+  }
+  const Table& p = cat.part;
+  double expected = 0;
+  for (int64_t r = 0; r < cat.lineitem.num_rows(); ++r) {
+    const size_t i = static_cast<size_t>(r);
+    const std::string mode(cat.lineitem.column("l_shipmode").str(r));
+    if (mode != "AIR" && mode != "REG AIR") continue;
+    if (cat.lineitem.column("l_shipinstruct").str(r) != "DELIVER IN PERSON") {
+      continue;
+    }
+    const int64_t row =
+        part_row.at(cat.lineitem.column("l_partkey").ints()[i]);
+    const double qty = cat.lineitem.column("l_quantity").doubles()[i];
+    const int64_t size = p.column("p_size").ints()[static_cast<size_t>(row)];
+    bool matched = false;
+    for (const Branch& br : branches) {
+      matched = matched ||
+                (p.column("p_brand").str(row) == br.brand &&
+                 br.containers.count(
+                     std::string(p.column("p_container").str(row))) &&
+                 qty >= br.min_qty && qty <= br.max_qty && size >= 1 &&
+                 size <= br.max_size);
+    }
+    if (matched) {
+      expected += cat.lineitem.column("l_extendedprice").doubles()[i] *
+                  (1.0 - cat.lineitem.column("l_discount").doubles()[i]);
+    }
+  }
+  ASSERT_GT(expected, 0.0);
+  ASSERT_EQ(result.num_rows(), 1);
+  EXPECT_NEAR(result.column("revenue").doubles()[0], expected,
+              1e-6 * expected);
+}
+
 TEST(TpchSemanticTest, Q1HasAtMostSixGroups) {
   const Catalog& cat = TestCatalog();
   PlanExecutor executor;
