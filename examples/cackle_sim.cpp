@@ -35,6 +35,7 @@
 #include "engine/engine.h"
 #include "model/analytical_model.h"
 #include "strategy/oracle.h"
+#include "strategy/workload_history.h"
 #include "workload/trace_generator.h"
 #include "workload/trace_io.h"
 
@@ -89,8 +90,13 @@ StrategySpec ParseStrategy(const std::string& arg, const std::string& name) {
     return spec;
   }
   if (name.rfind("mean_", 0) == 0) {
-    if (!ParseDouble(name.substr(5), &spec.mean) || spec.mean < 0) {
-      BadFlag(arg, "mean_X with a finite X >= 0");
+    // A history accepts demand up to INT64_MAX / (its longest lookback),
+    // so a multiplier up to that lookback keeps every target in int64.
+    const double max_mean =
+        static_cast<double>(WorkloadHistory::DefaultLookbacks().back());
+    if (!ParseDouble(name.substr(5), &spec.mean) || spec.mean < 0 ||
+        spec.mean > max_mean) {
+      BadFlag(arg, "mean_X with a finite X in [0, 3600]");
     }
     return spec;
   }

@@ -102,11 +102,13 @@ run_config build-asan - -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 # TPC-H plan at 4 and 8 threads against the serial executor), and the
 # SweepRunner fan-out. Each Simulation instance is single-threaded by construction, but
 # the sweep harness runs many of them on pool threads, so the simulation and
-# scheduler suites run here too. The dynamic strategy's TargetSeries prices
-# its lookback-window shards on a pool while the calling thread decides, so
-# the strategy suite runs here as well.
+# scheduler suites run here too. The dynamic strategy prices its
+# lookback-window shards on two pricing workers while the calling thread
+# decides, in TargetSeries and in every Target() an engine makes, so the
+# strategy suite and every suite that runs an engine (engine, chaos,
+# observability, integration) run here as well.
 run_config build-tsan \
-  "thread_pool|exec|golden|operators|vectorized|simulation|sim_scheduler|sim_differential|sweep_runner|multitenant|strategy" \
+  "thread_pool|exec|golden|operators|vectorized|simulation|sim_scheduler|sim_differential|sweep_runner|multitenant|strategy|engine|chaos|observability|integration" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCACKLE_SANITIZE=thread
 
 # ------------------------------------------------------------- chaos smoke

@@ -83,6 +83,8 @@ struct CostModel {
            static_cast<double>(kMillisPerHour);
   }
 
+  friend bool operator==(const CostModel&, const CostModel&) = default;
+
   /// Per-second VM price (convenience for second-granularity accounting).
   double VmCostPerSecond() const { return vm_cost_per_hour / 3600.0; }
   double ElasticCostPerSecond() const { return elastic_cost_per_hour / 3600.0; }

@@ -144,6 +144,18 @@ void VmFleet::Release(VmId id) {
   ReconcileDown();
 }
 
+void VmFleet::SetBusyTag(VmId id, uint32_t tag) {
+  Vm& vm = vms_[static_cast<size_t>(id)];
+  CACKLE_CHECK(vm.state == VmState::kBusy);
+  vm.busy_tag = tag;
+}
+
+uint32_t VmFleet::BusyTag(VmId id) const {
+  const Vm& vm = vms_[static_cast<size_t>(id)];
+  CACKLE_CHECK(vm.state == VmState::kBusy);
+  return vm.busy_tag;
+}
+
 void VmFleet::BillAndRetire(VmId id) {
   Vm& vm = vms_[static_cast<size_t>(id)];
   CACKLE_CHECK(vm.state != VmState::kTerminated);

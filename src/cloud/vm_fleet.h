@@ -78,6 +78,12 @@ VmFleet {
   /// terminated (subject to the minimum billing rule).
   void Release(VmId id);
 
+  /// A word the owner keeps on BUSY VM `id` (the engine: where its task
+  /// sits in its own table), so it needs no table over every VM id ever
+  /// requested. Valid from SetBusyTag until the VM stops being busy.
+  void SetBusyTag(VmId id, uint32_t tag);
+  uint32_t BusyTag(VmId id) const;
+
   /// Registers a callback invoked every time a VM becomes READY. Used by the
   /// coordinator: a newly started VM announces itself and immediately
   /// accepts work.
@@ -147,7 +153,10 @@ VmFleet {
   /// thousands in a long chaos run); the field order packs it into 24 bytes.
   struct Vm {
     SimTimeMs ready_time = 0;
-    uint64_t pending_event = 0;  // startup event id while kPending
+    union {
+      uint64_t pending_event = 0;  // startup event id while kPending
+      uint32_t busy_tag;           // the owner's tag while kBusy
+    };
     int32_t tenant = 0;          // tenant running on it while kBusy
     VmState state = VmState::kPending;
   };

@@ -178,6 +178,14 @@ class CondVar {
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
+  /// Blocks until notified (or woken spuriously): callers re-check their
+  /// condition, with `mu` held, in a loop around the call.
+  void Wait(Mutex& mu) CACKLE_REQUIRES(mu) {
+    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
+    cv_.wait(lock);
+    lock.release();
+  }
+
   /// Blocks until `pred()` holds. `pred` runs with `mu` held.
   template <typename Pred>
   void Wait(Mutex& mu, Pred pred) CACKLE_REQUIRES(mu) {

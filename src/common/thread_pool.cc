@@ -15,6 +15,8 @@ namespace {
 /// and cross-pool nesting cannot mis-route.
 thread_local const ThreadPool* g_worker_pool = nullptr;
 thread_local int g_worker_index = -1;
+/// Pool tasks the current thread is inside (nested helper runs included).
+thread_local int g_tasks_running = 0;
 
 }  // namespace
 
@@ -129,7 +131,9 @@ void ThreadPool::Execute(Task task, bool helper) {
   const ScopedLogContext ctx(task.group != nullptr ? task.group->context()
                                                    : std::string());
   const auto t0 = std::chrono::steady_clock::now();
+  ++g_tasks_running;
   task.fn();
+  --g_tasks_running;
   const int64_t micros = std::chrono::duration_cast<std::chrono::microseconds>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
@@ -139,6 +143,8 @@ void ThreadPool::Execute(Task task, bool helper) {
   // TaskDone last: it may release a waiter that destroys the group.
   if (task.group != nullptr) task.group->TaskDone();
 }
+
+bool ThreadPool::RunningTask() { return g_tasks_running > 0; }
 
 bool ThreadPool::RunOneTask(int worker) {
   Task task;

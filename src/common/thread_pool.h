@@ -62,6 +62,11 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(queues_.size()); }
 
+  /// Whether the calling thread is running a task of any pool, as a worker
+  /// or as a TaskGroup::Wait helper. Code that would start threads of its
+  /// own checks this so that nested parallelism cannot oversubscribe.
+  static bool RunningTask();
+
   Stats stats() const;
 
   /// Exports the lifetime totals as counters under `prefix` (e.g.

@@ -503,7 +503,7 @@ bool CackleEngine::TryPlaceOnVm(TaskRef ref, SimTimeMs duration_ms) {
   const SpanId span = BeginTaskSpan(ref, "vm", /*speculative=*/false);
   const uint64_t event =
       sim_.ScheduleAfter(dur, [this, ref, vm_id = *vm, dur, span] {
-        vm_tasks_.erase(vm_id);
+        TakeVmTask(vm_id);
         fleet_->Release(vm_id);
         if (ledger_ != nullptr) {
           // Marginal attribution at the hourly rate for the task's runtime;
@@ -520,8 +520,25 @@ bool CackleEngine::TryPlaceOnVm(TaskRef ref, SimTimeMs duration_ms) {
         tracer_->End(span, sim_.NowMs());
         OnTaskDone(ref);
       });
-  vm_tasks_[*vm] = VmTask{ref, duration_ms, event, span};
+  AddVmTask(VmTask{ref, duration_ms, event, span, *vm});
   return true;
+}
+
+void CackleEngine::AddVmTask(const VmTask& task) {
+  fleet_->SetBusyTag(task.vm, static_cast<uint32_t>(vm_tasks_.size()));
+  vm_tasks_.push_back(task);
+}
+
+CackleEngine::VmTask CackleEngine::TakeVmTask(VmId vm) {
+  const uint32_t index = fleet_->BusyTag(vm);
+  CACKLE_CHECK(index < vm_tasks_.size() && vm_tasks_[index].vm == vm)
+      << "busy VM without task";
+  const VmTask task = vm_tasks_[index];
+  // Fill the hole with the last task.
+  vm_tasks_[index] = vm_tasks_.back();
+  fleet_->SetBusyTag(vm_tasks_[index].vm, index);
+  vm_tasks_.pop_back();
+  return task;
 }
 
 SpanId CackleEngine::TaskParentSpan(const TaskRef& ref) const {
@@ -560,7 +577,10 @@ void CackleEngine::PlaceTask(TaskRef ref, SimTimeMs duration_ms, int attempt,
 void CackleEngine::PlaceOnElastic(TaskRef ref, SimTimeMs duration_ms,
                                   int attempt,
                                   SimTimeMs backoff_elapsed_ms) {
-  const int64_t run_id = next_elastic_run_id_++;
+  const uint32_t run_slot = elastic_runs_.Alloc();
+  ElasticRun& run = elastic_runs_.at(run_slot);
+  const int64_t run_id = static_cast<int64_t>(
+      (static_cast<uint64_t>(run.generation) << 32) | run_slot);
   const Status admitted = pool_->TryAcquire(
       QueryTenant(ref.query_id),
       [this, run_id](ElasticSlotId slot) { OnElasticGranted(run_id, slot); });
@@ -573,6 +593,8 @@ void CackleEngine::PlaceOnElastic(TaskRef ref, SimTimeMs duration_ms,
     // budget (the default): queue behind a deterministic exponential
     // backoff, then try a full placement again (a VM may have freed up in
     // the meantime). Either way work is late, never lost.
+    // The run never opened: no event holds its id.
+    elastic_runs_.Free(run_slot);
     if (!elastic_retry_policy_->ShouldRetry(attempt + 1, backoff_elapsed_ms)) {
       retry_budget_exhausted_->Increment();
       deferred_tasks_.push_back(DeferredTask{ref, duration_ms});
@@ -589,15 +611,33 @@ void CackleEngine::PlaceOnElastic(TaskRef ref, SimTimeMs duration_ms,
     return;
   }
   tasks_on_elastic_->Increment();
-  ElasticRun& run = elastic_runs_[run_id];
   run.ref = ref;
   run.duration_ms = duration_ms;
   run.starting = 1;
+  run.speculated = false;
+  run.open = true;
+  run.live.clear();
+}
+
+CackleEngine::ElasticRun* CackleEngine::FindElasticRun(int64_t run_id) {
+  const uint32_t slot = static_cast<uint32_t>(run_id & 0xffffffff);
+  ElasticRun& run = elastic_runs_.at(slot);
+  const bool same = run.open && run.generation ==
+                                    static_cast<uint64_t>(run_id) >> 32;
+  return same ? &run : nullptr;
+}
+
+void CackleEngine::CloseElasticRun(int64_t run_id) {
+  const uint32_t slot = static_cast<uint32_t>(run_id & 0xffffffff);
+  ElasticRun& run = elastic_runs_.at(slot);
+  run.open = false;
+  ++run.generation;
+  elastic_runs_.Free(slot);
 }
 
 void CackleEngine::OnElasticGranted(int64_t run_id, ElasticSlotId slot) {
-  auto it = elastic_runs_.find(run_id);
-  if (it == elastic_runs_.end()) {
+  ElasticRun* found = FindElasticRun(run_id);
+  if (found == nullptr) {
     // The task completed (or failed over) while this speculative copy was
     // still starting; give the slot straight back. The (zero-duration)
     // charge belongs to no live query — it lands on the overhead row.
@@ -605,7 +645,7 @@ void CackleEngine::OnElasticGranted(int64_t run_id, ElasticSlotId slot) {
     pool_->Release(slot);
     return;
   }
-  ElasticRun& run = it->second;
+  ElasticRun& run = *found;
   --run.starting;
   SimTimeMs dur = run.duration_ms;
   if (injector_->SampleElasticStraggler()) {
@@ -643,9 +683,9 @@ void CackleEngine::OnElasticGranted(int64_t run_id, ElasticSlotId slot) {
 }
 
 void CackleEngine::OnElasticAttemptDone(int64_t run_id, ElasticSlotId slot) {
-  auto it = elastic_runs_.find(run_id);
-  CACKLE_CHECK(it != elastic_runs_.end());
-  ElasticRun& run = it->second;
+  ElasticRun* found = FindElasticRun(run_id);
+  CACKLE_CHECK(found != nullptr);
+  ElasticRun& run = *found;
   pool_->Release(slot);
   // First finisher wins: cancel and release the speculation loser. Both
   // attempts' slot-time is attributed to the query — the loser's bill is
@@ -660,14 +700,14 @@ void CackleEngine::OnElasticAttemptDone(int64_t run_id, ElasticSlotId slot) {
     tracer_->End(attempt.span, sim_.NowMs());
   }
   const TaskRef ref = run.ref;
-  elastic_runs_.erase(it);
+  CloseElasticRun(run_id);
   OnTaskDone(ref);
 }
 
 void CackleEngine::OnElasticAttemptFailed(int64_t run_id, ElasticSlotId slot) {
-  auto it = elastic_runs_.find(run_id);
-  CACKLE_CHECK(it != elastic_runs_.end());
-  ElasticRun& run = it->second;
+  ElasticRun* found = FindElasticRun(run_id);
+  CACKLE_CHECK(found != nullptr);
+  ElasticRun& run = *found;
   // The invocation died mid-run; its runtime until failure is still billed.
   pool_->Release(slot);
   elastic_failures_->Increment();
@@ -685,16 +725,16 @@ void CackleEngine::OnElasticAttemptFailed(int64_t run_id, ElasticSlotId slot) {
   }
   const TaskRef ref = run.ref;
   const SimTimeMs duration_ms = run.duration_ms;
-  elastic_runs_.erase(it);
+  CloseElasticRun(run_id);
   // Re-place from scratch, same path as a spot interruption: an idle VM if
   // one appeared, otherwise the pool again.
   PlaceTask(ref, duration_ms);
 }
 
 void CackleEngine::MaybeSpeculate(int64_t run_id) {
-  auto it = elastic_runs_.find(run_id);
-  if (it == elastic_runs_.end()) return;  // task already finished
-  ElasticRun& run = it->second;
+  ElasticRun* found = FindElasticRun(run_id);
+  if (found == nullptr) return;  // task already finished
+  ElasticRun& run = *found;
   if (run.speculated || run.live.size() + run.starting != 1) return;
   run.speculated = true;
   const Status admitted = pool_->TryAcquire(
@@ -730,10 +770,7 @@ void CackleEngine::DrainBatchQueue() {
 }
 
 void CackleEngine::OnVmInterrupted(VmId vm) {
-  auto it = vm_tasks_.find(vm);
-  CACKLE_CHECK(it != vm_tasks_.end()) << "interrupted busy VM without task";
-  const VmTask task = it->second;
-  vm_tasks_.erase(it);
+  const VmTask task = TakeVmTask(vm);
   sim_.Cancel(task.completion_event);
   tasks_retried_->Increment();
   tracer_->Tag(task.span, "interrupted", "true");
@@ -951,7 +988,7 @@ EngineResult CackleEngine::Run(const std::vector<QueryArrival>& arrivals,
   // have been returned — a leaked slot or in-flight retry is a bug, not a
   // rounding error.
   CACKLE_CHECK_EQ(pool_->num_active(), 0) << "leaked elastic slots";
-  CACKLE_CHECK(elastic_runs_.empty()) << "leaked elastic task state";
+  CACKLE_CHECK_EQ(elastic_runs_.live(), 0u) << "leaked elastic task state";
   CACKLE_CHECK(vm_tasks_.empty()) << "leaked VM task state";
   CACKLE_CHECK(recoveries_.empty()) << "unfinished shuffle recovery";
 

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "cloud/object_store.h"
 #include "cloud/spot_market.h"
 #include "cloud/vm_fleet.h"
+#include "common/arena.h"
 #include "common/circuit_breaker.h"
 #include "common/observability.h"
 #include "common/retry_policy.h"
@@ -390,12 +390,18 @@ CackleEngine {
   std::unique_ptr<ProvisioningStrategy> strategy_;
   WorkloadHistory history_;
 
+  /// The task running on busy VM `vm`.
   struct VmTask {
     TaskRef ref;
     SimTimeMs duration_ms;
     uint64_t completion_event;
     SpanId span = kInvalidSpan;
+    VmId vm = 0;
   };
+  /// Records `task` as running on its VM.
+  void AddVmTask(const VmTask& task);
+  /// Removes and returns the task running on busy VM `vm`.
+  VmTask TakeVmTask(VmId vm);
 
   struct BatchTask {
     TaskRef ref;
@@ -428,13 +434,20 @@ CackleEngine {
   /// One logical elastic task: its primary attempt plus (at most) one
   /// speculative copy. Slots in `live` are granted and running; `starting`
   /// counts admitted requests still inside their startup latency.
+  /// Runs are recycled slots of elastic_runs_, named by (generation,
+  /// slot) ids so that events of a finished run find nothing.
   struct ElasticRun {
     TaskRef ref;
     SimTimeMs duration_ms = 0;
     int starting = 0;
     bool speculated = false;
+    bool open = false;
+    uint32_t generation = 0;
     std::vector<ElasticAttempt> live;
   };
+  /// The open elastic run `run_id` names, or null once it has closed.
+  ElasticRun* FindElasticRun(int64_t run_id);
+  void CloseElasticRun(int64_t run_id);
 
   /// Re-execution of a producing stage after a shuffle-node crash.
   struct Recovery {
@@ -517,9 +530,10 @@ CackleEngine {
   int64_t tenant_queue_peak_ = 0;
   int64_t drr_rounds_ = 0;
   int64_t tenant_cap_deferrals_ = 0;
-  std::unordered_map<VmId, VmTask> vm_tasks_;
-  std::unordered_map<int64_t, ElasticRun> elastic_runs_;
-  int64_t next_elastic_run_id_ = 0;
+  /// Tasks on busy VMs, in no particular order; each VM's busy tag in the
+  /// fleet is its task's index here.
+  std::vector<VmTask> vm_tasks_;
+  SlabPool<ElasticRun> elastic_runs_;
   std::map<std::pair<int64_t, int>, Recovery> recoveries_;
   EngineResult result_;
   int64_t running_tasks_ = 0;

@@ -244,30 +244,25 @@ class Simulation::CalendarQueue {
         if (!overflow_.empty() && overflow_.top().when < Horizon()) Migrate();
         continue;
       }
-      // Extract the earliest tie group. Bucket order is append order, so
-      // equal-time entries come out in ascending seq — FIFO for free.
+      // Move the whole bucket into the batch, sorted by (when, seq): every
+      // entry of the current window orders before the rest of the wheel.
+      // Equal-time entries are already in ascending seq (append order).
+      // The cursor stays on this window, so events scheduled into it
+      // while the batch drains land in the bucket and are extracted next.
       // Tombstones ride along deliberately: checking staleness here would
       // dereference the pool node for every entry (a cold cache line per
       // event); PopNext already skips stale batch entries while touching
       // the same line it needs for the callback anyway.
-      SimTimeMs min_when = bucket[0].when;
-      for (const Entry& e : bucket) min_when = std::min(min_when, e.when);
-      size_t w = 0;
-      for (size_t r = 0; r < bucket.size(); ++r) {
-        if (bucket[r].when == min_when) {
+      wheel_entries_ -= static_cast<int64_t>(bucket.size());
+      batch_.assign(bucket.begin(), bucket.end());
+      bucket.clear();
+      std::sort(batch_.begin(), batch_.end(), EntryBefore);
 #if defined(__GNUC__) || defined(__clang__)
-          // PopNext touches the pool node (staleness + callback) right
-          // after this; start pulling the line now so the pop doesn't
-          // stall on a cold miss at large populations.
-          __builtin_prefetch(&pool_.at(bucket[r].slot));
+      // PopNext touches each pool node (staleness + callback); start
+      // pulling the lines now so the pops don't stall on cold misses at
+      // large populations.
+      for (const Entry& e : batch_) __builtin_prefetch(&pool_.at(e.slot));
 #endif
-          batch_.push_back(bucket[r]);
-          --wheel_entries_;
-        } else {
-          bucket[w++] = bucket[r];
-        }
-      }
-      bucket.resize(w);
     }
     return true;
   }

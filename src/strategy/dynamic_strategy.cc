@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -13,20 +14,40 @@
 namespace cackle {
 
 namespace {
-/// Update intervals TargetSeries prices per fan-out before deciding them.
-constexpr int64_t kBlockIntervals = 64;
-/// Pool threads pricing shards in TargetSeries. The calling thread runs the
-/// decisions and then helps, so three threads share the default family's
-/// six shards; leaving a core of four free keeps the blocks from stalling
-/// on a preempted thread when other processes want the machine too.
-constexpr int kPricingThreads = 2;
+/// Rows of the decision row ring: TargetSeries publishes up to this many
+/// decision points ahead of the one it plays.
+constexpr int64_t kRows = 64;
+/// Seconds the demand ring holds beyond the longest lookback: how far
+/// publishing may run ahead of the slowest shard.
+constexpr int64_t kSlack = 512;
+/// Spin-waiting, in pauses of roughly 20 ns on current x86 cores. A worker
+/// polls the published count kWorkerPauses times (~0.35 ms, longer than
+/// most gaps between an engine's coordinator ticks), then yields between
+/// polls kWorkerYields times, then parks. At a decision point the calling
+/// thread polls a shard up to kGracePauses times (~90 µs, far longer than
+/// a running worker takes to price one second) before pricing it itself.
+constexpr int kWorkerPauses = 1 << 14;
+constexpr int kWorkerYields = 1 << 7;
+constexpr int kGracePauses = 1 << 12;
 /// Elements of a shard scratch array that fill one 64-byte cache line.
 constexpr size_t kLineSlack = 64 / sizeof(int64_t);
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+int64_t RoundUpPow2(int64_t v) {
+  int64_t p = 1;
+  while (p < v) p <<= 1;
+  return p;
+}
 }  // namespace
 
 DynamicStrategy::DynamicStrategy(const CostModel* cost,
                                  DynamicStrategyOptions options)
-    : cost_(cost), options_(std::move(options)),
+    : cost_(cost), env_(*cost), options_(std::move(options)),
       family_(BuildPercentileFamily(options_.family)), rng_(options_.seed) {
   CACKLE_CHECK_GT(options_.update_interval_s, 0);
   CACKLE_CHECK_GT(options_.tenant_window_s, 0);
@@ -42,18 +63,25 @@ DynamicStrategy::DynamicStrategy(const CostModel* cost,
     const size_t padded = end - begin + kLineSlack;
     shards_.push_back(Shard{begin, end,
                             family_.lookbacks_s[family_.window[begin]],
-                            AllocationModel(cost_, end - begin),
+                            AllocationModel(&env_, end - begin),
+                            {},
                             std::vector<int64_t>(padded, 0),
                             std::vector<double>(padded, 0.0)});
   }
-  row_targets_.assign(family_.size(), 0);
-  row_costs_.assign(family_.size(), 0.0);
   mw_ = std::make_unique<MultiplicativeWeights>(
       family_.size(), options_.epsilon, options_.weight_floor_ratio);
   chosen_ = family_.size() / 2;  // arbitrary deterministic initial expert
 }
 
-DynamicStrategy::~DynamicStrategy() = default;
+DynamicStrategy::~DynamicStrategy() {
+  if (loops_ == nullptr) return;
+  {
+    MutexLock lock(&park_mu_);
+    stop_ = true;
+  }
+  park_cv_.NotifyAll();
+  loops_->Wait();
+}
 
 std::string DynamicStrategy::chosen_expert_name() const {
   return family_.Expert(chosen_).name();
@@ -61,6 +89,11 @@ std::string DynamicStrategy::chosen_expert_name() const {
 
 double DynamicStrategy::ExpertCost(size_t i) const {
   CACKLE_CHECK_LT(i, family_.size());
+  for (size_t k = 0; clocks_ != nullptr && k < shards_.size(); ++k) {
+    while (clocks_[k].priced.load(std::memory_order_acquire) < published_s_) {
+      std::this_thread::yield();
+    }
+  }
   for (const Shard& shard : shards_) {
     if (i < shard.end) return shard.models.total_cost(i - shard.begin);
   }
@@ -71,6 +104,7 @@ void DynamicStrategy::SetObservability(MetricsRegistry* metrics,
                                        Tracer* tracer) {
   metrics_sink_ = metrics;
   tracer_sink_ = tracer;
+  updates_ = nullptr;
 }
 
 void DynamicStrategy::ObserveTenantDemand(
@@ -139,17 +173,26 @@ void DynamicStrategy::Decide(const double* interval_cost,
   // paper); the executed target is re-computed here and held in between,
   // which keeps the fleet from churning on per-second percentile noise.
   last_target_ = targets[chosen_];
-  // Decision snapshot (pure bookkeeping; must not affect the target).
+  // Decision snapshot (pure bookkeeping; must not affect the target). The
+  // handles are looked up at the first decision, in this order, which is
+  // when and how the sink first sees them.
   if (metrics_sink_ != nullptr) {
-    metrics_sink_->AddCounter(metric_names::kStrategyUpdates, 1);
-    metrics_sink_->SetCounter(metric_names::kStrategyExpertSwitches,
-                              switches_);
-    metrics_sink_->SetGauge(metric_names::kStrategyChosenExpert,
-                            static_cast<double>(chosen_));
-    metrics_sink_->SetGauge(metric_names::kStrategyChosenProbability,
-                            mw_->Probability(chosen_));
-    metrics_sink_->Observe(metric_names::kStrategyTarget,
-                           static_cast<double>(last_target_));
+    if (updates_ == nullptr) {
+      updates_ = metrics_sink_->GetCounter(metric_names::kStrategyUpdates);
+      switches_counter_ =
+          metrics_sink_->GetCounter(metric_names::kStrategyExpertSwitches);
+      chosen_gauge_ =
+          metrics_sink_->GetGauge(metric_names::kStrategyChosenExpert);
+      probability_gauge_ =
+          metrics_sink_->GetGauge(metric_names::kStrategyChosenProbability);
+      target_histogram_ =
+          metrics_sink_->GetHistogram(metric_names::kStrategyTarget);
+    }
+    updates_->Increment(1);
+    switches_counter_->Set(switches_);
+    chosen_gauge_->Set(static_cast<double>(chosen_));
+    probability_gauge_->Set(mw_->Probability(chosen_));
+    target_histogram_->Observe(static_cast<double>(last_target_));
   }
   if (tracer_sink_ != nullptr && tracer_sink_->enabled()) {
     const SpanId decision =
@@ -161,66 +204,44 @@ void DynamicStrategy::Decide(const double* interval_cost,
   }
 }
 
-void DynamicStrategy::Play(const double* row_costs,
-                           const int64_t* row_targets) {
+int64_t DynamicStrategy::DecisionsThrough(int64_t second) const {
+  const int64_t interval = options_.update_interval_s;
+  return second / interval + (interval > 1 ? 1 : 0);
+}
+
+int64_t DynamicStrategy::DecisionSecond(int64_t k) const {
+  const int64_t interval = options_.update_interval_s;
+  return interval == 1 ? k : (k == 1 ? 1 : (k - 1) * interval);
+}
+
+size_t DynamicStrategy::RowOffset(int64_t second) const {
+  return static_cast<size_t>((DecisionsThrough(second) - 1) % rows_) *
+         family_.size();
+}
+
+void DynamicStrategy::Play() {
+  const size_t row = RowOffset(seconds_seen_);
   if (seconds_seen_ % options_.update_interval_s == 0) {
-    Decide(row_costs, row_targets);
+    Decide(row_costs_.get() + row, row_targets_.get() + row);
   } else {
-    last_target_ = row_targets[chosen_];
+    last_target_ = row_targets_[row + chosen_];
   }
 }
 
 int64_t DynamicStrategy::Target(const WorkloadHistory& history) {
-  // Evaluate every expert on this second: its target, and what it would
-  // have cost (allocation under the known startup time + cost model).
+  CACKLE_CHECK_EQ(history.size(), seconds_seen_ + 1)
+      << "Target() takes one newly appended second per call";
+  const int64_t demand = history.Latest();
+  Publish(&demand, 1);
   ++seconds_seen_;
-  for (Shard& shard : shards_) {
-    PriceSecond(shard, history.SortedWindow(shard.lookback_s),
-                history.Latest(), seconds_seen_, row_targets_.data(),
-                row_costs_.data());
-  }
   if (DecisionPoint(seconds_seen_)) {
-    Play(row_costs_.data(), row_targets_.data());
+    CatchUp(seconds_seen_);
+    Play();
   }
   // Multi-tenant isolation floor: never provision below what every tenant
   // needs to replay its recent burst simultaneously. Zero (a no-op on the
   // max) unless ObserveTenantDemand was fed a mix this window.
   return std::max(last_target_, TenantIsolationFloor());
-}
-
-void DynamicStrategy::PriceSecond(Shard& shard,
-                                  const std::vector<int64_t>& sorted,
-                                  int64_t demand, int64_t second,
-                                  int64_t* row_targets, double* row_costs) {
-  const size_t width = shard.end - shard.begin;
-  int64_t* targets = shard.targets.data();
-  double* cost = shard.interval_cost.data();
-  family_.RunTargets(shard.begin, shard.end, sorted, targets);
-  shard.models.Step({targets, width}, demand, {cost, width});
-  if (!DecisionPoint(second)) return;
-  std::copy(targets, targets + width, row_targets + shard.begin);
-  if (second % options_.update_interval_s == 0) {
-    std::copy(cost, cost + width, row_costs + shard.begin);
-    std::fill(cost, cost + width, 0.0);
-  }
-}
-
-void DynamicStrategy::PriceBlock(Shard& shard,
-                                 const std::vector<int64_t>& demand,
-                                 int64_t begin, int64_t end, int64_t seen,
-                                 std::vector<int64_t>* window,
-                                 int64_t* row_targets, double* row_costs) {
-  const size_t row_stride = family_.size();
-  for (int64_t t = begin; t < end; ++t) {
-    SlideSortedWindow(window, demand.data(), t + 1, shard.lookback_s);
-    const int64_t second = seen + (t - begin) + 1;
-    PriceSecond(shard, *window, demand[static_cast<size_t>(t)], second,
-                row_targets, row_costs);
-    if (DecisionPoint(second)) {
-      row_targets += row_stride;
-      row_costs += row_stride;
-    }
-  }
 }
 
 std::vector<int64_t> DynamicStrategy::TargetSeries(
@@ -234,73 +255,231 @@ std::vector<int64_t> DynamicStrategy::TargetSeries(
   }
   const int64_t n = static_cast<int64_t>(demand.size());
   std::vector<int64_t> played(demand.size());
-  if (n == 0) return played;
-  const int64_t interval = options_.update_interval_s;
-  const size_t row_stride = family_.size();
-  // Seconds [begin, end) of `demand`, the first the strategy's second
-  // seen + 1, ending on its kBlockIntervals-th update boundary (or at the
-  // series end). Its rows hold at most that many boundaries plus the
-  // strategy's first second.
-  struct Block {
-    int64_t begin = 0;
-    int64_t end = 0;
-    int64_t seen = 0;
-    std::vector<int64_t> row_targets;
-    std::vector<double> row_costs;
+  // demand[t] is the strategy's second base + t + 1; every second before
+  // it is published.
+  const int64_t base = seconds_seen_;
+  const int64_t end = base + n;
+  const auto publish_through = [&](int64_t through) {
+    if (through <= published_s_) return;
+    Publish(demand.data() + (published_s_ - base), through - published_s_);
   };
+  if (n > 0 && !started_) StartPricing();
+  // The whole series is known: the workers share out every shard, and
+  // this thread prices too when a decision finds its row not ready. Every
+  // decision published so far is played, so the row ring may change size
+  // (no shard writes a row until the next decision point is published).
+  rows_ = kRows;
+  if (threaded_) sharing_.store(true, std::memory_order_release);
+  const int64_t floor = TenantIsolationFloor();
+  for (int64_t t = 0; t < n; ++t) {
+    ++seconds_seen_;
+    if (DecisionPoint(seconds_seen_)) {
+      // Publish half a row ring at a time, so that every claim of a shard
+      // prices a long run of seconds: through the second before the
+      // decision point whose row would overwrite this one's.
+      const int64_t decision = DecisionsThrough(seconds_seen_);
+      if (published_s_ < DecisionSecond(decision + kRows / 2)) {
+        publish_through(
+            std::min(end, DecisionSecond(decision + kRows) - 1));
+      }
+      for (size_t k = 0; threaded_ && k < shards_.size(); ++k) {
+        ShardClock& clock = clocks_[k];
+        while (clock.priced.load(std::memory_order_acquire) <
+                   seconds_seen_ &&
+               !TryPriceShard(k, published_s_)) {
+          CpuRelax();
+        }
+      }
+      Play();
+    }
+    played[static_cast<size_t>(t)] = std::max(last_target_, floor);
+  }
+  publish_through(end);
+  if (threaded_) sharing_.store(false, std::memory_order_release);
+  rows_ = 1;
+  return played;
+}
+
+void DynamicStrategy::StartPricing() {
+  started_ = true;
   // Everything the shards write is allocated here, on the calling thread:
   // pool threads that allocated would each grow a malloc arena of their
   // own.
-  Block blocks[2];
-  for (Block& block : blocks) {
-    block.row_targets.resize((kBlockIntervals + 1) * row_stride);
-    block.row_costs.resize((kBlockIntervals + 1) * row_stride);
+  int64_t longest = 1;
+  for (Shard& shard : shards_) {
+    shard.window.reserve(static_cast<size_t>(shard.lookback_s));
+    longest = std::max(longest, shard.lookback_s);
   }
-  std::vector<std::vector<int64_t>> windows(shards_.size());
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    windows[k].reserve(
-        static_cast<size_t>(std::min(n, shards_[k].lookback_s)));
+  series_.assign(static_cast<size_t>(RoundUpPow2(longest + kSlack)), 0);
+  series_mask_ = static_cast<int64_t>(series_.size()) - 1;
+  // Default-initialized: Target() uses one row, so the others' pages stay
+  // untouched until a TargetSeries call.
+  const size_t row_cells = static_cast<size_t>(kRows) * family_.size();
+  row_targets_.reset(new int64_t[row_cells]);
+  row_costs_.reset(new double[row_cells]);
+  clocks_ = std::make_unique<ShardClock[]>(shards_.size());
+  priced_seen_.assign(shards_.size(), 0);
+  // A sweep cell already has a pool thread per core to itself.
+  if (ThreadPool::RunningTask()) return;
+  threaded_ = true;
+  pool_ = std::make_unique<ThreadPool>(static_cast<int>(kPricingThreads));
+  loops_ = std::make_unique<TaskGroup>(pool_.get(), "strategy");
+  for (size_t w = 0; w < kPricingThreads; ++w) {
+    loops_->Submit([this, w] { PricingLoop(w); });
   }
-  ThreadPool pool(kPricingThreads);
-  TaskGroup group(&pool, "strategy");
-  const auto price = [&](Block* block, int64_t begin, int64_t seen) {
-    block->begin = begin;
-    block->seen = seen;
-    block->end = std::min(
-        n, begin + (seen / interval + kBlockIntervals) * interval - seen);
-    for (size_t k = 0; k < shards_.size(); ++k) {
-      group.Submit([this, &demand, &windows, block, k] {
-        PriceBlock(shards_[k], demand, block->begin, block->end, block->seen,
-                   &windows[k], block->row_targets.data(),
-                   block->row_costs.data());
-      });
+}
+
+void DynamicStrategy::Publish(const int64_t* demand, int64_t count) {
+  if (!started_) StartPricing();
+  if (!(*cost_ == env_)) {
+    // The environment changed: the seconds published so far price under
+    // the old one, which the shards read until they are done with them.
+    CatchUp(published_s_);
+    env_ = *cost_;
+  }
+  while (count > 0) {
+    const int64_t chunk = std::min(count, kSlack);
+    // The ring overwrites the samples of kSlack + the longest lookback
+    // seconds ago; a shard still reads them until it is priced through
+    // kSlack seconds ago.
+    if (published_s_ + chunk - kSlack > caught_up_) {
+      CatchUp(published_s_ + chunk - kSlack);
     }
-  };
-  // The shards price the next block while the calling thread runs this
-  // block's decisions in interval order: they share no state.
-  const int64_t floor = TenantIsolationFloor();
-  price(&blocks[0], 0, seconds_seen_);
-  group.Wait();
-  for (size_t k = 0;; ++k) {
-    const Block& block = blocks[k % 2];
-    if (block.end < n) {
-      price(&blocks[(k + 1) % 2], block.end,
-            block.seen + (block.end - block.begin));
+    for (int64_t i = 0; i < chunk; ++i) {
+      series_[static_cast<size_t>((published_s_ + i) & series_mask_)] =
+          demand[i];
     }
-    size_t row = 0;
-    for (int64_t t = block.begin; t < block.end; ++t) {
-      ++seconds_seen_;
-      if (DecisionPoint(seconds_seen_)) {
-        Play(block.row_costs.data() + row * row_stride,
-             block.row_targets.data() + row * row_stride);
-        ++row;
+    published_s_ += chunk;
+    demand += chunk;
+    count -= chunk;
+    if (!threaded_) {
+      for (size_t k = 0; k < shards_.size(); ++k) {
+        TryPriceShard(k, published_s_);
       }
-      played[static_cast<size_t>(t)] = std::max(last_target_, floor);
+      continue;
     }
-    group.Wait();
-    if (block.end == n) break;
+    // Sequentially consistent, pairing with AwaitPublished: either a
+    // parking worker sees the new count, or this thread sees it parked.
+    published_.store(published_s_, std::memory_order_seq_cst);
+    if (parked_.load(std::memory_order_seq_cst) > 0) {
+      MutexLock lock(&park_mu_);
+      park_cv_.NotifyAll();
+    }
   }
-  return played;
+}
+
+void DynamicStrategy::CatchUp(int64_t second) {
+  if (!threaded_) return;
+  int pauses = 0;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    ShardClock& clock = clocks_[k];
+    int64_t priced = clock.priced.load(std::memory_order_acquire);
+    // No thread has priced the shard since the last catch-up although it
+    // had seconds waiting: its worker is not running (descheduled, or
+    // placed on this thread's core), so waiting out the grace period
+    // would only add to the cost of pricing it here.
+    const bool stalled =
+        priced == priced_seen_[k] && published_s_ > priced + 1;
+    while (priced < second) {
+      if ((stalled || pauses >= kGracePauses) &&
+          !clock.claimed.load(std::memory_order_relaxed) &&
+          TryPriceShard(k, second)) {
+        break;
+      }
+      CpuRelax();
+      ++pauses;
+      priced = clock.priced.load(std::memory_order_acquire);
+    }
+    priced_seen_[k] = clock.priced.load(std::memory_order_relaxed);
+  }
+  caught_up_ = std::max(caught_up_, second);
+}
+
+bool DynamicStrategy::TryPriceShard(size_t k, int64_t through) {
+  ShardClock& clock = clocks_[k];
+  if (clock.claimed.exchange(true, std::memory_order_acquire)) return false;
+  const int64_t from = clock.priced.load(std::memory_order_relaxed);
+  for (int64_t second = from + 1; second <= through; ++second) {
+    PriceSecond(shards_[k], second);
+  }
+  if (through > from) clock.priced.store(through, std::memory_order_release);
+  clock.claimed.store(false, std::memory_order_release);
+  return true;
+}
+
+void DynamicStrategy::PricingLoop(size_t w) {
+  int64_t published = 0;
+  for (;;) {
+    if (sharing_.load(std::memory_order_acquire)) {
+      // Any shard that is free, starting from a different one per worker.
+      for (size_t i = 0; i < shards_.size(); ++i) {
+        const size_t k = (i + w * shards_.size() / kPricingThreads) %
+                         shards_.size();
+        if (clocks_[k].priced.load(std::memory_order_acquire) < published) {
+          TryPriceShard(k, published);
+        }
+      }
+    } else {
+      // A lane shard the calling thread holds is priced through at most
+      // this count when it lets go: come back for the rest.
+      bool behind = false;
+      for (size_t k = w; k < shards_.size(); k += kPricingThreads) {
+        if (clocks_[k].priced.load(std::memory_order_acquire) < published &&
+            !TryPriceShard(k, published)) {
+          behind = true;
+        }
+      }
+      if (behind) {
+        CpuRelax();
+        continue;
+      }
+    }
+    published = AwaitPublished(published);
+    if (published < 0) return;
+  }
+}
+
+int64_t DynamicStrategy::AwaitPublished(int64_t seen) {
+  for (int polls = 0; polls < kWorkerPauses + kWorkerYields; ++polls) {
+    const int64_t published = published_.load(std::memory_order_acquire);
+    if (published != seen) return published;
+    if (polls < kWorkerPauses) {
+      CpuRelax();
+    } else {
+      std::this_thread::yield();
+    }
+  }
+  MutexLock lock(&park_mu_);
+  parked_.fetch_add(1, std::memory_order_seq_cst);
+  while (!stop_ && published_.load(std::memory_order_seq_cst) == seen) {
+    park_cv_.Wait(park_mu_);
+  }
+  parked_.fetch_sub(1, std::memory_order_seq_cst);
+  if (stop_) return -1;
+  return published_.load(std::memory_order_acquire);
+}
+
+void DynamicStrategy::PriceSecond(Shard& shard, int64_t second) {
+  const int64_t demand =
+      series_[static_cast<size_t>((second - 1) & series_mask_)];
+  const bool full = second > shard.lookback_s;
+  const int64_t evicted =
+      full ? series_[static_cast<size_t>((second - 1 - shard.lookback_s) &
+                                         series_mask_)]
+           : 0;
+  SlideSortedWindow(&shard.window, demand, full, evicted);
+  const size_t width = shard.end - shard.begin;
+  int64_t* targets = shard.targets.data();
+  double* cost = shard.interval_cost.data();
+  family_.RunTargets(shard.begin, shard.end, shard.window, targets);
+  shard.models.Step({targets, width}, demand, {cost, width});
+  if (!DecisionPoint(second)) return;
+  const size_t row = RowOffset(second) + shard.begin;
+  std::copy(targets, targets + width, row_targets_.get() + row);
+  if (second % options_.update_interval_s == 0) {
+    std::copy(cost, cost + width, row_costs_.get() + row);
+    std::fill(cost, cost + width, 0.0);
+  }
 }
 
 }  // namespace cackle

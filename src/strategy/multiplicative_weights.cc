@@ -40,16 +40,19 @@ void MultiplicativeWeights::Update(const std::vector<double>& penalties) {
     max_weight = std::max(max_weight, weights_[i]);
   }
   CACKLE_CHECK_GT(max_weight, 0.0);
-  total_weight_ = 0.0;
+  // Summed in a local, in index order: the member would be stored back
+  // every step, since the weights might alias it.
+  double total = 0.0;
   if (weight_floor_ratio_ > 0.0) {
     const double floor = weight_floor_ratio_ * max_weight;
     for (double& w : weights_) {
       w = std::max(w, floor);
-      total_weight_ += w;
+      total += w;
     }
   } else {
-    for (double w : weights_) total_weight_ += w;
+    for (double w : weights_) total += w;
   }
+  total_weight_ = total;
   ++rounds_;
   if ((rounds_ & 0x3F) == 0 ||
       total_weight_ < 1e-100 * static_cast<double>(weights_.size())) {

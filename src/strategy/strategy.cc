@@ -36,7 +36,12 @@ std::string MeanStrategy::name() const {
 
 int64_t MeanStrategy::Target(const WorkloadHistory& history) {
   const double mean = history.Mean(lookback_s_);
-  return static_cast<int64_t>(std::ceil(mean * multiplier_));
+  const double target = std::ceil(mean * multiplier_);
+  // 2^63: the first double past INT64_MAX.
+  CACKLE_CHECK(target >= 0.0 && target < 9223372036854775808.0)
+      << name() << " target " << target << " (mean " << mean
+      << ") is out of int64 range";
+  return static_cast<int64_t>(target);
 }
 
 int64_t PredictiveStrategy::Target(const WorkloadHistory& history) {

@@ -24,15 +24,13 @@ WorkloadHistory::WorkloadHistory(std::vector<int64_t> lookbacks)
   max_demand_ = std::numeric_limits<int64_t>::max() / lookbacks_.back();
 }
 
-void SlideSortedWindow(std::vector<int64_t>* sorted, const int64_t* samples,
-                       int64_t n, int64_t lookback_s) {
+void SlideSortedWindow(std::vector<int64_t>* sorted, int64_t added, bool full,
+                       int64_t evicted) {
   std::vector<int64_t>& s = *sorted;
-  const int64_t added = samples[n - 1];
-  if (n <= lookback_s) {
+  if (!full) {
     s.insert(std::upper_bound(s.begin(), s.end(), added), added);
     return;
   }
-  const int64_t evicted = samples[n - lookback_s - 1];
   const auto pos = std::lower_bound(s.begin(), s.end(), evicted);
   if (added > evicted) {
     const auto end = std::lower_bound(pos + 1, s.end(), added);
@@ -54,14 +52,11 @@ void WorkloadHistory::Append(int64_t demand) {
   for (Window& w : windows_) {
     // Both samples are in [0, max_demand_], so neither the difference nor
     // the resulting sum of lookback_s samples can overflow.
+    const bool full = now > w.lookback_s;
     const int64_t evicted =
-        now <= w.lookback_s
-            ? 0
-            : history_[static_cast<size_t>(now - w.lookback_s - 1)];
+        full ? history_[static_cast<size_t>(now - w.lookback_s - 1)] : 0;
     w.sum += demand - evicted;
-    if (w.sorted_live) {
-      SlideSortedWindow(&w.sorted, history_.data(), now, w.lookback_s);
-    }
+    if (w.sorted_live) SlideSortedWindow(&w.sorted, demand, full, evicted);
   }
 }
 

@@ -23,13 +23,12 @@ inline int64_t SortedPercentile(const std::vector<int64_t>& sorted, double p) {
   return sorted[static_cast<size_t>(NearestRank(p, n) - 1)];
 }
 
-/// Advances the ascending `sorted`, which holds the last min(n - 1,
-/// lookback_s) of the samples before `samples[n - 1]`, by that sample:
-/// inserts it while the window fills, and once it is full overwrites one
-/// copy of the evicted `samples[n - lookback_s - 1]` with it, moving only
+/// Advances the ascending window `sorted` by the sample `added`: inserts it
+/// while the window fills (`full` false), and once it is full overwrites
+/// one copy of the sample `evicted` leaving the window with it, moving only
 /// the elements strictly between the two values by one slot.
-void SlideSortedWindow(std::vector<int64_t>* sorted, const int64_t* samples,
-                       int64_t n, int64_t lookback_s);
+void SlideSortedWindow(std::vector<int64_t>* sorted, int64_t added, bool full,
+                       int64_t evicted);
 
 /// \brief The per-second demand history the coordinator maintains
 /// (Section 4.4.1): the maximum number of concurrently requested tasks in

@@ -36,6 +36,15 @@ std::vector<QueryArrival> WorkloadGenerator::Generate(
     const WorkloadOptions& options) const {
   CACKLE_CHECK_GT(library_->size(), 0u);
   CACKLE_CHECK_GE(options.num_tenants, 1);
+  CACKLE_CHECK_GE(options.num_queries, 0)
+      << "num_queries must be >= 0, got " << options.num_queries;
+  CACKLE_CHECK_GT(options.duration_ms, 0)
+      << "duration_ms must be > 0, got " << options.duration_ms;
+  // A zero period makes the sine density NaN, so rejection sampling of the
+  // periodic share would never accept.
+  CACKLE_CHECK(options.arrival_period_ms > 0 || options.baseline_load >= 1.0)
+      << "arrival_period_ms must be > 0 while baseline_load < 1, got "
+      << options.arrival_period_ms;
   Rng rng(options.seed);
   std::vector<QueryArrival> arrivals;
   arrivals.reserve(static_cast<size_t>(options.num_queries));

@@ -28,7 +28,8 @@ foreach(arg
     --baseline=-0.1 --baseline=1.5 --batch=2 --batch=nan
     --premium=-1 --premium=0 --startup_s=-10 --seed=-1
     --strategies=fixed_-3 --strategies=fixed_x --strategies=mean_nan
-    --strategies=mean_-1 --strategies=dynamic,bogus)
+    --strategies=mean_-1 --strategies=mean_1e300 --strategies=mean_3601
+    --strategies=dynamic,bogus)
   string(REGEX REPLACE "([][+.*?()^$|\\\\])" "\\\\\\1" escaped "${arg}")
   expect_rejected("invalid flag ${escaped}: want" "${CACKLE_SIM}" "${arg}")
 endforeach()

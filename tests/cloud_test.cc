@@ -115,6 +115,25 @@ TEST_F(VmFleetTest, VmsStartAfterDelay) {
   EXPECT_EQ(fleet.num_idle(), 3);
 }
 
+TEST_F(VmFleetTest, BusyTagLivesWhileTheVmIsBusy) {
+  VmFleet fleet(&sim_, &cost_, &meter_);
+  fleet.SetTarget(2);
+  sim_.RunUntil(cost_.vm_startup_ms);
+  const auto a = fleet.TryAcquire();
+  const auto b = fleet.TryAcquire();
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  fleet.SetBusyTag(*a, 7);
+  fleet.SetBusyTag(*b, 0xffffffffu);
+  EXPECT_EQ(fleet.BusyTag(*a), 7u);
+  EXPECT_EQ(fleet.BusyTag(*b), 0xffffffffu);
+  fleet.SetBusyTag(*a, 3);
+  EXPECT_EQ(fleet.BusyTag(*a), 3u);
+  fleet.Release(*a);
+  EXPECT_DEATH(fleet.BusyTag(*a), "kBusy");
+  EXPECT_EQ(fleet.BusyTag(*b), 0xffffffffu);
+  fleet.Release(*b);
+}
+
 TEST_F(VmFleetTest, AcquireReleaseLifecycle) {
   VmFleet fleet(&sim_, &cost_, &meter_);
   fleet.SetTarget(2);

@@ -5,16 +5,19 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/json_writer.h"
+#include "common/metric_names.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/tracer.h"
+#include "sim/sweep_runner.h"
 #include "strategy/allocation_model.h"
 #include "strategy/cost_calculator.h"
 #include "strategy/dynamic_strategy.h"
@@ -171,6 +174,23 @@ TEST(StrategyTest, MeanMultiplies) {
   for (int i = 0; i < 10; ++i) history.Append(50);
   EXPECT_EQ(s.Target(history), 100);
   EXPECT_EQ(s.name(), "mean_2");
+}
+
+TEST(StrategyTest, MeanAtTheLargestAcceptedDemandFitsInt64) {
+  // The largest demand a default history accepts, times the longest
+  // default lookback, is the largest product cackle_sim allows.
+  const int64_t lookback = WorkloadHistory::DefaultLookbacks().back();
+  WorkloadHistory history;
+  history.Append(std::numeric_limits<int64_t>::max() / lookback);
+  MeanStrategy s(static_cast<double>(lookback));
+  EXPECT_GT(s.Target(history), 0);
+}
+
+TEST(StrategyDeathTest, MeanTargetOutOfInt64RangeFails) {
+  MeanStrategy s(1e300);
+  WorkloadHistory history;
+  history.Append(50);
+  EXPECT_DEATH(s.Target(history), "out of int64 range");
 }
 
 TEST(StrategyTest, PercentileStrategyNameAndTarget) {
@@ -1454,6 +1474,231 @@ TEST(DynamicStrategyTest, ShiftsTowardElasticWhenVmPriceRises) {
   model.Finish();
   EXPECT_LT(vm_seconds_pricey, vm_seconds_cheap / 2);
 }
+
+// ---------------------------------------------------------------------------
+// The pricing pipeline (Target() and TargetSeries() over the shards' worker
+// threads) against a serial reference written here from the parts: the
+// history's sorted windows, PercentileFamily::RunTargets, one
+// AllocationModel batch over all experts, and MultiplicativeWeights.
+// ---------------------------------------------------------------------------
+
+/// A ±20 random walk like the engine's demand: most experts' targets move
+/// every second.
+std::vector<int64_t> RandomWalkDemand(int64_t seconds, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int64_t> demand;
+  int64_t walk = 300;
+  for (int64_t s = 0; s < seconds; ++s) {
+    walk = std::max<int64_t>(0, walk + rng.NextInt(-20, 20));
+    demand.push_back(walk);
+  }
+  return demand;
+}
+
+/// Tenant `k`'s share of second `s`'s demand: three tenants, one of them
+/// idle for stretches, summing to the aggregate.
+std::vector<TenantDemand> TenantMix(int64_t s, int64_t demand) {
+  std::vector<TenantDemand> mix;
+  const int64_t quiet = (s / 50) % 3 == 0 ? 0 : demand / 5;
+  const int64_t heavy = demand / 2;
+  if (heavy > 0) mix.push_back({0, heavy});
+  if (quiet > 0) mix.push_back({1, quiet});
+  if (demand - heavy - quiet > 0) mix.push_back({2, demand - heavy - quiet});
+  return mix;
+}
+
+/// The strategy's decisions computed one second at a time on this thread.
+DynamicReplay ReferenceDynamic(const std::vector<int64_t>& demand,
+                               const DynamicStrategyOptions& options,
+                               int64_t primed_s, bool tenants) {
+  const CostModel cost;
+  PercentileFamily family = BuildPercentileFamily(options.family);
+  const size_t n = family.size();
+  AllocationModel models(&cost, n);
+  MultiplicativeWeights mw(n, options.epsilon, options.weight_floor_ratio);
+  Rng rng(options.seed);
+  MetricsRegistry metrics;
+  Tracer tracer;
+  tracer.set_enabled(true);
+  WorkloadHistory history;
+  std::vector<int64_t> targets(n);
+  std::vector<double> interval_cost(n, 0.0);
+  std::vector<double> penalties(n);
+  size_t chosen = n / 2;
+  int64_t played = 0;
+  // Per tenant, its demand in each observed second (0 when absent).
+  std::map<int32_t, std::vector<int64_t>> tenant_seconds;
+  int64_t observations = 0;
+  DynamicReplay r;
+  for (int64_t s = 1; s <= static_cast<int64_t>(demand.size()); ++s) {
+    const int64_t d = demand[static_cast<size_t>(s - 1)];
+    history.Append(d);
+    for (size_t begin = 0, end = 0; begin < n; begin = end) {
+      end = begin + 1;
+      while (end < n && family.window[end] == family.window[begin]) ++end;
+      family.RunTargets(
+          begin, end,
+          history.SortedWindow(family.lookbacks_s[family.window[begin]]),
+          targets.data() + begin);
+    }
+    models.Step(targets, d, interval_cost);
+    if (s % options.update_interval_s == 0) {
+      const double lo = *std::min_element(interval_cost.begin(),
+                                          interval_cost.end());
+      const double hi = std::max(0.0, *std::max_element(interval_cost.begin(),
+                                                        interval_cost.end()));
+      std::fill(penalties.begin(), penalties.end(), 0.0);
+      if (hi > lo) {
+        for (size_t i = 0; i < n; ++i) {
+          penalties[i] =
+              std::min(1.0, (interval_cost[i] - lo) / (lo > 0.0 ? lo : hi));
+        }
+      }
+      mw.Update(penalties);
+      const size_t next = options.sample_expert ? mw.Sample(&rng) : mw.Best();
+      if (next != chosen) ++r.switches;
+      chosen = next;
+      played = targets[chosen];
+      metrics.AddCounter(metric_names::kStrategyUpdates, 1);
+      metrics.SetCounter(metric_names::kStrategyExpertSwitches, r.switches);
+      metrics.SetGauge(metric_names::kStrategyChosenExpert,
+                       static_cast<double>(chosen));
+      metrics.SetGauge(metric_names::kStrategyChosenProbability,
+                       mw.Probability(chosen));
+      metrics.Observe(metric_names::kStrategyTarget,
+                      static_cast<double>(played));
+      const SpanId decision = tracer.Instant("strategy.decision", s * 1000);
+      tracer.Tag(decision, "expert", family.Expert(chosen).name());
+      tracer.Tag(decision, "target", std::to_string(played));
+      tracer.Tag(decision, "probability",
+                 std::to_string(mw.Probability(chosen)));
+      std::fill(interval_cost.begin(), interval_cost.end(), 0.0);
+    } else if (s == 1) {
+      played = targets[chosen];
+    }
+    int64_t floor = 0;
+    if (tenants && s > primed_s) {
+      for (const TenantDemand& td : TenantMix(s, d)) {
+        auto& seconds = tenant_seconds[td.tenant];
+        seconds.resize(static_cast<size_t>(observations), 0);
+        seconds.push_back(td.demand);
+      }
+      ++observations;
+      int64_t sum_of_peaks = 0;
+      for (auto& [tenant, seconds] : tenant_seconds) {
+        seconds.resize(static_cast<size_t>(observations), 0);
+        const int64_t from =
+            std::max<int64_t>(0, observations - options.tenant_window_s);
+        sum_of_peaks += *std::max_element(seconds.begin() + from,
+                                          seconds.end());
+      }
+      floor = static_cast<int64_t>(std::ceil(
+          options.tenant_headroom * static_cast<double>(sum_of_peaks)));
+    }
+    r.targets.push_back(std::max(played, floor));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    r.expert_cost_bits.push_back(DoubleBits(models.total_cost(i)));
+    r.weight_bits.push_back(DoubleBits(mw.weights()[i]));
+  }
+  std::ostringstream metrics_os;
+  JsonWriter metrics_writer(metrics_os);
+  metrics.WriteJson(metrics_writer);
+  r.metrics_json = metrics_os.str();
+  std::ostringstream tracer_os;
+  JsonWriter tracer_writer(tracer_os);
+  tracer.WriteJson(tracer_writer);
+  r.tracer_json = tracer_os.str();
+  return r;
+}
+
+/// The pipeline: TargetSeries over the first `primed_s` seconds, as an
+/// engine's primed history, then one Target() per second.
+DynamicReplay PipelineDynamic(const std::vector<int64_t>& demand,
+                              const DynamicStrategyOptions& options,
+                              int64_t primed_s, bool tenants) {
+  const CostModel cost;
+  DynamicStrategy dynamic(&cost, options);
+  MetricsRegistry metrics;
+  Tracer tracer;
+  tracer.set_enabled(true);
+  dynamic.SetObservability(&metrics, &tracer);
+  const std::vector<int64_t> primed(demand.begin(), demand.begin() + primed_s);
+  DynamicReplay r;
+  r.targets = dynamic.TargetSeries(primed);
+  WorkloadHistory history;
+  for (int64_t d : primed) history.Append(d);
+  for (int64_t s = primed_s + 1; s <= static_cast<int64_t>(demand.size());
+       ++s) {
+    const int64_t d = demand[static_cast<size_t>(s - 1)];
+    history.Append(d);
+    if (tenants) dynamic.ObserveTenantDemand(TenantMix(s, d));
+    r.targets.push_back(dynamic.Target(history));
+  }
+  for (size_t i = 0; i < dynamic.num_experts(); ++i) {
+    r.expert_cost_bits.push_back(DoubleBits(dynamic.ExpertCost(i)));
+    r.weight_bits.push_back(DoubleBits(dynamic.weights().weights()[i]));
+  }
+  r.switches = dynamic.expert_switches();
+  std::ostringstream metrics_os;
+  JsonWriter metrics_writer(metrics_os);
+  metrics.WriteJson(metrics_writer);
+  r.metrics_json = metrics_os.str();
+  std::ostringstream tracer_os;
+  JsonWriter tracer_writer(tracer_os);
+  tracer.WriteJson(tracer_writer);
+  r.tracer_json = tracer_os.str();
+  return r;
+}
+
+void ExpectSameReplay(const DynamicReplay& got, const DynamicReplay& want) {
+  EXPECT_EQ(got.targets, want.targets);
+  EXPECT_EQ(got.expert_cost_bits, want.expert_cost_bits);
+  EXPECT_EQ(got.weight_bits, want.weight_bits);
+  EXPECT_EQ(got.switches, want.switches);
+  EXPECT_EQ(got.metrics_json, want.metrics_json);
+  EXPECT_EQ(got.tracer_json, want.tracer_json);
+}
+
+/// (update interval, sample the expert, primed by TargetSeries, tenant
+/// floor).
+class DynamicPipelineTest
+    : public ::testing::TestWithParam<std::tuple<int64_t, bool, bool, bool>> {
+};
+
+TEST_P(DynamicPipelineTest, MatchesSerialReference) {
+  const auto [interval, sample, primed, tenants] = GetParam();
+  const std::vector<int64_t> demand = RandomWalkDemand(2000, 97 + interval);
+  DynamicStrategyOptions options;
+  options.update_interval_s = interval;
+  options.sample_expert = sample;
+  options.tenant_window_s = 45;
+  options.tenant_headroom = 1.25;
+  const int64_t primed_s = primed ? 1111 : 0;
+  const DynamicReplay want =
+      ReferenceDynamic(demand, options, primed_s, tenants);
+  ASSERT_EQ(want.targets.size(), demand.size());
+  EXPECT_GT(want.switches, 0);
+  if (tenants) {
+    // The floor binds somewhere.
+    EXPECT_NE(want.targets,
+              ReferenceDynamic(demand, options, primed_s, false).targets);
+  }
+  ExpectSameReplay(PipelineDynamic(demand, options, primed_s, tenants),
+                   want);
+  // Inside a sweep cell the strategy prices on the calling pool thread.
+  SweepRunner sweep(2);
+  const std::vector<DynamicReplay> cells =
+      sweep.Map<DynamicReplay>(2, [&](int) {
+        return PipelineDynamic(demand, options, primed_s, tenants);
+      });
+  for (const DynamicReplay& cell : cells) ExpectSameReplay(cell, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, DynamicPipelineTest,
+    ::testing::Combine(::testing::Values<int64_t>(1, 5, 7), ::testing::Bool(),
+                       ::testing::Bool(), ::testing::Bool()));
 
 // ---------------------------------------------------------------------------
 // ShuffleProvisioner

@@ -163,6 +163,27 @@ TEST(WorkloadGeneratorTest, DeterministicInSeed) {
   EXPECT_GT(diff, 400);
 }
 
+TEST(WorkloadGeneratorDeathTest, RejectsOptionsThatCannotGenerate) {
+  ProfileLibrary lib = ProfileLibrary::BuiltinTpch();
+  WorkloadGenerator gen(&lib);
+  WorkloadOptions negative_count;
+  negative_count.num_queries = -5;
+  EXPECT_DEATH(gen.Generate(negative_count), "num_queries");
+  WorkloadOptions no_duration;
+  no_duration.num_queries = 10;
+  no_duration.duration_ms = 0;
+  EXPECT_DEATH(gen.Generate(no_duration), "duration_ms");
+  // Would loop forever: the sine density is NaN at a zero period.
+  WorkloadOptions no_period;
+  no_period.num_queries = 10;
+  no_period.arrival_period_ms = 0;
+  no_period.baseline_load = 0.5;
+  EXPECT_DEATH(gen.Generate(no_period), "arrival_period_ms");
+  // A period is not needed when every arrival is uniform.
+  no_period.baseline_load = 1.0;
+  EXPECT_EQ(gen.Generate(no_period).size(), 10u);
+}
+
 TEST(WorkloadGeneratorTest, SineDistributionPeaksAndTroughs) {
   // With zero baseline load the arrival density should follow
   // 1 + sin(2*pi*t/P): the quarter-period around the peak (centred P/4)
