@@ -130,7 +130,6 @@ void WriteArtifact(const std::vector<CellResult>& cells, double baseline_p99) {
     w.EndObject();
     w.Key("counters");
     w.BeginObject();
-    w.Field("tenant_cap_deferrals", r.tenant_cap_deferrals);
     w.Field("tenant_queue_peak", r.tenant_queue_peak);
     w.Field("admission_queue_peak", r.admission_queue_peak);
     w.EndObject();

@@ -104,8 +104,6 @@ void ElasticPool::ExportMetrics(MetricsRegistry* metrics,
   namespace mn = metric_names;
   metrics->SetCounter(prefix + mn::kSuffixInvocations, total_invocations_);
   metrics->SetCounter(prefix + mn::kSuffixThrottled, total_throttled_);
-  metrics->SetCounter(prefix + mn::kSuffixTenantThrottled,
-                      total_tenant_throttled_);
   metrics->SetCounter(prefix + mn::kSuffixBilledMs, total_billed_ms_);
   metrics->SetGauge(prefix + mn::kSuffixPeakActive,
                     static_cast<double>(peak_active_));

@@ -344,10 +344,6 @@ void VmFleet::ExportMetrics(MetricsRegistry* metrics,
   metrics->SetGauge(prefix + mn::kSuffixTarget, static_cast<double>(target_));
   metrics->SetGauge(prefix + mn::kSuffixReady,
                     static_cast<double>(num_ready()));
-  metrics->SetGauge(prefix + mn::kSuffixReserved,
-                    static_cast<double>(reserved_total_));
-  metrics->SetCounter(prefix + mn::kSuffixReservationDenials,
-                      total_reservation_denials_);
 }
 
 }  // namespace cackle

@@ -62,8 +62,6 @@ inline constexpr char kEngineStormReclaims[] = "engine.storm_reclaims";
 // Multi-tenant scheduling counters (all zero / 1 in single-tenant runs).
 inline constexpr char kEngineTenantCount[] = "engine.tenant.count";
 inline constexpr char kEngineTenantDrrRounds[] = "engine.tenant.drr_rounds";
-inline constexpr char kEngineTenantCapDeferrals[] =
-    "engine.tenant.cap_deferrals";
 inline constexpr char kEngineTenantQueuePeak[] = "engine.tenant.queue_peak";
 
 // --------------------------------------------------------------- sim.* names
@@ -143,7 +141,6 @@ inline constexpr char kSuffixFleet[] = ".fleet";
 // -------------------------------------------- ElasticPool suffixes (+prefix)
 inline constexpr char kSuffixInvocations[] = ".invocations";
 inline constexpr char kSuffixThrottled[] = ".throttled";
-inline constexpr char kSuffixTenantThrottled[] = ".tenant_throttled";
 inline constexpr char kSuffixBilledMs[] = ".billed_ms";
 inline constexpr char kSuffixPeakActive[] = ".peak_active";
 
@@ -155,8 +152,6 @@ inline constexpr char kSuffixLaunchFailures[] = ".launch_failures";
 inline constexpr char kSuffixRuntimeMs[] = ".runtime_ms";
 inline constexpr char kSuffixTarget[] = ".target";
 inline constexpr char kSuffixReady[] = ".ready";
-inline constexpr char kSuffixReserved[] = ".reserved";
-inline constexpr char kSuffixReservationDenials[] = ".reservation_denials";
 
 // -------------------------------------------- ObjectStore suffixes (+prefix)
 inline constexpr char kSuffixPuts[] = ".puts";

@@ -266,9 +266,6 @@ void CackleEngine::OnQueryArrival(int64_t query_id) {
       // deferred one from its own tenant. A query enters the admission
       // queue at most once, so this counter is incremented at most once per
       // query (deferred-then-shed queries count in both tallies).
-      if (tenant_full && !global_full && !tenant_queued) {
-        ++tenant_cap_deferrals_;
-      }
       queries_deferred_->Increment();
       ++result_.tenants[tenant].queries_deferred;
       TenantQueue& tq = admission_queues_[tenant];
@@ -1033,7 +1030,6 @@ EngineResult CackleEngine::Run(const std::vector<QueryArrival>& arrivals,
   metrics_->SetGauge(mn::kEngineTenantCount,
                      static_cast<double>(result_.tenants.size()));
   metrics_->SetCounter(mn::kEngineTenantDrrRounds, drr_rounds_);
-  metrics_->SetCounter(mn::kEngineTenantCapDeferrals, tenant_cap_deferrals_);
   metrics_->SetGauge(mn::kEngineTenantQueuePeak,
                      static_cast<double>(tenant_queue_peak_));
   if (const ChaosTimeline* timeline = injector_->timeline()) {
@@ -1075,7 +1071,6 @@ EngineResult CackleEngine::Run(const std::vector<QueryArrival>& arrivals,
   result_.queries_shed = queries_shed_->value();
   result_.queries_deferred = queries_deferred_->value();
   result_.admission_queue_peak = admission_queue_peak_;
-  result_.tenant_cap_deferrals = tenant_cap_deferrals_;
   result_.tenant_queue_peak = tenant_queue_peak_;
   result_.retry_budget_exhausted = retry_budget_exhausted_->value();
   result_.hedged_reads = hedged_reads_->value();

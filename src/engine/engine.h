@@ -241,9 +241,6 @@ struct EngineResult {
     SampleSet latencies_s;
   };
   std::map<int32_t, TenantOutcome> tenants;
-  /// Arrivals deferred purely by their tenant's outstanding-task cap (the
-  /// global survivability threshold still had room).
-  int64_t tenant_cap_deferrals = 0;
   /// Peak length of any single tenant's admission queue.
   int64_t tenant_queue_peak = 0;
   /// Per-second series (when requested).
@@ -529,7 +526,6 @@ CackleEngine {
   int64_t admission_queue_peak_ = 0;
   int64_t tenant_queue_peak_ = 0;
   int64_t drr_rounds_ = 0;
-  int64_t tenant_cap_deferrals_ = 0;
   /// Tasks on busy VMs, in no particular order; each VM's busy tag in the
   /// fleet is its task's index here.
   std::vector<VmTask> vm_tasks_;

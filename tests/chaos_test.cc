@@ -90,13 +90,6 @@ TEST(ChaosTest, ZeroFaultProfileIsBitIdentical) {
   perturbed.hedge_after_ms = 1;
   perturbed.admission.max_outstanding_tasks = 1'000'000;
   perturbed.admission.shed_after_ms = 1'000;
-  // Multi-tenant knobs that must be inert in a single-tenant run: the DRR
-  // weight is meaningless with one queue, and the strategy's tenant
-  // awareness only acts on a demand mix that single-tenant runs never feed.
-  perturbed.admission.default_tenant_weight = 7;
-  perturbed.dynamic.tenant_aware = false;
-  perturbed.dynamic.tenant_window_s = 5;
-  perturbed.dynamic.tenant_headroom = 3.0;
   // A chaos horizon with every process rate at zero builds no timeline.
   perturbed.chaos.horizon_ms = kMillisPerHour;
 

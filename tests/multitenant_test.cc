@@ -1,7 +1,6 @@
 // Multi-tenant engine tests: exact per-tenant invoices (no epsilon),
-// residual-distribution drift regression, DRR fairness/isolation,
-// reservation and carve-out policies, and multi-tenant determinism
-// (run-to-run and across sweep thread counts).
+// residual-distribution drift regression, round-robin fairness/isolation,
+// and multi-tenant determinism (run-to-run and across sweep thread counts).
 
 #include <gtest/gtest.h>
 
@@ -14,13 +13,9 @@
 
 #include "cloud/billing.h"
 #include "cloud/cost_model.h"
-#include "cloud/elastic_pool.h"
-#include "cloud/vm_fleet.h"
 #include "common/cost_ledger.h"
 #include "common/observability.h"
-#include "common/rng.h"
 #include "engine/engine.h"
-#include "sim/simulation.h"
 #include "sim/sweep_runner.h"
 #include "strategy/dynamic_strategy.h"
 #include "workload/profile_library.h"
@@ -186,8 +181,8 @@ TEST(MultiTenantEngineTest, TenantInvoicesSumToBillingExactly) {
 }
 
 // Satellite: EngineResult tally consistency under admission control. A query
-// enters the admission queue at most once (per-tenant FIFO, peek-before-pop
-// caps), so queries_deferred counts each query at most once and the global
+// enters the admission queue at most once (per-tenant FIFO), so
+// queries_deferred counts each query at most once and the global
 // tallies are exactly the sums of the per-tenant slices.
 TEST(MultiTenantEngineTest, DeferralAndShedTalliesAreConsistent) {
   ProfileLibrary lib = ProfileLibrary::BuiltinTpch();
@@ -197,7 +192,6 @@ TEST(MultiTenantEngineTest, DeferralAndShedTalliesAreConsistent) {
   EngineOptions opts;
   opts.admission.max_outstanding_tasks = 24;
   opts.admission.shed_after_ms = 3 * kMillisPerMinute;
-  opts.admission.per_tenant[1].max_outstanding_tasks = 6;
   CackleEngine engine(&cost, opts);
   const EngineResult r = engine.Run(arrivals, lib);
 
@@ -249,9 +243,7 @@ EngineOptions FairnessOptions() {
   EngineOptions opts;
   opts.enable_shuffle = false;
   opts.admission.max_outstanding_tasks = 16;
-  // Only the abusive tenant's queries are shed when overdue; the victim
-  // inherits the global no-shed default.
-  opts.admission.per_tenant[1].shed_after_ms = 2 * kMillisPerMinute;
+  opts.admission.shed_after_ms = 2 * kMillisPerMinute;
   return opts;
 }
 
@@ -319,8 +311,6 @@ EngineResult RunMultiTenant(uint64_t seed) {
   EngineOptions opts;
   opts.observability = &obs;
   opts.admission.max_outstanding_tasks = 32;
-  opts.admission.per_tenant[2].weight = 3;
-  opts.tenant_elastic_limits[0] = 16;
   CackleEngine engine(&cost, opts);
   return engine.Run(arrivals, lib);
 }
@@ -329,7 +319,6 @@ void ExpectSameTenantResults(const EngineResult& a, const EngineResult& b) {
   EXPECT_EQ(a.makespan_ms, b.makespan_ms);
   EXPECT_EQ(a.queries_completed, b.queries_completed);
   EXPECT_EQ(a.queries_deferred, b.queries_deferred);
-  EXPECT_EQ(a.tenant_cap_deferrals, b.tenant_cap_deferrals);
   EXPECT_EQ(a.tenant_queue_peak, b.tenant_queue_peak);
   EXPECT_DOUBLE_EQ(a.total_cost(), b.total_cost());
   ASSERT_EQ(a.latencies_s.samples(), b.latencies_s.samples());
@@ -382,76 +371,6 @@ TEST(MultiTenantDeterminismTest, SweepIsByteIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet / pool tenant policies.
-// ---------------------------------------------------------------------------
-
-TEST(MultiTenantCloudTest, VmReservationsHoldBackIdleCapacity) {
-  Simulation sim;
-  CostModel cost;
-  BillingMeter meter;
-  VmFleet fleet(&sim, &cost, &meter);
-  fleet.SetTenantReservation(1, 2);
-  EXPECT_EQ(fleet.reserved_total(), 2);
-  fleet.SetTarget(3);
-  sim.RunUntil(cost.vm_startup_ms);
-  ASSERT_EQ(fleet.num_idle(), 3);
-
-  // Tenant 0 may take only the shared surplus (3 idle - 2 held back = 1).
-  auto a = fleet.TryAcquire(0);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_FALSE(fleet.TryAcquire(0).has_value());
-  EXPECT_EQ(fleet.total_reservation_denials(), 1);
-  // Tenant 1 draws from its own reservation.
-  auto b = fleet.TryAcquire(1);
-  auto c = fleet.TryAcquire(1);
-  ASSERT_TRUE(b.has_value());
-  ASSERT_TRUE(c.has_value());
-  // Once tenant 1 runs at its reservation, nothing is held back anymore —
-  // but nothing is idle either.
-  EXPECT_FALSE(fleet.TryAcquire(0).has_value());
-  EXPECT_EQ(fleet.total_reservation_denials(), 1);  // no idle VM: not a denial
-  // Releasing tenant 1's VM re-arms the hold-back against tenant 0.
-  fleet.Release(*b);
-  EXPECT_FALSE(fleet.TryAcquire(0).has_value());
-  EXPECT_EQ(fleet.total_reservation_denials(), 2);
-  ASSERT_TRUE(fleet.TryAcquire(1).has_value());
-  // Dropping the reservation returns the fleet to fully shared.
-  fleet.Release(*a);
-  fleet.SetTenantReservation(1, 0);
-  EXPECT_EQ(fleet.reserved_total(), 0);
-  EXPECT_TRUE(fleet.TryAcquire(0).has_value());
-}
-
-TEST(MultiTenantCloudTest, ElasticCarveOutCapsOneTenantOnly) {
-  Simulation sim;
-  CostModel cost;
-  BillingMeter meter;
-  ElasticPool pool(&sim, &cost, &meter, Rng(7));
-  pool.SetTenantLimit(1, 2);
-
-  std::vector<ElasticSlotId> slots;
-  const auto grab = [&](ElasticSlotId id) { slots.push_back(id); };
-  EXPECT_TRUE(pool.TryAcquire(1, grab).ok());
-  EXPECT_TRUE(pool.TryAcquire(1, grab).ok());
-  const Status throttled = pool.TryAcquire(1, grab);
-  EXPECT_FALSE(throttled.ok());
-  EXPECT_EQ(pool.total_tenant_throttled(), 1);
-  // Other tenants are unaffected by tenant 1's carve-out.
-  EXPECT_TRUE(pool.TryAcquire(0, grab).ok());
-  EXPECT_EQ(pool.TenantInflight(1), 2);
-  sim.RunToCompletion();
-  ASSERT_EQ(slots.size(), 3u);
-  // Releasing a slot frees the carve-out.
-  pool.Release(slots[0]);
-  EXPECT_EQ(pool.TenantInflight(1), 1);
-  EXPECT_TRUE(pool.TryAcquire(1, grab).ok());
-  sim.RunToCompletion();
-  EXPECT_EQ(pool.TenantInflight(1), 2);
-  for (size_t i = 1; i < slots.size(); ++i) pool.Release(slots[i]);
-  EXPECT_EQ(pool.TenantInflight(1), 0);
-}
-
-// ---------------------------------------------------------------------------
 // Workload generation and strategy aggregation.
 // ---------------------------------------------------------------------------
 
@@ -487,27 +406,20 @@ TEST(MultiTenantWorkloadTest, TenantOverlayLeavesArrivalsUntouched) {
   EXPECT_GT(counts[0], counts.count(15) ? counts[15] : 0);
 }
 
+// The floor is the sum of each tenant's peak over the trailing 60 seconds.
 TEST(MultiTenantStrategyTest, IsolationFloorTracksWindowPeaks) {
   CostModel cost;
-  DynamicStrategyOptions opts;
-  opts.tenant_window_s = 3;
-  opts.tenant_headroom = 1.5;
-  DynamicStrategy strategy(&cost, opts);
+  DynamicStrategy strategy(&cost);
   EXPECT_EQ(strategy.TenantIsolationFloor(), 0);
 
   strategy.ObserveTenantDemand({{0, 10}, {1, 20}});
-  EXPECT_EQ(strategy.TenantIsolationFloor(),
-            static_cast<int64_t>(std::ceil(1.5 * 30.0)));
+  EXPECT_EQ(strategy.TenantIsolationFloor(), 30);
   // Lower demand keeps the window peak alive...
-  strategy.ObserveTenantDemand({{0, 2}});
-  EXPECT_EQ(strategy.TenantIsolationFloor(),
-            static_cast<int64_t>(std::ceil(1.5 * 30.0)));
+  for (int s = 1; s < 60; ++s) strategy.ObserveTenantDemand({{0, 2}});
+  EXPECT_EQ(strategy.TenantIsolationFloor(), 30);
   // ...until it expires out of the window; idle tenants drop out entirely.
   strategy.ObserveTenantDemand({{0, 2}});
-  strategy.ObserveTenantDemand({{0, 2}});
-  strategy.ObserveTenantDemand({{0, 2}});
-  EXPECT_EQ(strategy.TenantIsolationFloor(),
-            static_cast<int64_t>(std::ceil(1.5 * 2.0)));
+  EXPECT_EQ(strategy.TenantIsolationFloor(), 2);
 }
 
 }  // namespace

@@ -668,8 +668,8 @@ TEST(ObservabilityEngineTest, MultiTenantChaosSnapshotBytesArePinned) {
   EXPECT_GT(result.tenants.size(), 1u);
 
   const std::string snapshot = SnapshotJson(obs, "pinned");
-  EXPECT_EQ(snapshot.size(), 478029u);
-  EXPECT_EQ(Fnv1a(snapshot), 0x02d2e9b6994c2750ULL) << std::hex << "0x" << Fnv1a(snapshot);
+  EXPECT_EQ(snapshot.size(), 477843u);
+  EXPECT_EQ(Fnv1a(snapshot), 0xbeca464ad18374b2ULL) << std::hex << "0x" << Fnv1a(snapshot);
 }
 
 void ExpectIdenticalResults(const EngineResult& a, const EngineResult& b) {

@@ -1105,12 +1105,6 @@ TEST(StrategyValidationDeathTest, RejectsInvalidDynamicOptions) {
   DynamicStrategyOptions options;
   options.update_interval_s = 0;
   EXPECT_DEATH(DynamicStrategy(&cost, options), "update_interval_s");
-  options = DynamicStrategyOptions();
-  options.tenant_window_s = 0;
-  EXPECT_DEATH(DynamicStrategy(&cost, options), "tenant_window_s");
-  options = DynamicStrategyOptions();
-  options.tenant_headroom = -0.5;
-  EXPECT_DEATH(DynamicStrategy(&cost, options), "tenant_headroom");
 }
 
 TEST(DynamicStrategyTest, TracksSinusoidCheaperThanNaive) {
@@ -1508,6 +1502,8 @@ std::vector<TenantDemand> TenantMix(int64_t s, int64_t demand) {
 }
 
 /// The strategy's decisions computed one second at a time on this thread.
+/// The tenant floor is the sum of each tenant's peak over the trailing
+/// 60 observed seconds.
 DynamicReplay ReferenceDynamic(const std::vector<int64_t>& demand,
                                const DynamicStrategyOptions& options,
                                int64_t primed_s, bool tenants) {
@@ -1587,13 +1583,11 @@ DynamicReplay ReferenceDynamic(const std::vector<int64_t>& demand,
       int64_t sum_of_peaks = 0;
       for (auto& [tenant, seconds] : tenant_seconds) {
         seconds.resize(static_cast<size_t>(observations), 0);
-        const int64_t from =
-            std::max<int64_t>(0, observations - options.tenant_window_s);
+        const int64_t from = std::max<int64_t>(0, observations - 60);
         sum_of_peaks += *std::max_element(seconds.begin() + from,
                                           seconds.end());
       }
-      floor = static_cast<int64_t>(std::ceil(
-          options.tenant_headroom * static_cast<double>(sum_of_peaks)));
+      floor = sum_of_peaks;
     }
     r.targets.push_back(std::max(played, floor));
   }
@@ -1672,8 +1666,6 @@ TEST_P(DynamicPipelineTest, MatchesSerialReference) {
   DynamicStrategyOptions options;
   options.update_interval_s = interval;
   options.sample_expert = sample;
-  options.tenant_window_s = 45;
-  options.tenant_headroom = 1.25;
   const int64_t primed_s = primed ? 1111 : 0;
   const DynamicReplay want =
       ReferenceDynamic(demand, options, primed_s, tenants);
