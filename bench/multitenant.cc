@@ -46,7 +46,7 @@ CellResult RunCell(int64_t num_tenants, uint64_t seed) {
   EngineOptions opts;
   opts.dynamic = DefaultDynamicOptions();
   opts.observability = &obs;
-  // A generous admission cap keeps the weighted-fair (DRR) admission path
+  // A generous admission cap keeps the round-robin admission path
   // exercised at arrival peaks without turning the sweep into a queueing
   // benchmark (no shed SLO is set; the cap only trims the highest bursts).
   opts.admission.max_outstanding_tasks = 1'024;

@@ -122,7 +122,7 @@ CACKLE_FAST_BENCH=1 ./build-tsan/bench/chaos_matrix \
   --scenario=reclamation_storm
 
 # Multi-tenant smoke: the tenant-count sweep (fast grid) in the TSan build.
-# Exercises weighted-fair admission, per-tenant invoicing, and the sweep
+# Exercises round-robin admission, per-tenant invoicing, and the sweep
 # fan-out under the race detector; multitenant_test above gates the exact
 # invoice-closure and thread-count bit-identity properties.
 echo "=== multitenant smoke (fast sweep, TSan build) ==="

@@ -24,25 +24,6 @@ SimTimeMs ElasticPool::SampleStartupLatency() {
 }
 
 Status ElasticPool::TryAcquire(std::function<void(ElasticSlotId)> granted) {
-  return TryAcquire(/*tenant=*/0, std::move(granted));
-}
-
-void ElasticPool::SetTenantLimit(int32_t tenant, int64_t limit) {
-  CACKLE_CHECK_GE(limit, 0);
-  if (limit == 0) {
-    tenant_limits_.erase(tenant);
-  } else {
-    tenant_limits_[tenant] = limit;
-  }
-}
-
-int64_t ElasticPool::TenantInflight(int32_t tenant) const {
-  auto it = tenant_inflight_.find(tenant);
-  return it == tenant_inflight_.end() ? 0 : it->second;
-}
-
-Status ElasticPool::TryAcquire(int32_t tenant,
-                               std::function<void(ElasticSlotId)> granted) {
   // Lambda-style throttling: admission is decided at request time against
   // everything the provider considers in flight (running + starting).
   const int64_t limit =
@@ -51,28 +32,17 @@ Status ElasticPool::TryAcquire(int32_t tenant,
     ++total_throttled_;
     return Status::ResourceExhausted("elastic pool concurrency limit");
   }
-  const bool tenant_caps = !tenant_limits_.empty();
-  if (tenant_caps) {
-    const auto cap = tenant_limits_.find(tenant);
-    if (cap != tenant_limits_.end() && TenantInflight(tenant) >= cap->second) {
-      ++total_tenant_throttled_;
-      return Status::ResourceExhausted("per-tenant elastic carve-out");
-    }
-    ++tenant_inflight_[tenant];
-  }
   ++num_starting_;
   const SimTimeMs latency = SampleStartupLatency();
-  sim_->ScheduleAfter(
-      latency, [this, tenant, tenant_caps, granted = std::move(granted)] {
-        const ElasticSlotId id = next_id_++;
-        active_.emplace(id, sim_->NowMs());
-        if (tenant_caps) slot_tenant_.emplace(id, tenant);
-        --num_starting_;
-        ++num_active_;
-        ++total_invocations_;
-        peak_active_ = std::max(peak_active_, num_active_);
-        granted(id);
-      });
+  sim_->ScheduleAfter(latency, [this, granted = std::move(granted)] {
+    const ElasticSlotId id = next_id_++;
+    active_.emplace(id, sim_->NowMs());
+    --num_starting_;
+    ++num_active_;
+    ++total_invocations_;
+    peak_active_ = std::max(peak_active_, num_active_);
+    granted(id);
+  });
   return Status::OK();
 }
 
@@ -87,14 +57,6 @@ void ElasticPool::Release(ElasticSlotId id) {
   const SimTimeMs held = sim_->NowMs() - it->second;
   active_.erase(it);
   --num_active_;
-  const auto owner = slot_tenant_.find(id);
-  if (owner != slot_tenant_.end()) {
-    auto inflight = tenant_inflight_.find(owner->second);
-    if (inflight != tenant_inflight_.end() && --inflight->second == 0) {
-      tenant_inflight_.erase(inflight);
-    }
-    slot_tenant_.erase(owner);
-  }
   total_billed_ms_ += held;
   meter_->Charge(CostCategory::kElasticPool, cost_->ElasticCost(held));
 }

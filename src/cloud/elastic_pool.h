@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <unordered_map>
 
 #include "cloud/billing.h"
@@ -31,8 +30,8 @@ using ElasticSlotId = int64_t;
 /// limit, in which case requests above the limit are throttled (rejected at
 /// request time) and the caller must back off and retry.
 class CACKLE_THREAD_CONFINED(
-    "slot and tenant carve-out state mutate only from simulation "
-    "callbacks on the owning thread")
+    "slot state mutates only from simulation callbacks on the owning "
+    "thread")
 ElasticPool {
  public:
   ElasticPool(Simulation* sim, const CostModel* cost, BillingMeter* meter,
@@ -46,18 +45,6 @@ ElasticPool {
   /// ResourceExhausted (and does not run `granted`) when the request is
   /// throttled by the concurrency limit.
   [[nodiscard]] Status TryAcquire(std::function<void(ElasticSlotId)> granted);
-
-  /// Tenant-aware variant: additionally throttled when `tenant` is at its
-  /// per-tenant concurrency carve-out (SetTenantLimit). With no per-tenant
-  /// limits configured this is exactly TryAcquire above.
-  [[nodiscard]] Status TryAcquire(int32_t tenant,
-                                  std::function<void(ElasticSlotId)> granted);
-
-  /// Shared-vs-dedicated policy: caps `tenant`'s in-flight invocations
-  /// (running + starting) at `limit`; 0 removes the cap. Per-tenant
-  /// bookkeeping is only maintained while at least one cap exists, so the
-  /// default configuration stays bit-identical to the uncapped pool.
-  void SetTenantLimit(int32_t tenant, int64_t limit);
 
   /// Like TryAcquire but aborts on throttling; for callers that have not
   /// configured a concurrency limit.
@@ -74,11 +61,6 @@ ElasticPool {
   int64_t peak_active() const { return peak_active_; }
   int64_t total_invocations() const { return total_invocations_; }
   int64_t total_throttled() const { return total_throttled_; }
-  /// Requests rejected by a per-tenant carve-out (not the account limit).
-  int64_t total_tenant_throttled() const { return total_tenant_throttled_; }
-  /// In-flight (running + starting) invocations for `tenant`; only tracked
-  /// while per-tenant limits are configured.
-  int64_t TenantInflight(int32_t tenant) const;
   SimTimeMs total_billed_ms() const { return total_billed_ms_; }
 
   /// Samples the invocation startup latency (exposed for tests).
@@ -96,11 +78,6 @@ ElasticPool {
   FaultInjector* injector_ = nullptr;
 
   std::unordered_map<ElasticSlotId, SimTimeMs> active_;  // id -> grant time
-  /// Owner of each live slot; maintained only while per-tenant limits are
-  /// configured (lookup/erase only — never iterated, so determinism holds).
-  std::unordered_map<ElasticSlotId, int32_t> slot_tenant_;
-  std::map<int32_t, int64_t> tenant_limits_;
-  std::map<int32_t, int64_t> tenant_inflight_;
   ElasticSlotId next_id_ = 0;
   int64_t num_active_ = 0;
   /// Requests granted admission but still inside their startup latency;
@@ -109,7 +86,6 @@ ElasticPool {
   int64_t peak_active_ = 0;
   int64_t total_invocations_ = 0;
   int64_t total_throttled_ = 0;
-  int64_t total_tenant_throttled_ = 0;
   SimTimeMs total_billed_ms_ = 0;
 };
 

@@ -81,48 +81,15 @@ void VmFleet::OnVmStarted(VmId id) {
   ReconcileDown();
 }
 
-void VmFleet::SetTenantReservation(int32_t tenant, int64_t vms) {
-  CACKLE_CHECK_GE(vms, 0);
-  auto it = reserved_.find(tenant);
-  reserved_total_ -= it == reserved_.end() ? 0 : it->second;
-  if (vms == 0) {
-    if (it != reserved_.end()) reserved_.erase(it);
-  } else {
-    reserved_[tenant] = vms;
-  }
-  reserved_total_ += vms;
-}
-
-bool VmFleet::TenantMayAcquire(int32_t tenant) const {
-  // Idle capacity held back for *other* reserved tenants that have not yet
-  // consumed their reservation. A tenant with its own unused reservation is
-  // entitled to that headroom regardless of what is held back for others.
-  int64_t held_back = 0;
-  for (const auto& [t, reserved] : reserved_) {
-    if (t == tenant) continue;
-    const auto busy_it = busy_by_tenant_.find(t);
-    const int64_t busy = busy_it == busy_by_tenant_.end() ? 0
-                                                          : busy_it->second;
-    held_back += std::max<int64_t>(0, reserved - busy);
-  }
-  return num_idle_ - held_back > 0;
-}
-
-std::optional<VmId> VmFleet::TryAcquire(int32_t tenant) {
-  if (!reserved_.empty() && num_idle_ > 0 && !TenantMayAcquire(tenant)) {
-    ++total_reservation_denials_;
-    return std::nullopt;
-  }
+std::optional<VmId> VmFleet::TryAcquire() {
   while (!idle_.empty()) {
     const VmId id = idle_.front();
     idle_.pop_front();
     Vm& vm = vms_[static_cast<size_t>(id)];
     if (vm.state != VmState::kIdle) continue;  // stale entry
     vm.state = VmState::kBusy;
-    vm.tenant = tenant;
     --num_idle_;
     ++num_busy_;
-    if (!reserved_.empty()) ++busy_by_tenant_[tenant];
     return id;
   }
   return std::nullopt;
@@ -133,12 +100,6 @@ void VmFleet::Release(VmId id) {
   CACKLE_CHECK(vm.state == VmState::kBusy);
   vm.state = VmState::kIdle;
   --num_busy_;
-  if (!busy_by_tenant_.empty()) {
-    auto it = busy_by_tenant_.find(vm.tenant);
-    if (it != busy_by_tenant_.end() && --it->second == 0) {
-      busy_by_tenant_.erase(it);
-    }
-  }
   ++num_idle_;
   idle_.push_back(id);
   ReconcileDown();
@@ -200,12 +161,6 @@ void VmFleet::Interrupt(VmId id) {
     // Let the scheduler rescue the task before the VM disappears.
     if (on_vm_interrupted_) on_vm_interrupted_(id);
     --num_busy_;
-    if (!busy_by_tenant_.empty()) {
-      auto it = busy_by_tenant_.find(vm.tenant);
-      if (it != busy_by_tenant_.end() && --it->second == 0) {
-        busy_by_tenant_.erase(it);
-      }
-    }
     BillAndRetire(id);
   } else {
     // The idle_ entry goes stale; every idle_ consumer skips it.

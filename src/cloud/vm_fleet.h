@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -37,8 +36,8 @@ using VmId = int64_t;
 ///  - Billing covers READY to termination at per-second granularity with a
 ///    one-minute minimum, priced by the spot market (constant by default).
 class CACKLE_THREAD_CONFINED(
-    "fleet and tenant-reservation state mutate only from simulation "
-    "callbacks on the owning thread")
+    "fleet state mutates only from simulation callbacks on the owning "
+    "thread")
 VmFleet {
  public:
   /// `market` may be null, in which case `cost->vm_cost_per_hour` applies.
@@ -51,28 +50,8 @@ VmFleet {
   /// delay) or cancel pending / terminate idle ones.
   void SetTarget(int64_t target);
 
-  /// Attempts to take an idle READY VM for `tenant`; returns its id or
-  /// nullopt. With no reservations configured every tenant draws from the
-  /// shared pool exactly as before. With reservations, idle capacity that
-  /// would be needed to honour *other* tenants' unused reservations is held
-  /// back: a tenant can always use up to its own reservation, and anyone
-  /// can use the shared surplus beyond the sum of unused reservations.
-  std::optional<VmId> TryAcquire(int32_t tenant = 0);
-
-  /// Shared-vs-dedicated fleet policy: dedicates `vms` of the fleet to
-  /// `tenant` (0 removes the reservation). Reservations carve the idle pool
-  /// into per-tenant headroom; they do not by themselves raise the target —
-  /// the coordinator floors its target at reserved_total(). The default (no
-  /// reservations) is a fully shared fleet, bit-identical to the previous
-  /// behaviour.
-  void SetTenantReservation(int32_t tenant, int64_t vms);
-  /// Sum of all per-tenant reservations.
-  int64_t reserved_total() const { return reserved_total_; }
-  /// Acquisitions denied because the idle capacity was held back for other
-  /// tenants' reservations.
-  int64_t total_reservation_denials() const {
-    return total_reservation_denials_;
-  }
+  /// Attempts to take an idle READY VM; returns its id or nullopt.
+  std::optional<VmId> TryAcquire();
 
   /// Returns a BUSY VM to IDLE. If the fleet is above target, the VM may be
   /// terminated (subject to the minimum billing rule).
@@ -157,12 +136,8 @@ VmFleet {
       uint64_t pending_event = 0;  // startup event id while kPending
       uint32_t busy_tag;           // the owner's tag while kBusy
     };
-    int32_t tenant = 0;          // tenant running on it while kBusy
     VmState state = VmState::kPending;
   };
-
-  /// Whether `tenant` may take an idle VM under the reservation policy.
-  bool TenantMayAcquire(int32_t tenant) const;
 
   void OnVmStarted(VmId id);
   void Terminate(VmId id);
@@ -200,12 +175,6 @@ VmFleet {
   int64_t total_terminated_ = 0;
   int64_t total_interrupted_ = 0;
   int64_t total_launch_failures_ = 0;
-  /// Shared-vs-dedicated policy state: per-tenant reservations and busy
-  /// counts (busy counts are maintained only while reservations exist).
-  std::map<int32_t, int64_t> reserved_;
-  std::map<int32_t, int64_t> busy_by_tenant_;
-  int64_t reserved_total_ = 0;
-  int64_t total_reservation_denials_ = 0;
   FaultInjector* injector_ = nullptr;
   SimTimeMs total_runtime_ms_ = 0;
   std::function<void(VmId)> on_vm_ready_;

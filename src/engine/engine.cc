@@ -83,14 +83,6 @@ CackleEngine::CackleEngine(const CostModel* cost, EngineOptions options)
   object_store_->EnableCircuitBreaker(options_.store_breaker);
   shuffle_ = std::make_unique<ShuffleLayer>(&sim_, cost_, &meter_,
                                             object_store_.get());
-  // Dedicated-capacity policy: both maps are empty by default, leaving the
-  // fleet and pool in pure shared mode.
-  for (const auto& [tenant, vms] : options_.tenant_reserved_vms) {
-    fleet_->SetTenantReservation(tenant, vms);
-  }
-  for (const auto& [tenant, limit] : options_.tenant_elastic_limits) {
-    pool_->SetTenantLimit(tenant, limit);
-  }
   fleet_->SetFaultInjector(injector_.get());
   pool_->SetFaultInjector(injector_.get());
   object_store_->SetFaultInjector(injector_.get());
@@ -136,35 +128,6 @@ CackleEngine::~CackleEngine() = default;
 
 int32_t CackleEngine::QueryTenant(int64_t query_id) const {
   return queries_[static_cast<size_t>(query_id)].tenant;
-}
-
-int64_t CackleEngine::TenantWeight(int32_t tenant) const {
-  const auto it = options_.admission.per_tenant.find(tenant);
-  if (it != options_.admission.per_tenant.end() && it->second.weight > 0) {
-    return it->second.weight;
-  }
-  return std::max<int64_t>(1, options_.admission.default_tenant_weight);
-}
-
-SimTimeMs CackleEngine::TenantShedAfter(int32_t tenant) const {
-  const auto it = options_.admission.per_tenant.find(tenant);
-  if (it != options_.admission.per_tenant.end() &&
-      it->second.shed_after_ms >= 0) {
-    return it->second.shed_after_ms;
-  }
-  return options_.admission.shed_after_ms;
-}
-
-int64_t CackleEngine::TenantMaxOutstanding(int32_t tenant) const {
-  const auto it = options_.admission.per_tenant.find(tenant);
-  return it == options_.admission.per_tenant.end()
-             ? 0
-             : it->second.max_outstanding_tasks;
-}
-
-int64_t CackleEngine::RunningOf(int32_t tenant) const {
-  const auto it = running_by_tenant_.find(tenant);
-  return it == running_by_tenant_.end() ? 0 : it->second;
 }
 
 void CackleEngine::TaskStarted(int64_t query_id) {
@@ -217,12 +180,7 @@ void CackleEngine::CoordinatorTick() {
   // A tick scheduled before the workload drained may still fire once after
   // completion; it must not re-raise the target or (with spot
   // interruptions) the reclaim-replenish loop would run forever.
-  int64_t target = workload_done_ ? 0 : strategy_->Target(history_);
-  if (!workload_done_ && fleet_->reserved_total() > 0) {
-    // Dedicated carve-outs: while the workload is live, never provision
-    // below the sum of per-tenant reservations.
-    target = std::max(target, fleet_->reserved_total());
-  }
+  const int64_t target = workload_done_ ? 0 : strategy_->Target(history_);
   fleet_->SetTarget(target);
   if (injector_->HasStorms()) {
     // Reclamation-storm burst: the provider claws back a fraction of the
@@ -256,25 +214,23 @@ void CackleEngine::OnQueryArrival(int64_t query_id) {
         running_tasks_ >= options_.admission.max_outstanding_tasks;
     // Map presence == non-empty queue (empty tenant queues are erased).
     const bool tenant_queued = admission_queues_.count(tenant) > 0;
-    const int64_t cap = TenantMaxOutstanding(tenant);
-    const bool tenant_full = cap > 0 && RunningOf(tenant) >= cap;
-    if (global_full || tenant_queued || tenant_full) {
+    if (global_full || tenant_queued) {
       // Over the survivability threshold (or behind earlier deferred
-      // arrivals of the same tenant, or over the tenant's own cap): defer
-      // instead of piling more tasks onto a melting substrate. Per-tenant
-      // FIFO order is preserved — a query never overtakes an earlier
-      // deferred one from its own tenant. A query enters the admission
-      // queue at most once, so this counter is incremented at most once per
-      // query (deferred-then-shed queries count in both tallies).
+      // arrivals of the same tenant): defer instead of piling more tasks
+      // onto a melting substrate. Per-tenant FIFO order is preserved — a
+      // query never overtakes an earlier deferred one from its own tenant.
+      // A query enters the admission queue at most once, so this counter is
+      // incremented at most once per query (deferred-then-shed queries
+      // count in both tallies).
       queries_deferred_->Increment();
       ++result_.tenants[tenant].queries_deferred;
-      TenantQueue& tq = admission_queues_[tenant];
-      tq.entries.push_back(AdmissionEntry{query_id, sim_.NowMs()});
+      std::deque<AdmissionEntry>& entries = admission_queues_[tenant];
+      entries.push_back(AdmissionEntry{query_id, sim_.NowMs()});
       ++admission_queued_total_;
       admission_queue_peak_ =
           std::max(admission_queue_peak_, admission_queued_total_);
-      tenant_queue_peak_ = std::max(
-          tenant_queue_peak_, static_cast<int64_t>(tq.entries.size()));
+      tenant_queue_peak_ = std::max(tenant_queue_peak_,
+                                    static_cast<int64_t>(entries.size()));
       return;
     }
   }
@@ -318,14 +274,14 @@ void CackleEngine::ShedQuery(int64_t query_id) {
 void CackleEngine::DrainAdmissionQueue() {
   if (admission_queued_total_ == 0) return;
   // SLO pass first: overdue interactive queries anywhere in any tenant's
-  // queue are shed (against the tenant's effective SLO); batch entries just
-  // keep waiting (delay-tolerant by contract). Tenants are visited in
-  // ascending id order and entries in FIFO order, so the pass is
-  // deterministic across scheduler backends.
-  for (auto qit = admission_queues_.begin(); qit != admission_queues_.end();) {
-    const SimTimeMs shed_after = TenantShedAfter(qit->first);
-    auto& entries = qit->second.entries;
-    if (shed_after > 0) {
+  // queue are shed; batch entries just keep waiting (delay-tolerant by
+  // contract). Tenants are visited in ascending id order and entries in
+  // FIFO order, so the pass is deterministic across scheduler backends.
+  const SimTimeMs shed_after = options_.admission.shed_after_ms;
+  if (shed_after > 0) {
+    for (auto qit = admission_queues_.begin();
+         qit != admission_queues_.end();) {
+      auto& entries = qit->second;
       for (auto it = entries.begin(); it != entries.end();) {
         const QueryState& state = queries_[static_cast<size_t>(it->query_id)];
         if (!state.batch && sim_.NowMs() - it->arrival_ms >= shed_after) {
@@ -336,51 +292,31 @@ void CackleEngine::DrainAdmissionQueue() {
           ++it;
         }
       }
+      qit = entries.empty() ? admission_queues_.erase(qit) : ++qit;
     }
-    qit = entries.empty() ? admission_queues_.erase(qit) : ++qit;
   }
-  // Weighted deficit-round-robin admission across the tenant queues,
-  // resuming at the cursor where the previous drain stopped. Each turn
-  // grants a tenant up to `weight` admissions (unit cost per query); with a
-  // single tenant of weight 1 this serves one query per turn in FIFO order
-  // — exactly the old global drain loop.
-  int64_t fruitless_turns = 0;
+  // Round-robin admission across the tenant queues, one query per turn,
+  // resuming at the cursor where the previous drain stopped. With a single
+  // tenant this is the plain FIFO drain.
   while (admission_queued_total_ > 0 &&
-         running_tasks_ < options_.admission.max_outstanding_tasks &&
-         fruitless_turns <= static_cast<int64_t>(admission_queues_.size())) {
+         running_tasks_ < options_.admission.max_outstanding_tasks) {
     auto it = admission_queues_.lower_bound(drr_cursor_);
     if (it == admission_queues_.end()) it = admission_queues_.begin();
     const int32_t tenant = it->first;
-    TenantQueue& tq = it->second;
+    std::deque<AdmissionEntry>& entries = it->second;
     ++drr_rounds_;
-    // A fresh turn refills the quantum; a positive deficit means the last
-    // turn was cut short by the global capacity limit and resumes here.
-    if (tq.deficit <= 0) tq.deficit = TenantWeight(tenant);
-    const int64_t cap = TenantMaxOutstanding(tenant);
-    bool served = false;
-    while (tq.deficit > 0 && !tq.entries.empty() &&
-           running_tasks_ < options_.admission.max_outstanding_tasks &&
-           (cap <= 0 || RunningOf(tenant) < cap)) {
-      const AdmissionEntry entry = tq.entries.front();
-      tq.entries.pop_front();
-      --admission_queued_total_;
-      --tq.deficit;
-      served = true;
-      StartQuery(entry.query_id);
-    }
-    fruitless_turns = served ? 0 : fruitless_turns + 1;
-    if (tq.entries.empty()) {
+    const AdmissionEntry entry = entries.front();
+    entries.pop_front();
+    --admission_queued_total_;
+    StartQuery(entry.query_id);
+    if (entries.empty()) {
       admission_queues_.erase(it);
       drr_cursor_ = tenant + 1;
     } else if (running_tasks_ >= options_.admission.max_outstanding_tasks) {
-      // Global capacity ran out mid-turn: keep the remaining deficit and
-      // resume at this tenant on the next drain, the same way the old
-      // global loop resumed at the queue front.
+      // Capacity ran out on this tenant's turn: the next drain starts with
+      // it again.
       drr_cursor_ = tenant;
     } else {
-      // Quantum spent or per-tenant cap reached: this turn is over; unused
-      // credit does not accumulate across turns.
-      tq.deficit = 0;
       drr_cursor_ = tenant + 1;
     }
   }
@@ -491,7 +427,7 @@ void CackleEngine::RunTask(TaskRef ref, SimTimeMs duration_ms) {
 }
 
 bool CackleEngine::TryPlaceOnVm(TaskRef ref, SimTimeMs duration_ms) {
-  const auto vm = fleet_->TryAcquire(QueryTenant(ref.query_id));
+  const auto vm = fleet_->TryAcquire();
   if (!vm.has_value()) return false;
   tasks_on_vms_->Increment();
   const SimTimeMs dur = std::max<SimTimeMs>(
@@ -579,7 +515,6 @@ void CackleEngine::PlaceOnElastic(TaskRef ref, SimTimeMs duration_ms,
   const int64_t run_id = static_cast<int64_t>(
       (static_cast<uint64_t>(run.generation) << 32) | run_slot);
   const Status admitted = pool_->TryAcquire(
-      QueryTenant(ref.query_id),
       [this, run_id](ElasticSlotId slot) { OnElasticGranted(run_id, slot); });
   if (!admitted.ok()) {
     // Throttled by the concurrency limit. With a retry budget configured
@@ -735,7 +670,6 @@ void CackleEngine::MaybeSpeculate(int64_t run_id) {
   if (run.speculated || run.live.size() + run.starting != 1) return;
   run.speculated = true;
   const Status admitted = pool_->TryAcquire(
-      QueryTenant(run.ref.query_id),
       [this, run_id](ElasticSlotId slot) { OnElasticGranted(run_id, slot); });
   // A throttled speculative copy is simply skipped — the primary attempt is
   // still running and speculation is best-effort.
@@ -927,12 +861,6 @@ EngineResult CackleEngine::Run(const std::vector<QueryArrival>& arrivals,
   }
   deps_remaining_.resize(static_cast<size_t>(total_stages));
   tasks_remaining_.resize(static_cast<size_t>(total_stages));
-  // Multi-tenant bookkeeping is engaged by any nonzero tenant id or any
-  // per-tenant knob; otherwise every per-tenant code path stays dormant and
-  // the run is bit-identical to the single-tenant engine.
-  multi_tenant_ = !options_.admission.per_tenant.empty() ||
-                  !options_.tenant_reserved_vms.empty() ||
-                  !options_.tenant_elastic_limits.empty();
   for (size_t q = 0; q < arrivals.size(); ++q) {
     QueryState& state = queries_[q];
     state.profile = &library.at(arrivals[q].profile_index);

@@ -32,21 +32,6 @@
 
 namespace cackle {
 
-/// \brief Per-tenant overrides for admission control. Every field has an
-/// "inherit the global knob" default, so an empty policy changes nothing.
-struct TenantAdmissionPolicy {
-  /// DRR quantum: queries this tenant may admit per round-robin turn. A
-  /// tenant with weight 3 admits (up to) three queries for every one a
-  /// weight-1 tenant admits when both have backlogs. 0 = inherit
-  /// `default_tenant_weight`.
-  int64_t weight = 0;
-  /// Cap on this tenant's concurrently running tasks; arrivals beyond it
-  /// are deferred even when the global threshold has room. 0 = no cap.
-  int64_t max_outstanding_tasks = 0;
-  /// Per-tenant shed SLO; -1 = inherit the global `shed_after_ms`.
-  SimTimeMs shed_after_ms = -1;
-};
-
 /// \brief Admission control for graceful degradation under chaos. Disabled
 /// by default: every arriving query starts immediately, exactly as before.
 struct AdmissionControlOptions {
@@ -60,12 +45,6 @@ struct AdmissionControlOptions {
   /// lost work. Batch queries are never shed (they tolerate delay by
   /// definition). 0 = defer indefinitely, never shed.
   SimTimeMs shed_after_ms = 0;
-  /// DRR quantum for tenants without a per_tenant override. With a single
-  /// tenant the weighted round-robin degenerates to the plain FIFO queue,
-  /// bit-identical to the pre-multi-tenant scheduler.
-  int64_t default_tenant_weight = 1;
-  /// Per-tenant overrides (weight, outstanding-task cap, shed SLO).
-  std::map<int32_t, TenantAdmissionPolicy> per_tenant;
 
   bool enabled() const { return max_outstanding_tasks > 0; }
 };
@@ -124,17 +103,6 @@ struct EngineOptions {
 
   /// Admission control / load shedding (disabled by default).
   AdmissionControlOptions admission;
-
-  /// Shared-vs-dedicated fleet policy (both empty by default = one shared
-  /// fleet, exactly the single-tenant behaviour). `tenant_reserved_vms`
-  /// carves dedicated capacity out of the provisioned fleet: idle VMs are
-  /// held back from other tenants until each reserving tenant runs at least
-  /// its reservation, and the provisioning target is floored at the sum of
-  /// reservations while the workload is live. `tenant_elastic_limits` caps
-  /// a tenant's in-flight elastic slots (its requests beyond the cap are
-  /// throttled and follow the normal backoff/deferral path).
-  std::map<int32_t, int64_t> tenant_reserved_vms;
-  std::map<int32_t, int64_t> tenant_elastic_limits;
 
   /// Circuit breaker on the object store's retrying Put/Get wrappers
   /// (disabled by default: zero failure_threshold).
@@ -304,10 +272,9 @@ CackleEngine {
   /// first-class outcome (counted, traced, zero-cost ledger row), never
   /// silent loss.
   void ShedQuery(int64_t query_id);
-  /// Sheds overdue queued queries (per-tenant SLO), then admits across the
-  /// tenant queues by weighted deficit round robin while below the
-  /// survivability threshold. With one tenant this is exactly the old
-  /// global FIFO drain.
+  /// Sheds overdue queued interactive queries, then admits across the
+  /// tenant queues round robin, one query per tenant per turn, while below
+  /// the survivability threshold. With one tenant this is a FIFO drain.
   void DrainAdmissionQueue();
   /// Re-places tasks parked by an exhausted elastic retry budget.
   void DrainDeferredTasks();
@@ -358,14 +325,8 @@ CackleEngine {
   void OnStageDone(int64_t query_id, int stage_id);
   void OnQueryDone(int64_t query_id);
   int32_t QueryTenant(int64_t query_id) const;
-  /// Effective per-tenant admission knobs: the per_tenant override when one
-  /// is set, otherwise the global default.
-  int64_t TenantWeight(int32_t tenant) const;
-  SimTimeMs TenantShedAfter(int32_t tenant) const;
-  int64_t TenantMaxOutstanding(int32_t tenant) const;
-  int64_t RunningOf(int32_t tenant) const;
   /// Running-task accounting: the global counter plus (in multi-tenant runs
-  /// only) the per-tenant mirror feeding caps and the demand mix.
+  /// only) the per-tenant mirror feeding the demand mix.
   void TaskStarted(int64_t query_id);
   void TaskFinished(int64_t query_id);
 
@@ -509,15 +470,8 @@ CackleEngine {
   }
   std::deque<BatchTask> batch_queue_;
   /// One admission queue per tenant, present only while non-empty (map
-  /// order gives the deterministic tenant visit order). `deficit` is the
-  /// DRR credit left in the tenant's current turn; it resets when the queue
-  /// drains or the turn ends, and only carries across drains when a turn is
-  /// cut short by the global capacity limit.
-  struct TenantQueue {
-    std::deque<AdmissionEntry> entries;
-    int64_t deficit = 0;
-  };
-  std::map<int32_t, TenantQueue> admission_queues_;
+  /// order gives the deterministic tenant visit order).
+  std::map<int32_t, std::deque<AdmissionEntry>> admission_queues_;
   int64_t admission_queued_total_ = 0;
   /// Resume point of the round-robin scan: the first tenant with id >= the
   /// cursor is served next (wrapping past the largest id).
@@ -534,9 +488,8 @@ CackleEngine {
   EngineResult result_;
   int64_t running_tasks_ = 0;
   int64_t second_max_tasks_ = 0;
-  /// True when any arrival carries a nonzero tenant id or any per-tenant
-  /// knob is set; gates the per-tenant mirrors below so single-tenant hot
-  /// paths never touch them.
+  /// True when any arrival carries a nonzero tenant id; gates the
+  /// per-tenant mirrors below so single-tenant hot paths never touch them.
   bool multi_tenant_ = false;
   std::map<int32_t, int64_t> running_by_tenant_;
   std::map<int32_t, int64_t> second_max_by_tenant_;

@@ -1,7 +1,6 @@
 #include "strategy/dynamic_strategy.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <thread>
 
@@ -31,6 +30,8 @@ constexpr int kWorkerYields = 1 << 7;
 constexpr int kGracePauses = 1 << 12;
 /// Elements of a shard scratch array that fill one 64-byte cache line.
 constexpr size_t kLineSlack = 64 / sizeof(int64_t);
+/// Observations a tenant's demand peak stays in the isolation floor.
+constexpr int64_t kTenantWindowS = 60;
 
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -50,8 +51,6 @@ DynamicStrategy::DynamicStrategy(const CostModel* cost,
     : cost_(cost), env_(*cost), options_(std::move(options)),
       family_(BuildPercentileFamily(options_.family)), rng_(options_.seed) {
   CACKLE_CHECK_GT(options_.update_interval_s, 0);
-  CACKLE_CHECK_GT(options_.tenant_window_s, 0);
-  CACKLE_CHECK_GE(options_.tenant_headroom, 0.0);
   for (size_t begin = 0, end = 0; begin < family_.size(); begin = end) {
     end = begin + 1;
     while (end < family_.size() &&
@@ -109,9 +108,8 @@ void DynamicStrategy::SetObservability(MetricsRegistry* metrics,
 
 void DynamicStrategy::ObserveTenantDemand(
     const std::vector<TenantDemand>& mix) {
-  if (!options_.tenant_aware) return;
   const int64_t now = tenant_observations_++;
-  const int64_t expire_before = now - options_.tenant_window_s;
+  const int64_t expire_before = now - kTenantWindowS;
   // Append this observation to each active tenant's monotonic deque.
   for (const TenantDemand& td : mix) {
     auto& peaks = tenant_peaks_[td.tenant];
@@ -133,13 +131,11 @@ void DynamicStrategy::ObserveTenantDemand(
 }
 
 int64_t DynamicStrategy::TenantIsolationFloor() const {
-  if (!options_.tenant_aware || tenant_peaks_.empty()) return 0;
   int64_t sum_of_peaks = 0;
   for (const auto& [tenant, peaks] : tenant_peaks_) {
     sum_of_peaks += peaks.front().second;
   }
-  return static_cast<int64_t>(
-      std::ceil(options_.tenant_headroom * static_cast<double>(sum_of_peaks)));
+  return sum_of_peaks;
 }
 
 void DynamicStrategy::Decide(const double* interval_cost,

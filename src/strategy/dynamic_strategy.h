@@ -41,17 +41,6 @@ struct DynamicStrategyOptions {
   /// deterministic). Sampling keeps the adversarial regret guarantee;
   /// argmax avoids bouncing among near-tied experts.
   bool sample_expert = true;
-  /// Tenant-aware demand aggregation: when the coordinator feeds a
-  /// per-tenant demand mix (multi-tenant runs only), the played target is
-  /// floored at `tenant_headroom` times the sum of each tenant's trailing
-  /// `tenant_window_s`-second demand peak — capacity for every tenant to
-  /// replay its recent burst simultaneously, so a quiet tenant's headroom
-  /// is not silently repurposed when a heavy tenant dominates the
-  /// aggregate percentiles. With one tenant the mix is never fed and the
-  /// strategy is bit-identical to the single-tenant meta-strategy.
-  bool tenant_aware = true;
-  int64_t tenant_window_s = 60;
-  double tenant_headroom = 1.0;
   uint64_t seed = 7;
 };
 
@@ -112,15 +101,18 @@ class DynamicStrategy : public ProvisioningStrategy {
   std::vector<int64_t> TargetSeries(
       const std::vector<int64_t>& demand) override;
 
-  /// Tenant-aware aggregation (see DynamicStrategyOptions::tenant_aware):
-  /// maintains a per-tenant sliding-window demand peak; the next Target()
-  /// call is floored at headroom * sum-of-peaks. Pure bookkeeping — no RNG
-  /// draws — so feeding an empty mix (or never calling this) leaves the
-  /// strategy untouched.
+  /// Tenant-aware aggregation: when the coordinator feeds a per-tenant
+  /// demand mix (multi-tenant runs only), the played target is floored at
+  /// the sum of each tenant's trailing 60-second demand peak — capacity for
+  /// every tenant to replay its recent burst simultaneously, so a quiet
+  /// tenant's headroom is not silently repurposed when a heavy tenant
+  /// dominates the aggregate percentiles. Pure bookkeeping — no RNG draws —
+  /// so feeding an empty mix (or never calling this, as single-tenant runs
+  /// do) leaves the strategy untouched.
   void ObserveTenantDemand(const std::vector<TenantDemand>& mix) override;
 
-  /// The current isolation floor, headroom * sum of per-tenant window
-  /// peaks (0 when tenant awareness is off or no mix was ever observed).
+  /// The current isolation floor, the sum of per-tenant window peaks (0
+  /// when no mix was ever observed).
   int64_t TenantIsolationFloor() const;
 
   /// Records a decision snapshot at every update round: counters for

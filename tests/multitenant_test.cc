@@ -206,20 +206,20 @@ TEST(MultiTenantEngineTest, DeferralAndShedTalliesAreConsistent) {
   EXPECT_LE(r.tenant_queue_peak, r.admission_queue_peak);
 
   int64_t completed = 0, shed = 0, deferred = 0;
-  std::map<int32_t, int64_t> arrivals_per_tenant;
-  for (const QueryArrival& qa : arrivals) ++arrivals_per_tenant[qa.tenant];
+  std::map<int32_t, int64_t> arrivals_by_tenant;
+  for (const QueryArrival& qa : arrivals) ++arrivals_by_tenant[qa.tenant];
   for (const auto& [tenant, outcome] : r.tenants) {
     completed += outcome.queries_completed;
     shed += outcome.queries_shed;
     deferred += outcome.queries_deferred;
     EXPECT_EQ(outcome.queries_completed + outcome.queries_shed,
-              arrivals_per_tenant.at(tenant));
-    EXPECT_LE(outcome.queries_deferred, arrivals_per_tenant.at(tenant));
+              arrivals_by_tenant.at(tenant));
+    EXPECT_LE(outcome.queries_deferred, arrivals_by_tenant.at(tenant));
   }
   EXPECT_EQ(completed, r.queries_completed);
   EXPECT_EQ(shed, r.queries_shed);
   EXPECT_EQ(deferred, r.queries_deferred);
-  EXPECT_EQ(r.tenants.size(), arrivals_per_tenant.size());
+  EXPECT_EQ(r.tenants.size(), arrivals_by_tenant.size());
 }
 
 // ---------------------------------------------------------------------------
