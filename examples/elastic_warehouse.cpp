@@ -10,16 +10,21 @@
 // pool), while cost differs sharply — the dynamic strategy gets elasticity
 // without the pure-elastic premium or the fixed fleet's idle burn.
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/parse_number.h"
 #include "common/table_printer.h"
 #include "engine/engine.h"
 
 int main(int argc, char** argv) {
   using namespace cackle;
 
-  const int64_t num_queries = argc > 1 ? std::atoll(argv[1]) : 600;
+  int64_t num_queries = 600;
+  if (argc > 2 ||
+      (argc > 1 && (!ParseInt64(argv[1], &num_queries) || num_queries <= 0))) {
+    std::cerr << "usage: elastic_warehouse [num_queries=600, > 0]\n";
+    return 2;
+  }
   const ProfileLibrary library = ProfileLibrary::BuiltinTpch();
   WorkloadGenerator generator(&library);
   WorkloadOptions workload;

@@ -2,7 +2,7 @@
 # message naming the flag (or the usage line), with no abort and no hang.
 # Invoked as a ctest entry (see tests/CMakeLists.txt) with:
 #   -DCACKLE_SIM=<cackle_sim>  -DRUN_TPCH_QUERY=<run_tpch_query>
-#   -DPROFILE_TPCH=<profile_tpch>
+#   -DPROFILE_TPCH=<profile_tpch>  -DELASTIC_WAREHOUSE=<elastic_warehouse>
 
 set(failures "")
 
@@ -41,6 +41,10 @@ endforeach()
 
 foreach(args "0" "-1" "nan" "abc")
   expect_rejected("usage: profile_tpch" "${PROFILE_TPCH}" ${args})
+endforeach()
+
+foreach(args "-5" "0" "abc" "1;2")
+  expect_rejected("usage: elastic_warehouse" "${ELASTIC_WAREHOUSE}" ${args})
 endforeach()
 
 if(failures)
