@@ -1,8 +1,8 @@
 // Microbenchmarks of the strategy stack's hot paths (google-benchmark):
 // sorted sliding-window appends, the full expert family's
 // per-second evaluation on a random walk and on a trace, the meta-strategy's
-// construction, multiplicative-weights updates, allocation-model stepping,
-// and oracle computation.
+// construction, multiplicative-weights updates and draws, the predictive
+// baseline's series, allocation-model stepping, and oracle computation.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "strategy/dynamic_strategy.h"
 #include "strategy/multiplicative_weights.h"
 #include "strategy/oracle.h"
+#include "strategy/strategy.h"
 #include "strategy/workload_history.h"
 #include "workload/trace_generator.h"
 
@@ -98,6 +99,36 @@ void BM_MultiplicativeWeightsUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultiplicativeWeightsUpdate)->Arg(64)->Arg(666);
+
+// One Fig 10 decision draws the played expert from 666 weights.
+void BM_MultiplicativeWeightsSample(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  MultiplicativeWeights mw(n, 0.25, 1e-6);
+  Rng rng(5);
+  std::vector<double> penalties(n);
+  for (int round = 0; round < 100; ++round) {
+    for (double& p : penalties) p = rng.NextDouble(0.0, 0.2);
+    mw.Update(penalties);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mw.Sample(&rng));
+  }
+}
+BENCHMARK(BM_MultiplicativeWeightsSample)->Arg(666);
+
+// The predictive baseline over a 24 h Azure trace, as EvaluateStrategy
+// replays it in the Fig 10 line-up; one iteration is the whole day.
+void BM_PredictiveTargetSeries(benchmark::State& state) {
+  CostModel cost;
+  std::vector<int64_t> demand =
+      TraceGenerator::AzureNodes(/*seed=*/4, /*hours=*/24);
+  for (int64_t& nodes : demand) nodes *= TraceGenerator::kTasksPerAzureNode;
+  PredictiveStrategy predictive(cost.vm_startup_ms);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(predictive.TargetSeries(demand));
+  }
+}
+BENCHMARK(BM_PredictiveTargetSeries)->Unit(benchmark::kMillisecond);
 
 void BM_AllocationModelStep(benchmark::State& state) {
   CostModel cost;

@@ -146,17 +146,33 @@ void DynamicStrategy::Decide(const double* interval_cost,
   // concentrate on the near-optimal cluster quickly; normalizing by the
   // worst expert instead would compress all useful distinctions to ~0
   // whenever one wild expert (e.g. a 20x multiplier) dominates the range.
+  // Minima and maxima are exact in any order, so four independent running
+  // extrema share the scan.
   const size_t n = family_.size();
-  double max_cost = 0.0;
-  double min_cost = interval_cost[0];
-  for (size_t i = 0; i < n; ++i) {
-    max_cost = std::max(max_cost, interval_cost[i]);
-    min_cost = std::min(min_cost, interval_cost[i]);
+  const double* c = interval_cost;
+  double max0 = 0.0, max1 = 0.0, max2 = 0.0, max3 = 0.0;
+  double min0 = c[0], min1 = c[0], min2 = c[0], min3 = c[0];
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    max0 = std::max(max0, c[i]);
+    max1 = std::max(max1, c[i + 1]);
+    max2 = std::max(max2, c[i + 2]);
+    max3 = std::max(max3, c[i + 3]);
+    min0 = std::min(min0, c[i]);
+    min1 = std::min(min1, c[i + 1]);
+    min2 = std::min(min2, c[i + 2]);
+    min3 = std::min(min3, c[i + 3]);
   }
+  for (; i < n; ++i) {
+    max0 = std::max(max0, c[i]);
+    min0 = std::min(min0, c[i]);
+  }
+  const double max_cost = std::max(std::max(max0, max1), std::max(max2, max3));
+  const double min_cost = std::min(std::min(min0, min1), std::min(min2, min3));
   penalties_.assign(n, 0.0);
   if (max_cost > min_cost) {
     const double denom = min_cost > 0.0 ? min_cost : max_cost;
-    for (size_t i = 0; i < n; ++i) {
+    for (i = 0; i < n; ++i) {
       penalties_[i] = std::min(1.0, (interval_cost[i] - min_cost) / denom);
     }
   }
@@ -283,7 +299,9 @@ std::vector<int64_t> DynamicStrategy::TargetSeries(
         while (clock.priced.load(std::memory_order_acquire) <
                    seconds_seen_ &&
                !TryPriceShard(k, published_s_)) {
-          CpuRelax();
+          // A worker holds the shard: price another one that is behind
+          // rather than spin.
+          if (!PriceAnyBehind()) CpuRelax();
         }
       }
       Play();
@@ -401,6 +419,18 @@ bool DynamicStrategy::TryPriceShard(size_t k, int64_t through) {
   if (through > from) clock.priced.store(through, std::memory_order_release);
   clock.claimed.store(false, std::memory_order_release);
   return true;
+}
+
+bool DynamicStrategy::PriceAnyBehind() {
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    ShardClock& clock = clocks_[k];
+    if (clock.priced.load(std::memory_order_acquire) < published_s_ &&
+        !clock.claimed.load(std::memory_order_relaxed) &&
+        TryPriceShard(k, published_s_)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void DynamicStrategy::PricingLoop(size_t w) {

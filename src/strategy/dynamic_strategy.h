@@ -71,9 +71,10 @@ struct DynamicStrategyOptions {
 /// worker does not deliver (descheduled, or sharing the calling thread's
 /// core) is priced by the calling thread instead. TargetSeries() publishes
 /// up to half a row ring at a time, and then all three threads price any
-/// free shard. Both leave the strategy in the same state, so a replay may
-/// be continued online; results are bit-identical to pricing every second
-/// on the calling thread.
+/// free shard: the workers whenever they run, the calling thread whenever a
+/// shard its next decision needs is held by a worker. Both leave the
+/// strategy in the same state, so a replay may be continued online; results
+/// are bit-identical to pricing every second on the calling thread.
 ///
 /// The workers start on the first publish. On a ThreadPool task (a sweep
 /// cell, say) no thread is started and the calling thread prices each
@@ -136,7 +137,8 @@ class DynamicStrategy : public ProvisioningStrategy {
 
  private:
   /// Pricing workers. Shards are dealt round-robin to lanes: worker w
-  /// owns lane w; during TargetSeries the calling thread owns one more.
+  /// owns lane w, except during TargetSeries, when any thread prices any
+  /// free shard.
   static constexpr size_t kPricingThreads = 2;
 
   /// The experts [begin, end) of the family, which share one lookback
@@ -191,6 +193,10 @@ class DynamicStrategy : public ProvisioningStrategy {
   /// Claims shard `k` and prices it through `through`; false when another
   /// thread holds it.
   bool TryPriceShard(size_t k, int64_t through);
+  /// During TargetSeries: claims the first free shard priced short of the
+  /// published count and prices it through that count; false when every
+  /// shard is priced through it or held by another thread.
+  bool PriceAnyBehind();
   /// Worker `w`'s loop: prices its lane's shards (during TargetSeries, any
   /// free shard) through each published second until the strategy stops.
   void PricingLoop(size_t w);

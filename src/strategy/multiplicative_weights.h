@@ -37,7 +37,9 @@ class MultiplicativeWeights {
   /// values outside are clamped).
   void Update(const std::vector<double>& penalties);
 
-  /// Samples an expert from the current weight distribution.
+  /// Samples an expert from the current weight distribution: the first
+  /// whose running weight total passes a uniform draw over the total, found
+  /// by binary search over the running totals.
   size_t Sample(Rng* rng) const;
 
   /// Index of the largest weight (ties -> smallest index).
@@ -47,12 +49,17 @@ class MultiplicativeWeights {
   double Probability(size_t i) const;
 
   const std::vector<double>& weights() const { return weights_; }
+  /// The total Sample draws against: the sum of the weights, or their
+  /// count after a renormalization.
+  double total_weight() const { return total_weight_; }
   int64_t rounds() const { return rounds_; }
 
  private:
   void Normalize();
 
   std::vector<double> weights_;
+  /// prefix_[i] is weights_[0] + ... + weights_[i], added in index order.
+  std::vector<double> prefix_;
   double epsilon_;
   double weight_floor_ratio_;
   double total_weight_;

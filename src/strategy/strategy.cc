@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -44,15 +45,39 @@ int64_t MeanStrategy::Target(const WorkloadHistory& history) {
   return static_cast<int64_t>(target);
 }
 
-int64_t PredictiveStrategy::Target(const WorkloadHistory& history) {
-  const int64_t n = std::min<int64_t>(history.size(), lookback_s_);
-  if (n == 0) return 0;
-  // FitLine(xs = 0..n-1, ys = the window) in place, with FitLine's
-  // rounding. FitLine sums the xs and the ys as doubles in order. Demand is
-  // never negative, so while both totals stay below 2^53 every partial sum
-  // is an exact integer and the integer sums give the same means.
-  const int64_t* ys = history.values().data() + (history.size() - n);
-  constexpr int64_t kExactDouble = int64_t{1} << 53;
+namespace {
+
+/// Every partial sum of non-negative integers below 2^53 is exact in a
+/// double.
+constexpr int64_t kExactDouble = int64_t{1} << 53;
+
+/// The predictive target of the line fitted to a window of n samples, from
+/// the fit's moments: the maximum of the fitted demand now and at the end of
+/// the horizon, as a non-negative whole number of VMs.
+int64_t PredictFromMoments(int64_t n, int64_t horizon_s, double mean_x,
+                           double mean_y, double cov, double var_x) {
+  LinearFit fit;
+  if (var_x <= 0.0) {
+    fit.intercept = mean_y;
+  } else {
+    fit.slope = cov / var_x;
+    fit.intercept = mean_y - fit.slope * mean_x;
+  }
+  // Predict demand out to when VMs requested now would start, and target
+  // the maximum of the prediction over that horizon (the fit's slope makes
+  // this either the current fitted value or the horizon endpoint).
+  const double at_now = fit.At(static_cast<double>(n - 1));
+  const double at_horizon = fit.At(static_cast<double>(n - 1 + horizon_s));
+  const double target = std::max(at_now, at_horizon);
+  return std::max<int64_t>(0, static_cast<int64_t>(std::ceil(target)));
+}
+
+/// The predictive target of the n >= 1 samples ys[0, n), as
+/// FitLine(xs = 0..n-1, ys) rounds it. FitLine sums the xs and the ys as
+/// doubles in order. Demand is never negative, so while both totals stay
+/// below 2^53 every partial sum is an exact integer and the integer sums
+/// give the same means.
+int64_t PredictWindow(const int64_t* ys, int64_t n, int64_t horizon_s) {
   int64_t sum_y = 0;
   bool overflow = false;
   for (int64_t i = 0; i < n; ++i) {
@@ -79,20 +104,122 @@ int64_t PredictiveStrategy::Target(const WorkloadHistory& history) {
     cov += dx * (static_cast<double>(ys[i]) - mean_y);
     var_x += dx * dx;
   }
-  LinearFit fit;
-  if (var_x <= 0.0) {
-    fit.intercept = mean_y;
-  } else {
-    fit.slope = cov / var_x;
-    fit.intercept = mean_y - fit.slope * mean_x;
+  return PredictFromMoments(n, horizon_s, mean_x, mean_y, cov, var_x);
+}
+
+/// The covariance terms of K windows of n samples, the k-th starting at
+/// ys + k, about their means mean_y[k]: cov[k] is PredictWindow's `cov` for
+/// that window, each window's terms added in index order in an accumulator
+/// of its own. dx[i] is i minus the windows' common mean index.
+template <int K>
+void WindowCovariances(const int64_t* ys, const double* dx, int64_t n,
+                       const double* mean_y, double* cov) {
+  double acc[K] = {};
+  for (int64_t i = 0; i < n; ++i) {
+    for (int k = 0; k < K; ++k) {
+      acc[k] += dx[i] * (static_cast<double>(ys[i + k]) - mean_y[k]);
+    }
   }
-  // Predict demand out to when VMs requested now would start, and target
-  // the maximum of the prediction over that horizon (the fit's slope makes
-  // this either the current fitted value or the horizon endpoint).
-  const double at_now = fit.At(static_cast<double>(n - 1));
-  const double at_horizon = fit.At(static_cast<double>(n - 1 + horizon_s_));
-  const double target = std::max(at_now, at_horizon);
-  return std::max<int64_t>(0, static_cast<int64_t>(std::ceil(target)));
+  std::copy(acc, acc + K, cov);
+}
+
+}  // namespace
+
+PredictiveStrategy::PredictiveStrategy(SimTimeMs vm_startup_ms,
+                                       int64_t lookback_s)
+    : horizon_s_(vm_startup_ms / 1000), lookback_s_(lookback_s) {
+  CACKLE_CHECK_GE(vm_startup_ms, 0);
+  CACKLE_CHECK_GT(lookback_s, 0);
+}
+
+int64_t PredictiveStrategy::Target(const WorkloadHistory& history) {
+  const int64_t n = std::min<int64_t>(history.size(), lookback_s_);
+  if (n == 0) return 0;
+  return PredictWindow(history.values().data() + (history.size() - n), n,
+                       horizon_s_);
+}
+
+std::vector<int64_t> PredictiveStrategy::TargetSeries(
+    const std::vector<int64_t>& demand) {
+  // The checks a fresh default WorkloadHistory makes on every sample.
+  const int64_t longest = WorkloadHistory::DefaultLookbacks().back();
+  const int64_t max_demand = std::numeric_limits<int64_t>::max() / longest;
+  const auto check = [max_demand, longest](int64_t demand) {
+    CACKLE_CHECK_GE(demand, 0);
+    CACKLE_CHECK_LE(demand, max_demand)
+        << "demand would overflow a " << longest << " s window sum";
+  };
+  for (const int64_t d : demand) check(d);
+  const int64_t size = static_cast<int64_t>(demand.size());
+  const int64_t* ys = demand.data();
+  const int64_t lookback = lookback_s_;
+  std::vector<int64_t> targets(demand.size());
+  // Second t's window is the last min(t + 1, lookback) samples through t.
+  const auto per_second = [&](int64_t t) {
+    const int64_t n = std::min(t + 1, lookback);
+    targets[static_cast<size_t>(t)] =
+        PredictWindow(ys + (t + 1 - n), n, horizon_s_);
+  };
+  // While the window fills, and throughout for a window too long for the
+  // exact index mean, each second is fitted on its own.
+  const int64_t first_full =
+      lookback < (int64_t{1} << 26) ? std::min(size, lookback - 1) : size;
+  for (int64_t t = 0; t < first_full; ++t) per_second(t);
+  if (first_full == size) return targets;
+  // Every full window has n = lookback samples, so its index mean, index
+  // deviations and index variance are the same as PredictWindow's for any
+  // of them; only the demand moments move.
+  const double n = static_cast<double>(lookback);
+  const double mean_x =
+      static_cast<double>(lookback * (lookback - 1) / 2) / n;
+  std::vector<double> dx(static_cast<size_t>(lookback));
+  double var_x = 0.0;
+  for (int64_t i = 0; i < lookback; ++i) {
+    dx[static_cast<size_t>(i)] = static_cast<double>(i) - mean_x;
+    var_x += dx[static_cast<size_t>(i)] * dx[static_cast<size_t>(i)];
+  }
+  // The window sum of second t (0-based), exactly: lookback samples of at
+  // most max_demand each may pass int64 for a lookback beyond `longest`.
+  __int128 sum = 0;
+  for (int64_t i = 0; i < lookback; ++i) sum += ys[i];
+  const auto slide = [&](int64_t t) {  // sum of t to sum of t + 1
+    sum += ys[t + 1] - ys[t + 1 - lookback];
+  };
+  // Consecutive seconds whose window sums are exact in a double share one
+  // pass over their windows, kBlock at a time; any other second takes the
+  // per-second path, which sums its window as doubles.
+  constexpr int kBlock = 4;
+  double mean_y[kBlock];
+  double cov[kBlock];
+  int64_t t = first_full;
+  while (t < size) {
+    int k = 0;
+    for (; k < kBlock && t + k < size && sum < kExactDouble; ++k) {
+      mean_y[k] = static_cast<double>(static_cast<int64_t>(sum)) / n;
+      if (t + k + 1 < size) slide(t + k);
+    }
+    const int64_t* window = ys + (t + 1 - lookback);
+    if (k == kBlock) {
+      WindowCovariances<kBlock>(window, dx.data(), lookback, mean_y, cov);
+    } else {
+      for (int j = 0; j < k; ++j) {
+        WindowCovariances<1>(window + j, dx.data(), lookback, mean_y + j,
+                             cov + j);
+      }
+    }
+    for (int j = 0; j < k; ++j) {
+      targets[static_cast<size_t>(t + j)] = PredictFromMoments(
+          lookback, horizon_s_, mean_x, mean_y[j], cov[j], var_x);
+    }
+    t += k;
+    if (k < kBlock && t < size) {
+      // Second t's window sum reached 2^53.
+      per_second(t);
+      if (t + 1 < size) slide(t);
+      ++t;
+    }
+  }
+  return targets;
 }
 
 std::string PercentileStrategy::name() const {

@@ -98,10 +98,14 @@ class MeanStrategy : public ProvisioningStrategy {
 /// (Section 5.1).
 class PredictiveStrategy : public ProvisioningStrategy {
  public:
-  PredictiveStrategy(SimTimeMs vm_startup_ms, int64_t lookback_s = 300)
-      : horizon_s_(vm_startup_ms / 1000), lookback_s_(lookback_s) {}
+  /// CHECK-fails unless `vm_startup_ms` >= 0 and `lookback_s` > 0.
+  PredictiveStrategy(SimTimeMs vm_startup_ms, int64_t lookback_s = 300);
   std::string name() const override { return "predictive"; }
   int64_t Target(const WorkloadHistory& history) override;
+  /// Fits the full windows of a few consecutive seconds in one pass over
+  /// the demand; bit for bit the per-second Target() replay.
+  std::vector<int64_t> TargetSeries(
+      const std::vector<int64_t>& demand) override;
 
  private:
   int64_t horizon_s_;

@@ -264,6 +264,74 @@ TEST(StrategyTest, PredictiveMatchesFitLineExactly) {
   }
 }
 
+/// TargetSeries' windowed fits against the base class's per-second
+/// Append + Target() replay, at every length around the window filling and
+/// the four-second blocks of full windows, at window sums below 2^53 and
+/// across it.
+TEST(StrategyTest, PredictiveTargetSeriesMatchesPerSecondReplay) {
+  CostModel cost;
+  for (const int64_t lookback : {1, 2, 7, 300}) {
+    PredictiveStrategy predictive(cost.vm_startup_ms, lookback);
+    for (const int64_t scale :
+         {int64_t{1000}, int64_t{1} << 44, int64_t{1} << 50}) {
+      for (const int64_t length :
+           {int64_t{0}, int64_t{1}, lookback - 1, lookback, lookback + 1,
+            lookback + 3, lookback + 4, lookback + 5, 4 * lookback + 50}) {
+        Rng rng(static_cast<uint64_t>(lookback * 1009 + length));
+        // A random walk; then small demand with nine seconds at the scale
+        // in its middle and nine at its end, so that at 2^50 the window
+        // sums pass 2^53 and fall back, part-way through a block.
+        std::vector<int64_t> walk;
+        std::vector<int64_t> jump;
+        int64_t level = scale / 2;
+        for (int64_t s = 0; s < length; ++s) {
+          level = std::clamp<int64_t>(
+              level + rng.NextInt(-scale / 20, scale / 20), 0, scale);
+          walk.push_back(level);
+          const bool high =
+              s >= length - 9 || (s >= length / 2 && s < length / 2 + 9);
+          jump.push_back(high ? scale - rng.NextInt(0, scale / 100)
+                              : rng.NextInt(0, 1000));
+        }
+        for (const std::vector<int64_t>* demand : {&walk, &jump}) {
+          ASSERT_EQ(predictive.TargetSeries(*demand),
+                    predictive.ProvisioningStrategy::TargetSeries(*demand))
+              << "lookback " << lookback << " scale " << scale << " length "
+              << length << (demand == &jump ? " jump" : " walk");
+        }
+      }
+    }
+  }
+}
+
+TEST(StrategyDeathTest, PredictiveRejectsBadLookbackOrStartup) {
+  EXPECT_DEATH(PredictiveStrategy(180000, 0), "lookback_s");
+  EXPECT_DEATH(PredictiveStrategy(180000, -5), "lookback_s");
+  EXPECT_DEATH(PredictiveStrategy(-1000, 300), "vm_startup_ms");
+}
+
+TEST(StrategyDeathTest, PredictiveTargetSeriesRejectsWhatAHistoryRejects) {
+  // The messages of WorkloadHistory::Append, which the per-second replay
+  // reaches.
+  CostModel cost;
+  PredictiveStrategy predictive(cost.vm_startup_ms);
+  const int64_t over =
+      std::numeric_limits<int64_t>::max() /
+          WorkloadHistory::DefaultLookbacks().back() + 1;
+  for (const std::vector<int64_t>& demand :
+       {std::vector<int64_t>{5, 7, -1, 3}, std::vector<int64_t>{-2}}) {
+    EXPECT_DEATH(predictive.ProvisioningStrategy::TargetSeries(demand),
+                 "\\(demand\\) >= \\(0\\)");
+    EXPECT_DEATH(predictive.TargetSeries(demand),
+                 "\\(demand\\) >= \\(0\\)");
+  }
+  const std::vector<int64_t> huge = {5, over, 3};
+  EXPECT_DEATH(predictive.ProvisioningStrategy::TargetSeries(huge),
+               "demand would overflow a 3600 s window sum");
+  EXPECT_DEATH(predictive.TargetSeries(huge),
+               "demand would overflow a 3600 s window sum");
+}
+
 TEST(StrategyTest, FamilyHasSeveralHundredExperts) {
   const PercentileFamily family = BuildPercentileFamily();
   // 6 lookbacks x (100 percentiles + 11 boosted multipliers) = 666.
@@ -751,6 +819,52 @@ TEST(MultiplicativeWeightsTest, UpdateMatchesThreePassReference) {
         ASSERT_EQ(mw.Probability(i), ref[i] / ref_total) << "round " << round;
       }
     }
+  }
+}
+
+/// Sample's binary search over the running totals against the linear
+/// cumulative scan it replaced, over rounds that renormalize every 64 and
+/// weights that, without the floor, underflow to exactly zero (equal
+/// running totals the search must step over as the scan does). The other
+/// renormalization, on a total below 1e-100 per expert, cannot happen: a
+/// round scales each weight by at least 1 - epsilon >= 1/2, so 63 rounds
+/// after a renormalization the total is still above 2^-63 per expert.
+TEST(MultiplicativeWeightsTest, SampleMatchesLinearScan) {
+  constexpr size_t kExperts = 200;
+  for (const double floor_ratio : {0.0, 1e-6}) {
+    MultiplicativeWeights mw(kExperts, 0.5, floor_ratio);
+    Rng penalty_rng(23);
+    Rng rng(29);
+    std::vector<double> penalties(kExperts);
+    // 1,201 states, ten draws each.
+    for (int round = 0; round <= 1200; ++round) {
+      if (round > 0) {
+        for (size_t i = 0; i < kExperts; ++i) {
+          // Every third expert always loses; the rest draw regrets.
+          penalties[i] = i % 3 == 0 ? 1.0 : penalty_rng.NextDouble(0.0, 0.1);
+        }
+        mw.Update(penalties);
+      }
+      for (int d = 0; d < 10; ++d) {
+        Rng scan_rng = rng;
+        const double r = scan_rng.NextDouble() * mw.total_weight();
+        size_t want = kExperts - 1;
+        double cumulative = 0.0;
+        for (size_t i = 0; i < kExperts; ++i) {
+          cumulative += mw.weights()[i];
+          if (r < cumulative) {
+            want = i;
+            break;
+          }
+        }
+        ASSERT_EQ(mw.Sample(&rng), want) << "round " << round << " draw " << d;
+      }
+    }
+    EXPECT_EQ(mw.rounds(), 1200);
+    const bool zero_weight =
+        std::find(mw.weights().begin(), mw.weights().end(), 0.0) !=
+        mw.weights().end();
+    EXPECT_EQ(zero_weight, floor_ratio == 0.0);
   }
 }
 
