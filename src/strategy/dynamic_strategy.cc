@@ -44,13 +44,26 @@ int64_t RoundUpPow2(int64_t v) {
   while (p < v) p <<= 1;
   return p;
 }
+
+/// Whether the strategy's `second` (1-based) is a decision point: an update
+/// boundary, or its first second, when the played target is set.
+bool DecisionPoint(int64_t second) {
+  return second % DynamicStrategy::kUpdateIntervalS == 0 || second == 1;
+}
+/// Decision points among the strategy's seconds [1, second], second >= 1.
+int64_t DecisionsThrough(int64_t second) {
+  return second / DynamicStrategy::kUpdateIntervalS + 1;
+}
+/// The strategy second of its k-th decision point, k >= 1.
+int64_t DecisionSecond(int64_t k) {
+  return k == 1 ? 1 : (k - 1) * DynamicStrategy::kUpdateIntervalS;
+}
 }  // namespace
 
 DynamicStrategy::DynamicStrategy(const CostModel* cost,
-                                 DynamicStrategyOptions options)
-    : cost_(cost), env_(*cost), options_(std::move(options)),
-      family_(BuildPercentileFamily(options_.family)), rng_(options_.seed) {
-  CACKLE_CHECK_GT(options_.update_interval_s, 0);
+                                 const DynamicStrategyOptions& options)
+    : cost_(cost), env_(*cost),
+      family_(BuildPercentileFamily(options.family)), rng_(options.seed) {
   for (size_t begin = 0, end = 0; begin < family_.size(); begin = end) {
     end = begin + 1;
     while (end < family_.size() &&
@@ -67,8 +80,8 @@ DynamicStrategy::DynamicStrategy(const CostModel* cost,
                             std::vector<int64_t>(padded, 0),
                             std::vector<double>(padded, 0.0)});
   }
-  mw_ = std::make_unique<MultiplicativeWeights>(
-      family_.size(), options_.epsilon, options_.weight_floor_ratio);
+  mw_ = std::make_unique<MultiplicativeWeights>(family_.size(), kEpsilon,
+                                                kWeightFloorRatio);
   chosen_ = family_.size() / 2;  // arbitrary deterministic initial expert
 }
 
@@ -177,8 +190,7 @@ void DynamicStrategy::Decide(const double* interval_cost,
     }
   }
   mw_->Update(penalties_);
-  const size_t next =
-      options_.sample_expert ? mw_->Sample(&rng_) : mw_->Best();
+  const size_t next = mw_->Sample(&rng_);
   if (next != chosen_) ++switches_;
   chosen_ = next;
   // The meta-strategy runs every update interval (five seconds in the
@@ -216,16 +228,6 @@ void DynamicStrategy::Decide(const double* interval_cost,
   }
 }
 
-int64_t DynamicStrategy::DecisionsThrough(int64_t second) const {
-  const int64_t interval = options_.update_interval_s;
-  return second / interval + (interval > 1 ? 1 : 0);
-}
-
-int64_t DynamicStrategy::DecisionSecond(int64_t k) const {
-  const int64_t interval = options_.update_interval_s;
-  return interval == 1 ? k : (k == 1 ? 1 : (k - 1) * interval);
-}
-
 size_t DynamicStrategy::RowOffset(int64_t second) const {
   return static_cast<size_t>((DecisionsThrough(second) - 1) % rows_) *
          family_.size();
@@ -233,7 +235,7 @@ size_t DynamicStrategy::RowOffset(int64_t second) const {
 
 void DynamicStrategy::Play() {
   const size_t row = RowOffset(seconds_seen_);
-  if (seconds_seen_ % options_.update_interval_s == 0) {
+  if (seconds_seen_ % kUpdateIntervalS == 0) {
     Decide(row_costs_.get() + row, row_targets_.get() + row);
   } else {
     last_target_ = row_targets_[row + chosen_];
@@ -333,7 +335,10 @@ void DynamicStrategy::StartPricing() {
   row_costs_.reset(new double[row_cells]);
   clocks_ = std::make_unique<ShardClock[]>(shards_.size());
   priced_seen_.assign(shards_.size(), 0);
-  // A sweep cell already has a pool thread per core to itself.
+  // On a pool task (a sweep cell, say) this thread prices every second
+  // itself: a sweep already runs as many cells at once as it has threads,
+  // and two pricing workers per cell would oversubscribe the cores. At one
+  // sweep thread the cells therefore price serially.
   if (ThreadPool::RunningTask()) return;
   threaded_ = true;
   pool_ = std::make_unique<ThreadPool>(static_cast<int>(kPricingThreads));
@@ -502,7 +507,7 @@ void DynamicStrategy::PriceSecond(Shard& shard, int64_t second) {
   if (!DecisionPoint(second)) return;
   const size_t row = RowOffset(second) + shard.begin;
   std::copy(targets, targets + width, row_targets_.get() + row);
-  if (second % options_.update_interval_s == 0) {
+  if (second % kUpdateIntervalS == 0) {
     std::copy(cost, cost + width, row_costs_.get() + row);
     std::fill(cost, cost + width, 0.0);
   }

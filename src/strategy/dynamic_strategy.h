@@ -24,23 +24,11 @@ class Counter;
 class Gauge;
 class Histogram;
 
-/// \brief Options for the dynamic cost-based meta-strategy.
+/// \brief Options for the dynamic cost-based meta-strategy: its expert
+/// family and the seed of its expert draws. The update cadence and the
+/// multiplicative-weights settings are DynamicStrategy constants.
 struct DynamicStrategyOptions {
   FamilyOptions family;
-  /// The meta-strategy re-runs (penalty update + expert re-selection) at
-  /// this cadence; the paper uses five seconds.
-  int64_t update_interval_s = 5;
-  /// Multiplicative-weights learning rate.
-  double epsilon = 0.25;
-  /// Relative weight floor (fixed-share style) so the meta-strategy can
-  /// re-converge quickly after an environment change; 0 disables.
-  double weight_floor_ratio = 1e-6;
-  /// Expert selection each round: true = sample from the weight
-  /// distribution (the textbook randomized algorithm and the paper's
-  /// description); false = play the heaviest expert (follow-the-leader,
-  /// deterministic). Sampling keeps the adversarial regret guarantee;
-  /// argmax avoids bouncing among near-tied experts.
-  bool sample_expert = true;
   uint64_t seed = 7;
 };
 
@@ -52,7 +40,7 @@ struct DynamicStrategyOptions {
 /// AllocationModel batch with one model per expert turns each target
 /// history into an allocation history under the known VM startup time, and
 /// prices it against the cost model (what the expert *would* have cost had
-/// it been driving the system). Every `update_interval_s` seconds the
+/// it been driving the system). Every kUpdateIntervalS seconds the
 /// interval costs become penalties for a multiplicative-weights update and
 /// the played expert is re-sampled from the weight distribution. The played
 /// expert's current target is the strategy's output.
@@ -89,11 +77,20 @@ struct DynamicStrategyOptions {
 class DynamicStrategy : public ProvisioningStrategy {
  public:
   DynamicStrategy(const CostModel* cost,
-                  DynamicStrategyOptions options = DynamicStrategyOptions());
+                  const DynamicStrategyOptions& options = {});
   ~DynamicStrategy() override;
 
   DynamicStrategy(const DynamicStrategy&) = delete;
   DynamicStrategy& operator=(const DynamicStrategy&) = delete;
+
+  /// The meta-strategy re-runs (penalty update + expert re-selection) every
+  /// five seconds, as in the paper.
+  static constexpr int64_t kUpdateIntervalS = 5;
+  /// Multiplicative-weights learning rate.
+  static constexpr double kEpsilon = 0.25;
+  /// Relative weight floor (fixed-share style), so the meta-strategy can
+  /// re-converge quickly after an environment change.
+  static constexpr double kWeightFloorRatio = 1e-6;
 
   std::string name() const override { return "dynamic"; }
   /// Takes one second per call: `history` holds exactly one more sample
@@ -165,15 +162,6 @@ class DynamicStrategy : public ProvisioningStrategy {
     std::atomic<bool> claimed{false};
   };
 
-  /// Whether the strategy's `second` (1-based) is a decision point: an
-  /// update boundary, or its first second, when the played target is set.
-  bool DecisionPoint(int64_t second) const {
-    return second % options_.update_interval_s == 0 || second <= 1;
-  }
-  /// Decision points among the strategy's seconds [1, second], second >= 1.
-  int64_t DecisionsThrough(int64_t second) const;
-  /// The strategy second of its k-th decision point, k >= 1.
-  int64_t DecisionSecond(int64_t k) const;
   /// Offset into the row rings of decision point `second`'s row.
   size_t RowOffset(int64_t second) const;
 
@@ -221,7 +209,6 @@ class DynamicStrategy : public ProvisioningStrategy {
   /// The environment the shards price under: *cost_ as of the latest
   /// publish, so a caller may change *cost_ while earlier seconds price.
   CostModel env_;
-  DynamicStrategyOptions options_;
   PercentileFamily family_;
   std::vector<Shard> shards_;
   /// Demand ring: the strategy's second s at (s - 1) & series_mask_. It

@@ -80,11 +80,10 @@ void MultiplicativeWeights::Update(const std::vector<double>& penalties) {
     prefix_[i] = total;
   }
   total_weight_ = total;
+  // Every 64th round renormalizes. A round scales each weight by at least
+  // 1 - epsilon >= 1/2, so the total never falls below 2^-64 per expert.
   ++rounds_;
-  if ((rounds_ & 0x3F) == 0 ||
-      total_weight_ < 1e-100 * static_cast<double>(weights_.size())) {
-    Normalize();
-  }
+  if ((rounds_ & 0x3F) == 0) Normalize();
 }
 
 size_t MultiplicativeWeights::Sample(Rng* rng) const {
@@ -94,14 +93,6 @@ size_t MultiplicativeWeights::Sample(Rng* rng) const {
   const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), r);
   if (it == prefix_.end()) return weights_.size() - 1;  // floating-point edge
   return static_cast<size_t>(it - prefix_.begin());
-}
-
-size_t MultiplicativeWeights::Best() const {
-  size_t best = 0;
-  for (size_t i = 1; i < weights_.size(); ++i) {
-    if (weights_[i] > weights_[best]) best = i;
-  }
-  return best;
 }
 
 double MultiplicativeWeights::Probability(size_t i) const {

@@ -42,9 +42,6 @@ class MultiplicativeWeights {
   /// by binary search over the running totals.
   size_t Sample(Rng* rng) const;
 
-  /// Index of the largest weight (ties -> smallest index).
-  size_t Best() const;
-
   /// Normalized probability of expert `i`.
   double Probability(size_t i) const;
 

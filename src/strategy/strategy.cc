@@ -36,7 +36,7 @@ std::string MeanStrategy::name() const {
 }
 
 int64_t MeanStrategy::Target(const WorkloadHistory& history) {
-  const double mean = history.Mean(lookback_s_);
+  const double mean = history.Mean(kLookbackS);
   const double target = std::ceil(mean * multiplier_);
   // 2^63: the first double past INT64_MAX.
   CACKLE_CHECK(target >= 0.0 && target < 9223372036854775808.0)
@@ -277,21 +277,16 @@ PercentileFamily BuildPercentileFamily(const FamilyOptions& options) {
   PercentileFamily family;
   family.lookbacks_s = options.lookbacks_s;
   const auto add = [&family](uint32_t slot, double p, double m) {
-    CACKLE_CHECK_GT(p, 0.0);
-    CACKLE_CHECK_LE(p, 100.0);
     family.window.push_back(slot);
     family.percentile.push_back(p);
     family.multiplier.push_back(m);
   };
   CACKLE_CHECK_GT(options.percentile_step, 0);
   for (uint32_t slot = 0; slot < family.lookbacks_s.size(); ++slot) {
-    for (int p = options.percentile_lo; p <= options.percentile_hi;
-         p += options.percentile_step) {
+    for (int p = 1; p <= 100; p += options.percentile_step) {
       add(slot, static_cast<double>(p), 1.0);
     }
-    for (double m : options.boost_multipliers) {
-      add(slot, options.boosted_percentile, m);
-    }
+    for (double m : options.boost_multipliers) add(slot, 80.0, m);
   }
   CACKLE_CHECK(family.size() > 0);
   family.rank_.assign(family.size(), 0);

@@ -82,14 +82,14 @@ class FixedStrategy : public ProvisioningStrategy {
 /// multiplier (Section 4.3 / 5.1; the paper's window is five minutes).
 class MeanStrategy : public ProvisioningStrategy {
  public:
-  MeanStrategy(double multiplier, int64_t lookback_s = 300)
-      : multiplier_(multiplier), lookback_s_(lookback_s) {}
+  explicit MeanStrategy(double multiplier) : multiplier_(multiplier) {}
   std::string name() const override;
   int64_t Target(const WorkloadHistory& history) override;
 
  private:
+  /// The trailing window, five minutes.
+  static constexpr int64_t kLookbackS = 300;
   double multiplier_;
-  int64_t lookback_s_;
 };
 
 /// \brief `predictive`: linear regression over the trailing window,
@@ -137,14 +137,11 @@ class PercentileStrategy : public ProvisioningStrategy {
 struct FamilyOptions {
   /// Lookbacks from 10 seconds to an hour.
   std::vector<int64_t> lookbacks_s = WorkloadHistory::DefaultLookbacks();
-  /// Percentiles 1..100, each with multiplier 1.0.
-  int percentile_lo = 1;
-  int percentile_hi = 100;
+  /// Percentiles 1..100 in this step, each with multiplier 1.0.
   int percentile_step = 1;
   /// Additional 80th-percentile strategies with multipliers above 1 so the
   /// family can provision more than anything seen in the history (needed
   /// for increasing workloads).
-  double boosted_percentile = 80.0;
   std::vector<double> boost_multipliers = {1.1,  1.25, 1.5, 2.0,  3.0, 4.0,
                                            5.0,  7.0,  10.0, 15.0, 20.0};
 };
@@ -185,9 +182,9 @@ struct PercentileFamily {
   std::vector<int64_t> rank_fill_;
 };
 
-/// Builds the percentile strategy family: per lookback, percentiles
-/// percentile_lo..percentile_hi with multiplier 1, then the boosted
-/// percentile at each boost multiplier.
+/// Builds the percentile strategy family: per lookback, percentiles 1..100
+/// in `percentile_step`s with multiplier 1, then the 80th percentile at each
+/// boost multiplier.
 PercentileFamily BuildPercentileFamily(
     const FamilyOptions& options = FamilyOptions());
 

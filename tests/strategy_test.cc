@@ -169,7 +169,7 @@ TEST(StrategyTest, FixedIgnoresHistory) {
 }
 
 TEST(StrategyTest, MeanMultiplies) {
-  MeanStrategy s(2.0, 300);
+  MeanStrategy s(2.0);
   WorkloadHistory history;
   for (int i = 0; i < 10; ++i) history.Append(50);
   EXPECT_EQ(s.Target(history), 100);
@@ -729,7 +729,7 @@ TEST(MultiplicativeWeightsTest, WeightsStayPositiveAndOrdered) {
   EXPECT_GT(mw.weights()[0], 0.0);
   EXPECT_LT(mw.Probability(0), mw.Probability(1));
   EXPECT_LT(mw.Probability(1), mw.Probability(2));
-  EXPECT_EQ(mw.Best(), 2u);
+  EXPECT_GT(mw.Probability(2), 0.99);
   EXPECT_NEAR(mw.Probability(0) + mw.Probability(1) + mw.Probability(2), 1.0,
               1e-12);
 }
@@ -759,7 +759,7 @@ TEST(MultiplicativeWeightsTest, FloorSpeedsUpEnvironmentSwitch) {
   // floor, expert 1 regains the majority probability within ~100 rounds.
   MultiplicativeWeights mw(2, 0.25, /*weight_floor_ratio=*/1e-6);
   for (int i = 0; i < 1000; ++i) mw.Update({0.0, 1.0});
-  EXPECT_EQ(mw.Best(), 0u);
+  EXPECT_GT(mw.weights()[0], mw.weights()[1]);
   int rounds_to_switch = 0;
   while (mw.Probability(1) < 0.5 && rounds_to_switch < 1000) {
     mw.Update({1.0, 0.0});
@@ -809,7 +809,7 @@ TEST(MultiplicativeWeightsTest, UpdateMatchesThreePassReference) {
           ref_total += w;
         }
       }
-      if (round % 64 == 0 || ref_total < 1e-100 * kExperts) {
+      if (round % 64 == 0) {
         const double scale = static_cast<double>(kExperts) / ref_total;
         for (double& w : ref) w *= scale;
         ref_total = static_cast<double>(kExperts);
@@ -825,10 +825,10 @@ TEST(MultiplicativeWeightsTest, UpdateMatchesThreePassReference) {
 /// Sample's binary search over the running totals against the linear
 /// cumulative scan it replaced, over rounds that renormalize every 64 and
 /// weights that, without the floor, underflow to exactly zero (equal
-/// running totals the search must step over as the scan does). The other
-/// renormalization, on a total below 1e-100 per expert, cannot happen: a
-/// round scales each weight by at least 1 - epsilon >= 1/2, so 63 rounds
-/// after a renormalization the total is still above 2^-63 per expert.
+/// running totals the search must step over as the scan does). The total
+/// itself never underflows: a round scales each weight by at least
+/// 1 - epsilon >= 1/2, so it stays above 2^-64 per expert until the next
+/// renormalization.
 TEST(MultiplicativeWeightsTest, SampleMatchesLinearScan) {
   constexpr size_t kExperts = 200;
   for (const double floor_ratio : {0.0, 1e-6}) {
@@ -1214,18 +1214,10 @@ TEST(StrategyValidationDeathTest, RejectsNonPositivePercentileStep) {
   EXPECT_DEATH(BuildPercentileFamily(options), "percentile_step");
 }
 
-TEST(StrategyValidationDeathTest, RejectsInvalidDynamicOptions) {
-  CostModel cost;
-  DynamicStrategyOptions options;
-  options.update_interval_s = 0;
-  EXPECT_DEATH(DynamicStrategy(&cost, options), "update_interval_s");
-}
-
 TEST(DynamicStrategyTest, TracksSinusoidCheaperThanNaive) {
   CostModel cost;
   const auto demand = SinusoidDemand(6 * 3600, 3600, 60);
-  DynamicStrategyOptions opts;
-  DynamicStrategy dynamic(&cost, opts);
+  DynamicStrategy dynamic(&cost);
   FixedStrategy fixed0(0);
   FixedStrategy fixed500(500);
   const double dyn = EvaluateStrategy(&dynamic, demand, cost).total();
@@ -1272,22 +1264,6 @@ TEST(DynamicStrategyTest, AdaptsToElasticPremiumChange) {
            static_cast<double>(e.vm_seconds + e.elastic_task_seconds + 1);
   };
   EXPECT_GT(share(eval_pricey), share(eval_cheap));
-}
-
-TEST(DynamicStrategyTest, ArgmaxSelectionIsStabler) {
-  CostModel cost;
-  const auto demand = SinusoidDemand(2 * 3600, 1200, 60);
-  DynamicStrategyOptions sample_opts;
-  sample_opts.sample_expert = true;
-  DynamicStrategyOptions argmax_opts;
-  argmax_opts.sample_expert = false;
-  DynamicStrategy sampler(&cost, sample_opts);
-  DynamicStrategy leader(&cost, argmax_opts);
-  const double cs = EvaluateStrategy(&sampler, demand, cost).total();
-  const double cl = EvaluateStrategy(&leader, demand, cost).total();
-  // Follow-the-leader switches far less and stays cost-competitive.
-  EXPECT_LT(leader.expert_switches(), sampler.expert_switches() / 4);
-  EXPECT_LT(cl, 1.25 * cs);
 }
 
 // ---------------------------------------------------------------------------
@@ -1445,10 +1421,9 @@ struct DynamicReplay {
 /// `ahead`, else by the base class's per-second loop; then continues online
 /// for `online_s` more seconds, as the engine does after priming.
 DynamicReplay ReplayDynamic(const std::vector<int64_t>& demand,
-                            const DynamicStrategyOptions& options,
                             int64_t online_s, bool ahead) {
   const CostModel cost;
-  DynamicStrategy dynamic(&cost, options);
+  DynamicStrategy dynamic(&cost);
   MetricsRegistry metrics;
   Tracer tracer;
   tracer.set_enabled(true);
@@ -1478,26 +1453,23 @@ DynamicReplay ReplayDynamic(const std::vector<int64_t>& demand,
   return r;
 }
 
-/// (series length, update interval, sample the expert).
+/// The series length.
 class TargetSeriesDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, bool>> {};
+    : public ::testing::TestWithParam<int64_t> {};
 
 TEST_P(TargetSeriesDifferentialTest, MatchesPerSecondReplay) {
-  const auto [length, interval, sample] = GetParam();
+  const int64_t length = GetParam();
   // A random walk with bursts, so experts' targets rise and fall and
   // their models both request and terminate VMs.
-  Rng rng(static_cast<uint64_t>(length * 31 + interval));
+  Rng rng(static_cast<uint64_t>(length * 31 + 5));
   std::vector<int64_t> demand;
   int64_t walk = 40;
   for (int64_t s = 0; s < length; ++s) {
     walk = std::clamp<int64_t>(walk + rng.NextInt(-6, 6), 0, 200);
     demand.push_back(s % 600 < 30 ? walk * 3 : walk);
   }
-  DynamicStrategyOptions options;
-  options.update_interval_s = interval;
-  options.sample_expert = sample;
-  const DynamicReplay ahead = ReplayDynamic(demand, options, 23, true);
-  const DynamicReplay replay = ReplayDynamic(demand, options, 23, false);
+  const DynamicReplay ahead = ReplayDynamic(demand, 23, true);
+  const DynamicReplay replay = ReplayDynamic(demand, 23, false);
   ASSERT_EQ(ahead.targets.size(), static_cast<size_t>(length) + 23);
   EXPECT_EQ(ahead.targets, replay.targets);
   EXPECT_EQ(ahead.expert_cost_bits, replay.expert_cost_bits);
@@ -1510,12 +1482,9 @@ TEST_P(TargetSeriesDifferentialTest, MatchesPerSecondReplay) {
   }
 }
 
-// 2001 s is not a whole number of blocks at any of the intervals.
-INSTANTIATE_TEST_SUITE_P(
-    Lengths, TargetSeriesDifferentialTest,
-    ::testing::Combine(::testing::Values<int64_t>(0, 1, 4, 2001),
-                       ::testing::Values<int64_t>(1, 5, 7),
-                       ::testing::Bool()));
+// 2001 s is not a whole number of blocks.
+INSTANTIATE_TEST_SUITE_P(Lengths, TargetSeriesDifferentialTest,
+                         ::testing::Values<int64_t>(0, 1, 4, 2001));
 
 TEST(TargetSeriesTest, EvaluateStrategyMatchesPerSecondLoop) {
   // EvaluateStrategy prices the played targets of TargetSeries; a
@@ -1619,13 +1588,14 @@ std::vector<TenantDemand> TenantMix(int64_t s, int64_t demand) {
 /// The tenant floor is the sum of each tenant's peak over the trailing
 /// 60 observed seconds.
 DynamicReplay ReferenceDynamic(const std::vector<int64_t>& demand,
-                               const DynamicStrategyOptions& options,
                                int64_t primed_s, bool tenants) {
   const CostModel cost;
+  const DynamicStrategyOptions options;
   PercentileFamily family = BuildPercentileFamily(options.family);
   const size_t n = family.size();
   AllocationModel models(&cost, n);
-  MultiplicativeWeights mw(n, options.epsilon, options.weight_floor_ratio);
+  MultiplicativeWeights mw(n, DynamicStrategy::kEpsilon,
+                           DynamicStrategy::kWeightFloorRatio);
   Rng rng(options.seed);
   MetricsRegistry metrics;
   Tracer tracer;
@@ -1652,7 +1622,7 @@ DynamicReplay ReferenceDynamic(const std::vector<int64_t>& demand,
           targets.data() + begin);
     }
     models.Step(targets, d, interval_cost);
-    if (s % options.update_interval_s == 0) {
+    if (s % DynamicStrategy::kUpdateIntervalS == 0) {
       const double lo = *std::min_element(interval_cost.begin(),
                                           interval_cost.end());
       const double hi = std::max(0.0, *std::max_element(interval_cost.begin(),
@@ -1665,7 +1635,7 @@ DynamicReplay ReferenceDynamic(const std::vector<int64_t>& demand,
         }
       }
       mw.Update(penalties);
-      const size_t next = options.sample_expert ? mw.Sample(&rng) : mw.Best();
+      const size_t next = mw.Sample(&rng);
       if (next != chosen) ++r.switches;
       chosen = next;
       played = targets[chosen];
@@ -1723,10 +1693,9 @@ DynamicReplay ReferenceDynamic(const std::vector<int64_t>& demand,
 /// The pipeline: TargetSeries over the first `primed_s` seconds, as an
 /// engine's primed history, then one Target() per second.
 DynamicReplay PipelineDynamic(const std::vector<int64_t>& demand,
-                              const DynamicStrategyOptions& options,
                               int64_t primed_s, bool tenants) {
   const CostModel cost;
-  DynamicStrategy dynamic(&cost, options);
+  DynamicStrategy dynamic(&cost);
   MetricsRegistry metrics;
   Tracer tracer;
   tracer.set_enabled(true);
@@ -1768,43 +1737,34 @@ void ExpectSameReplay(const DynamicReplay& got, const DynamicReplay& want) {
   EXPECT_EQ(got.tracer_json, want.tracer_json);
 }
 
-/// (update interval, sample the expert, primed by TargetSeries, tenant
-/// floor).
+/// (primed by TargetSeries, tenant floor).
 class DynamicPipelineTest
-    : public ::testing::TestWithParam<std::tuple<int64_t, bool, bool, bool>> {
-};
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
 TEST_P(DynamicPipelineTest, MatchesSerialReference) {
-  const auto [interval, sample, primed, tenants] = GetParam();
-  const std::vector<int64_t> demand = RandomWalkDemand(2000, 97 + interval);
-  DynamicStrategyOptions options;
-  options.update_interval_s = interval;
-  options.sample_expert = sample;
+  const auto [primed, tenants] = GetParam();
+  const std::vector<int64_t> demand = RandomWalkDemand(2000, 102);
   const int64_t primed_s = primed ? 1111 : 0;
-  const DynamicReplay want =
-      ReferenceDynamic(demand, options, primed_s, tenants);
+  const DynamicReplay want = ReferenceDynamic(demand, primed_s, tenants);
   ASSERT_EQ(want.targets.size(), demand.size());
   EXPECT_GT(want.switches, 0);
   if (tenants) {
     // The floor binds somewhere.
-    EXPECT_NE(want.targets,
-              ReferenceDynamic(demand, options, primed_s, false).targets);
+    EXPECT_NE(want.targets, ReferenceDynamic(demand, primed_s, false).targets);
   }
-  ExpectSameReplay(PipelineDynamic(demand, options, primed_s, tenants),
-                   want);
+  ExpectSameReplay(PipelineDynamic(demand, primed_s, tenants), want);
   // Inside a sweep cell the strategy prices on the calling pool thread.
   SweepRunner sweep(2);
   const std::vector<DynamicReplay> cells =
       sweep.Map<DynamicReplay>(2, [&](int) {
-        return PipelineDynamic(demand, options, primed_s, tenants);
+        return PipelineDynamic(demand, primed_s, tenants);
       });
   for (const DynamicReplay& cell : cells) ExpectSameReplay(cell, want);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Cases, DynamicPipelineTest,
-    ::testing::Combine(::testing::Values<int64_t>(1, 5, 7), ::testing::Bool(),
-                       ::testing::Bool(), ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(Cases, DynamicPipelineTest,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Bool()));
 
 // ---------------------------------------------------------------------------
 // ShuffleProvisioner
