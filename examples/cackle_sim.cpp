@@ -222,9 +222,9 @@ int main(int argc, char** argv) {
     } else {
       auto loaded = LoadDemandCsv(flags.trace);
       if (!loaded.ok()) {
-        std::cerr << "failed to load trace: " << loaded.status().ToString()
-                  << "\n";
-        return 1;
+        std::cerr << "invalid flag --trace=" << flags.trace << ": "
+                  << loaded.status().ToString() << "\n";
+        return 2;
       }
       series = std::move(loaded).value();
     }

@@ -42,53 +42,41 @@ void ObjectStore::EnableCircuitBreaker(const CircuitBreakerOptions& options) {
   breaker_ = std::make_unique<CircuitBreaker>(options);
 }
 
-Status ObjectStore::ExecuteWithBreaker(const std::function<Status()>& op,
-                                       int* attempts_out) {
-  // Same backoff ladder and attempt bound as RetryPolicy::Execute; the
-  // breaker adds a gate before each attempt. Rejected attempts are neither
-  // issued nor billed — the loop fast-forwards its virtual clock to the
-  // cooldown expiry, where the breaker half-opens and admits a probe.
-  int64_t now = NowMs();
+void ObjectStore::Retry(const std::function<Status()>& op,
+                        const char* request) {
+  // A breaker-rejected attempt is neither issued nor billed: the loop
+  // fast-forwards its virtual clock to the cooldown expiry, where the
+  // breaker half-opens and admits a probe.
+  const int64_t start = NowMs();
+  int64_t now = start;
   int attempt = 0;
-  int64_t elapsed_ms = 0;
   Status status;
   while (true) {
-    if (!breaker_->AllowRequest(now)) {
-      const int64_t wait = std::max<int64_t>(1, breaker_->RetryAtMs() - now);
-      now += wait;
-      elapsed_ms += wait;
+    if (breaker_ != nullptr && !breaker_->AllowRequest(now)) {
+      now += std::max<int64_t>(1, breaker_->RetryAtMs() - now);
       continue;
     }
     ++attempt;
     status = op();
     if (status.ok()) {
-      breaker_->RecordSuccess(now);
+      if (breaker_ != nullptr) breaker_->RecordSuccess(now);
       break;
     }
-    breaker_->RecordFailure(now);
-    const int64_t backoff = retry_policy_.BackoffMs(attempt);
-    now += backoff;
-    elapsed_ms += backoff;
-    if (!retry_policy_.ShouldRetry(attempt, elapsed_ms)) break;
+    if (breaker_ != nullptr) breaker_->RecordFailure(now);
+    now += retry_policy_.BackoffMs(attempt);
+    if (!retry_policy_.ShouldRetry(attempt, now - start)) break;
   }
-  if (attempts_out != nullptr) *attempts_out = attempt;
-  return status;
+  num_retries_ += attempt - 1;
+  CACKLE_CHECK(status.ok()) << "object store " << request << " failed after "
+                            << attempt << " attempts: " << status.ToString();
 }
 
 void ObjectStore::Put(const std::string& key, int64_t bytes) {
-  int attempts = 0;
-  const auto op = [&] { return TryPut(key, bytes); };
-  const Status status = breaker_ != nullptr
-                            ? ExecuteWithBreaker(op, &attempts)
-                            : retry_policy_.Execute(op, &attempts);
-  num_retries_ += attempts - 1;
-  CACKLE_CHECK(status.ok()) << "object store PUT failed after " << attempts
-                            << " attempts: " << status.ToString();
+  Retry([&] { return TryPut(key, bytes); }, "PUT");
 }
 
 std::optional<int64_t> ObjectStore::Get(const std::string& key) {
   std::optional<int64_t> result;
-  int attempts = 0;
   const auto op = [&]() -> Status {
     StatusOr<int64_t> got = TryGet(key);
     if (got.ok()) {
@@ -100,12 +88,7 @@ std::optional<int64_t> ObjectStore::Get(const std::string& key) {
     if (got.status().code() == StatusCode::kNotFound) return Status::OK();
     return got.status();
   };
-  const Status status = breaker_ != nullptr
-                            ? ExecuteWithBreaker(op, &attempts)
-                            : retry_policy_.Execute(op, &attempts);
-  num_retries_ += attempts - 1;
-  CACKLE_CHECK(status.ok()) << "object store GET failed after " << attempts
-                            << " attempts: " << status.ToString();
+  Retry(op, "GET");
   return result;
 }
 

@@ -35,7 +35,7 @@ namespace cackle {
 class ObjectStore {
  public:
   ObjectStore(const CostModel* cost, BillingMeter* meter)
-      : cost_(cost), meter_(meter), retry_policy_(DefaultRetryOptions()) {}
+      : cost_(cost), meter_(meter) {}
 
   /// Attaches a fault injector providing the transient-error rate.
   void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
@@ -94,21 +94,11 @@ class ObjectStore {
                      const std::string& prefix) const;
 
  private:
-  static RetryPolicyOptions DefaultRetryOptions() {
-    RetryPolicyOptions opts;
-    // Generous cap: transient errors at the clamped maximum rate (0.95)
-    // still terminate with overwhelming probability, and the simulation
-    // must not lose writes.
-    opts.max_attempts = 100;
-    opts.jitter = 0.0;  // no clock here; jitter would burn randomness
-    return opts;
-  }
-
-  /// Breaker-aware retry loop: same backoff schedule as RetryPolicy::Execute
-  /// but consults the breaker before every attempt, clocked on simulated
-  /// time plus virtual backoff.
-  [[nodiscard]] Status ExecuteWithBreaker(const std::function<Status()>& op,
-                                          int* attempts_out);
+  /// The retry loop of Put and Get: runs `op` until it succeeds, backing
+  /// off on a virtual clock that starts at the simulated now, and counts
+  /// the retries. With a breaker, each attempt first passes its gate.
+  /// CHECK-fails if the policy gives up on the `request`.
+  void Retry(const std::function<Status()>& op, const char* request);
 
   SimTimeMs NowMs() const { return sim_ != nullptr ? sim_->NowMs() : 0; }
 
@@ -117,7 +107,12 @@ class ObjectStore {
   FaultInjector* injector_ = nullptr;
   const Simulation* sim_ = nullptr;
   std::unique_ptr<CircuitBreaker> breaker_;
-  RetryPolicy retry_policy_;
+  // Generous attempt bound: transient errors at the clamped maximum rate
+  // (0.95) still end with overwhelming probability, and the simulation must
+  // not lose writes. No jitter: the store has no clock, so jitter would
+  // only burn randomness.
+  RetryPolicy retry_policy_{{/*max_attempts=*/100, /*initial_backoff_ms=*/100,
+                             /*jitter=*/0.0}};
   std::unordered_map<std::string, int64_t> objects_;
   int64_t num_puts_ = 0;
   int64_t num_gets_ = 0;

@@ -11,24 +11,22 @@ RetryPolicy::RetryPolicy(RetryPolicyOptions options, Rng* rng)
     : options_(options), rng_(rng) {
   CACKLE_CHECK_GE(options_.max_attempts, 0);
   CACKLE_CHECK_GT(options_.initial_backoff_ms, 0);
-  CACKLE_CHECK_GE(options_.multiplier, 1.0);
-  CACKLE_CHECK_GE(options_.max_backoff_ms, options_.initial_backoff_ms);
+  CACKLE_CHECK_LE(options_.initial_backoff_ms, kMaxBackoffMs);
   CACKLE_CHECK_GE(options_.jitter, 0.0);
   CACKLE_CHECK_LT(options_.jitter, 1.0);
-  CACKLE_CHECK_GE(options_.deadline_ms, 0);
   CACKLE_CHECK_GE(options_.max_elapsed_ms, 0);
 }
 
 int64_t RetryPolicy::BackoffMs(int attempt) {
   CACKLE_CHECK_GE(attempt, 1);
   double backoff = static_cast<double>(options_.initial_backoff_ms) *
-                   std::pow(options_.multiplier, attempt - 1);
-  backoff = std::min(backoff, static_cast<double>(options_.max_backoff_ms));
+                   std::pow(kMultiplier, attempt - 1);
+  backoff = std::min(backoff, static_cast<double>(kMaxBackoffMs));
   if (rng_ != nullptr && options_.jitter > 0.0) {
     backoff *= rng_->NextDouble(1.0 - options_.jitter, 1.0 + options_.jitter);
     // The cap is a hard bound, not a pre-jitter nominal value: positive
-    // jitter must never push a backoff past max_backoff_ms.
-    backoff = std::min(backoff, static_cast<double>(options_.max_backoff_ms));
+    // jitter must never push a backoff past kMaxBackoffMs.
+    backoff = std::min(backoff, static_cast<double>(kMaxBackoffMs));
   }
   return std::max<int64_t>(1, static_cast<int64_t>(backoff));
 }
@@ -37,28 +35,7 @@ bool RetryPolicy::ShouldRetry(int attempt, int64_t elapsed_ms) const {
   if (options_.max_attempts > 0 && attempt >= options_.max_attempts) {
     return false;
   }
-  if (options_.deadline_ms > 0 && elapsed_ms >= options_.deadline_ms) {
-    return false;
-  }
-  if (options_.max_elapsed_ms > 0 && elapsed_ms >= options_.max_elapsed_ms) {
-    return false;
-  }
-  return true;
-}
-
-Status RetryPolicy::Execute(const std::function<Status()>& op,
-                            int* attempts_out) {
-  int attempt = 0;
-  int64_t elapsed_ms = 0;
-  Status status;
-  do {
-    ++attempt;
-    status = op();
-    if (status.ok()) break;
-    elapsed_ms += BackoffMs(attempt);
-  } while (ShouldRetry(attempt, elapsed_ms));
-  if (attempts_out != nullptr) *attempts_out = attempt;
-  return status;
+  return options_.max_elapsed_ms == 0 || elapsed_ms < options_.max_elapsed_ms;
 }
 
 }  // namespace cackle

@@ -2,53 +2,42 @@
 #define CACKLE_COMMON_RETRY_POLICY_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "common/rng.h"
-#include "common/status.h"
 
 namespace cackle {
 
-/// \brief Tunables of a retry loop: capped exponential backoff with
-/// deterministic jitter, bounded attempts, and an overall deadline.
+/// \brief Tunables of a retry loop: exponential backoff with deterministic
+/// jitter, bounded attempts, and an elapsed-time budget.
 struct RetryPolicyOptions {
   /// Total attempts allowed (first try included); 0 = unlimited.
   int max_attempts = 5;
-  /// Backoff before the second attempt; doubles (times `multiplier`) after
-  /// each further failure, capped at `max_backoff_ms`.
+  /// Backoff before the second attempt; doubles after each further
+  /// failure, capped at RetryPolicy::kMaxBackoffMs.
   int64_t initial_backoff_ms = 100;
-  double multiplier = 2.0;
-  int64_t max_backoff_ms = 10'000;
   /// Uniform jitter of +/- this fraction applied to each backoff, drawn
   /// from the policy's Rng so sequences are reproducible. 0 disables.
   double jitter = 0.25;
-  /// Overall budget across all backoffs; 0 = none. Once the cumulative
-  /// backoff would exceed the deadline, the operation is abandoned.
-  int64_t deadline_ms = 0;
-  /// Cumulative max-elapsed budget; 0 = none. Unlike `deadline_ms`, which
-  /// only counts the policy's own backoffs, this caps whatever elapsed time
+  /// Cumulative max-elapsed budget; 0 = none. It caps whatever elapsed time
   /// the caller reports to `ShouldRetry` — wall time in simulation for the
   /// engine's elastic placement loop, so an operation stuck behind a
   /// throttle eventually yields instead of backing off forever.
   int64_t max_elapsed_ms = 0;
 };
 
-/// \brief Reusable retry/backoff engine returning Status.
-///
-/// Two usage modes:
-///  - `BackoffMs(attempt)` + `ShouldRetry(...)` for callers that own their
-///    own clock (the engine schedules backoffs in simulated time).
-///  - `Execute(op)` for services with no modelled latency (the simulated
-///    object store): retries synchronously, accounting backoff as virtual
-///    elapsed time against the deadline.
+/// \brief Backoff ladder and stop rule of a retry loop. The caller owns the
+/// loop and its clock: the engine schedules backoffs in simulated time, the
+/// object store (no modelled latency) adds them to a virtual clock.
 ///
 /// A null Rng (or zero jitter) makes the policy consume no randomness, so a
 /// fault-free configuration stays bit-identical with or without it.
 class RetryPolicy {
  public:
-  explicit RetryPolicy(RetryPolicyOptions options, Rng* rng = nullptr);
+  /// Growth of the backoff per failure, and its hard cap.
+  static constexpr double kMultiplier = 2.0;
+  static constexpr int64_t kMaxBackoffMs = 10'000;
 
-  const RetryPolicyOptions& options() const { return options_; }
+  explicit RetryPolicy(RetryPolicyOptions options, Rng* rng = nullptr);
 
   /// Backoff to wait after the `attempt`-th failure (1-based), jittered.
   int64_t BackoffMs(int attempt);
@@ -56,12 +45,6 @@ class RetryPolicy {
   /// Whether a further attempt is allowed after `attempt` failures with
   /// `elapsed_ms` already spent waiting.
   bool ShouldRetry(int attempt, int64_t elapsed_ms) const;
-
-  /// Runs `op` until it returns OK, attempts run out, or the deadline is
-  /// exceeded; returns the final status. `attempts_out` (optional) receives
-  /// the number of attempts made.
-  [[nodiscard]] Status Execute(const std::function<Status()>& op,
-                 int* attempts_out = nullptr);
 
  private:
   RetryPolicyOptions options_;

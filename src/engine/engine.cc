@@ -36,7 +36,11 @@ struct CackleEngine::QueryState {
 
 CackleEngine::CackleEngine(const CostModel* cost, EngineOptions options)
     : cost_(cost), options_(std::move(options)),
-      chaos_rng_(Rng::StreamSeed(options_.seed, kChaosStreamTag)) {
+      chaos_rng_(Rng::StreamSeed(options_.seed, kChaosStreamTag)),
+      elastic_retry_policy_({/*max_attempts=*/0, /*initial_backoff_ms=*/200,
+                             /*jitter=*/0.25,
+                             options_.elastic_retry_budget_ms},
+                            &chaos_rng_) {
   obs_ = options_.observability;
   metrics_ = obs_ != nullptr ? &obs_->metrics : &own_metrics_;
   tracer_ = obs_ != nullptr ? &obs_->tracer : &disabled_tracer_;
@@ -64,8 +68,6 @@ CackleEngine::CackleEngine(const CostModel* cost, EngineOptions options)
   injector_ = std::make_unique<FaultInjector>(
       options_.faults, options_.chaos,
       Rng::StreamSeed(options_.seed, kFaultInjectorStreamTag));
-  elastic_retry_policy_ =
-      std::make_unique<RetryPolicy>(options_.elastic_retry, &chaos_rng_);
   if (injector_->timeline() != nullptr &&
       !injector_->timeline()->price_shock_windows().empty()) {
     // Price shocks re-price the main fleet through a spot market built from
@@ -518,7 +520,7 @@ void CackleEngine::PlaceOnElastic(TaskRef ref, SimTimeMs duration_ms,
       [this, run_id](ElasticSlotId slot) { OnElasticGranted(run_id, slot); });
   if (!admitted.ok()) {
     // Throttled by the concurrency limit. With a retry budget configured
-    // (elastic_retry.max_elapsed_ms) a task that has already waited out its
+    // (elastic_retry_budget_ms) a task that has already waited out its
     // cumulative budget parks in the deferred queue — the coordinator
     // re-places it a second later with a fresh ladder, so the pool is not
     // hammered by deep-backoff retries during a long outage. Without a
@@ -527,13 +529,13 @@ void CackleEngine::PlaceOnElastic(TaskRef ref, SimTimeMs duration_ms,
     // the meantime). Either way work is late, never lost.
     // The run never opened: no event holds its id.
     elastic_runs_.Free(run_slot);
-    if (!elastic_retry_policy_->ShouldRetry(attempt + 1, backoff_elapsed_ms)) {
+    if (!elastic_retry_policy_.ShouldRetry(attempt + 1, backoff_elapsed_ms)) {
       retry_budget_exhausted_->Increment();
       deferred_tasks_.push_back(DeferredTask{ref, duration_ms});
       sim_.ScheduleAfter(kMillisPerSecond, [this] { DrainDeferredTasks(); });
       return;
     }
-    const SimTimeMs backoff = elastic_retry_policy_->BackoffMs(attempt + 1);
+    const SimTimeMs backoff = elastic_retry_policy_.BackoffMs(attempt + 1);
     sim_.ScheduleAfter(
         backoff, [this, ref, duration_ms, attempt, backoff_elapsed_ms,
                   backoff] {
@@ -685,8 +687,7 @@ void CackleEngine::DrainBatchQueue() {
     if (TryPlaceOnVm(task.ref, task.duration_ms)) {
       batch_queue_.pop_front();
       tracer_->End(task.queued_span, sim_.NowMs());
-    } else if (sim_.NowMs() - task.enqueued_ms >=
-               options_.max_batch_delay_ms) {
+    } else if (sim_.NowMs() - task.enqueued_ms >= kMaxBatchDelayMs) {
       // SLA escalation: overdue batch work runs on the elastic pool.
       batch_queue_.pop_front();
       batch_tasks_escalated_->Increment();

@@ -56,6 +56,8 @@ struct EngineOptions {
   /// elastic execution, i.e. Starling).
   bool use_dynamic = true;
   int64_t fixed_target = 0;
+  /// The dynamic strategy's expert family. Its `seed` is ignored: the
+  /// engine seeds the strategy from a stream of `seed` below.
   DynamicStrategyOptions dynamic;
 
   /// Model the shuffling layer (shuffle nodes + object-store fallback).
@@ -68,11 +70,6 @@ struct EngineOptions {
 
   /// Record per-second series (demand, target, active VMs) for Figure 12.
   bool record_series = false;
-
-  /// Upper bound on how long a batch task waits for an idle VM before it
-  /// escalates to the elastic pool anyway (batch work tolerates delay but
-  /// still has an SLA).
-  SimTimeMs max_batch_delay_ms = 30 * kMillisPerMinute;
 
   /// Spot interruptions: mean VM lifetime in hours before the provider
   /// reclaims it (exponentially distributed); 0 disables. Tasks running on
@@ -88,18 +85,13 @@ struct EngineOptions {
   /// default (no processes) adds no timeline and is bit-identical.
   ChaosTimelineOptions chaos;
 
-  /// Backoff policy for elastic placements rejected by the concurrency
-  /// limit. Unlimited attempts: a task is never dropped, it keeps backing
-  /// off (capped) until the pool admits it or a VM frees up. Setting
-  /// `max_elapsed_ms` adds a retry *budget*: a task throttled for that much
-  /// cumulative simulated time stops hammering the pool and parks in a
-  /// deferred queue the coordinator re-admits later (still never lost).
-  RetryPolicyOptions elastic_retry{/*max_attempts=*/0,
-                                   /*initial_backoff_ms=*/200,
-                                   /*multiplier=*/2.0,
-                                   /*max_backoff_ms=*/10'000,
-                                   /*jitter=*/0.25,
-                                   /*deadline_ms=*/0};
+  /// Retry budget of elastic placements rejected by the concurrency limit;
+  /// 0 = none. Such a task backs off (200 ms doubling to a 10 s cap, +/-25%
+  /// jitter, no bound on attempts) until the pool admits it or a VM frees
+  /// up. Once throttled for this much cumulative simulated time, it stops
+  /// hammering the pool and parks in a deferred queue the coordinator
+  /// re-admits later (never lost).
+  SimTimeMs elastic_retry_budget_ms = 0;
 
   /// Admission control / load shedding (disabled by default).
   AdmissionControlOptions admission;
@@ -151,7 +143,7 @@ struct EngineResult {
   int64_t vms_interrupted = 0;
   /// Batch tasks that waited in the batch queue for an idle VM.
   int64_t batch_tasks_delayed = 0;
-  /// Batch tasks that hit max_batch_delay and ran on the elastic pool.
+  /// Batch tasks that hit kMaxBatchDelayMs and ran on the elastic pool.
   int64_t batch_tasks_escalated = 0;
   int64_t shuffle_fallback_bytes = 0;
   int64_t shuffle_written_bytes = 0;
@@ -241,6 +233,10 @@ class CACKLE_THREAD_CONFINED(
     "never within one")
 CackleEngine {
  public:
+  /// How long a batch task waits for an idle VM before it escalates to the
+  /// elastic pool anyway (batch work tolerates delay but still has an SLA).
+  static constexpr SimTimeMs kMaxBatchDelayMs = 30 * kMillisPerMinute;
+
   CackleEngine(const CostModel* cost, EngineOptions options);
   ~CackleEngine();
 
@@ -337,7 +333,7 @@ CackleEngine {
   BillingMeter meter_;
   std::unique_ptr<FaultInjector> injector_;
   Rng chaos_rng_;
-  std::unique_ptr<RetryPolicy> elastic_retry_policy_;
+  RetryPolicy elastic_retry_policy_;
   /// Non-null only when the chaos timeline has price shocks: the main
   /// fleet's VMs are then priced by this market instead of the flat rate.
   std::unique_ptr<SpotMarket> spot_market_;

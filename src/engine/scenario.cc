@@ -230,7 +230,7 @@ EngineOptions ChaosScenario::ToEngineOptions() const {
   }
   opts.spot_mean_lifetime_hours = spot_mean_lifetime_hours;
   opts.admission = admission;
-  opts.elastic_retry.max_elapsed_ms = retry_budget_ms;
+  opts.elastic_retry_budget_ms = retry_budget_ms;
   opts.hedge_after_ms = hedge_after_ms;
   opts.store_breaker = store_breaker;
   return opts;
@@ -246,7 +246,7 @@ EngineOptions ChaosScenario::ToFaultFreeEngineOptions() const {
   opts.admission = AdmissionControlOptions{};
   opts.store_breaker = CircuitBreakerOptions{};
   opts.hedge_after_ms = 0;
-  opts.elastic_retry.max_elapsed_ms = 0;
+  opts.elastic_retry_budget_ms = 0;
   return opts;
 }
 

@@ -38,7 +38,7 @@ struct ChaosScenario {
   double spot_mean_lifetime_hours = 0.0;
   /// Admission control / shedding.
   AdmissionControlOptions admission;
-  /// Cumulative elastic retry budget (elastic_retry.max_elapsed_ms).
+  /// Cumulative elastic retry budget (elastic_retry_budget_ms).
   SimTimeMs retry_budget_ms = 0;
   /// Hedged-read threshold; 0 disables.
   SimTimeMs hedge_after_ms = 0;

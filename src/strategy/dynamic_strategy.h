@@ -29,6 +29,9 @@ class Histogram;
 /// multiplicative-weights settings are DynamicStrategy constants.
 struct DynamicStrategyOptions {
   FamilyOptions family;
+  /// Seed of the expert draws. CackleEngine ignores it: the engine seeds
+  /// its strategy from a stream of EngineOptions::seed, so setting this on
+  /// EngineOptions::dynamic has no effect on an engine run.
   uint64_t seed = 7;
 };
 

@@ -13,12 +13,12 @@ int64_t ShuffleProvisioner::Step(int64_t resident_bytes) {
     window_max_.pop_back();
   }
   window_max_.emplace_back(now_s_, resident_bytes);
-  while (window_max_.front().first <= now_s_ - lookback_s_) {
+  while (window_max_.front().first <= now_s_ - kLookbackS) {
     window_max_.pop_front();
   }
   ++now_s_;
   const int64_t needed_bytes =
-      std::max(window_max_.front().second, floor_bytes_);
+      std::max(window_max_.front().second, kFloorBytes);
   const int64_t node_bytes = cost_->shuffle_node_memory_bytes;
   return (needed_bytes + node_bytes - 1) / node_bytes;
 }

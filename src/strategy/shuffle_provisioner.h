@@ -17,22 +17,18 @@ namespace cackle {
 /// floor of 16 GB so some shuffle nodes always exist to absorb requests.
 class ShuffleProvisioner {
  public:
-  explicit ShuffleProvisioner(const CostModel* cost,
-                              int64_t lookback_s = 20 * 60,
-                              int64_t floor_bytes = 16LL << 30)
-      : cost_(cost), lookback_s_(lookback_s), floor_bytes_(floor_bytes) {}
+  /// The trailing window and the memory floor.
+  static constexpr int64_t kLookbackS = 20 * 60;
+  static constexpr int64_t kFloorBytes = 16LL << 30;
+
+  explicit ShuffleProvisioner(const CostModel* cost) : cost_(cost) {}
 
   /// Feeds one second of observed resident intermediate-state bytes and
   /// returns the target shuffle-node count.
   int64_t Step(int64_t resident_bytes);
 
-  int64_t lookback_s() const { return lookback_s_; }
-  int64_t floor_bytes() const { return floor_bytes_; }
-
  private:
   const CostModel* cost_;
-  int64_t lookback_s_;
-  int64_t floor_bytes_;
   /// Monotonic deque of (second, bytes) for O(1) sliding-window max.
   std::deque<std::pair<int64_t, int64_t>> window_max_;
   int64_t now_s_ = 0;

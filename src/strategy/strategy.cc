@@ -85,8 +85,8 @@ int64_t PredictWindow(const int64_t* ys, int64_t n, int64_t horizon_s) {
   }
   double mean_x = 0.0;
   double mean_y = 0.0;
-  // n < 2^26 keeps the xs' total n(n-1)/2 below 2^53.
-  if (n < (int64_t{1} << 26) && !overflow && sum_y < kExactDouble) {
+  // n never exceeds the 300 s window, so the xs' total n(n-1)/2 is exact.
+  if (!overflow && sum_y < kExactDouble) {
     mean_x = static_cast<double>(n * (n - 1) / 2);
     mean_y = static_cast<double>(sum_y);
   } else {
@@ -125,15 +125,13 @@ void WindowCovariances(const int64_t* ys, const double* dx, int64_t n,
 
 }  // namespace
 
-PredictiveStrategy::PredictiveStrategy(SimTimeMs vm_startup_ms,
-                                       int64_t lookback_s)
-    : horizon_s_(vm_startup_ms / 1000), lookback_s_(lookback_s) {
+PredictiveStrategy::PredictiveStrategy(SimTimeMs vm_startup_ms)
+    : horizon_s_(vm_startup_ms / 1000) {
   CACKLE_CHECK_GE(vm_startup_ms, 0);
-  CACKLE_CHECK_GT(lookback_s, 0);
 }
 
 int64_t PredictiveStrategy::Target(const WorkloadHistory& history) {
-  const int64_t n = std::min<int64_t>(history.size(), lookback_s_);
+  const int64_t n = std::min<int64_t>(history.size(), kLookbackS);
   if (n == 0) return 0;
   return PredictWindow(history.values().data() + (history.size() - n), n,
                        horizon_s_);
@@ -152,7 +150,7 @@ std::vector<int64_t> PredictiveStrategy::TargetSeries(
   for (const int64_t d : demand) check(d);
   const int64_t size = static_cast<int64_t>(demand.size());
   const int64_t* ys = demand.data();
-  const int64_t lookback = lookback_s_;
+  constexpr int64_t lookback = kLookbackS;
   std::vector<int64_t> targets(demand.size());
   // Second t's window is the last min(t + 1, lookback) samples through t.
   const auto per_second = [&](int64_t t) {
@@ -160,10 +158,8 @@ std::vector<int64_t> PredictiveStrategy::TargetSeries(
     targets[static_cast<size_t>(t)] =
         PredictWindow(ys + (t + 1 - n), n, horizon_s_);
   };
-  // While the window fills, and throughout for a window too long for the
-  // exact index mean, each second is fitted on its own.
-  const int64_t first_full =
-      lookback < (int64_t{1} << 26) ? std::min(size, lookback - 1) : size;
+  // While the window fills, each second is fitted on its own.
+  const int64_t first_full = std::min(size, lookback - 1);
   for (int64_t t = 0; t < first_full; ++t) per_second(t);
   if (first_full == size) return targets;
   // Every full window has n = lookback samples, so its index mean, index
@@ -178,9 +174,9 @@ std::vector<int64_t> PredictiveStrategy::TargetSeries(
     dx[static_cast<size_t>(i)] = static_cast<double>(i) - mean_x;
     var_x += dx[static_cast<size_t>(i)] * dx[static_cast<size_t>(i)];
   }
-  // The window sum of second t (0-based), exactly: lookback samples of at
-  // most max_demand each may pass int64 for a lookback beyond `longest`.
-  __int128 sum = 0;
+  // The window sum of second t (0-based), exactly: the window is shorter
+  // than `longest`, so its samples of at most max_demand fit in int64.
+  int64_t sum = 0;
   for (int64_t i = 0; i < lookback; ++i) sum += ys[i];
   const auto slide = [&](int64_t t) {  // sum of t to sum of t + 1
     sum += ys[t + 1] - ys[t + 1 - lookback];
@@ -195,7 +191,7 @@ std::vector<int64_t> PredictiveStrategy::TargetSeries(
   while (t < size) {
     int k = 0;
     for (; k < kBlock && t + k < size && sum < kExactDouble; ++k) {
-      mean_y[k] = static_cast<double>(static_cast<int64_t>(sum)) / n;
+      mean_y[k] = static_cast<double>(sum) / n;
       if (t + k + 1 < size) slide(t + k);
     }
     const int64_t* window = ys + (t + 1 - lookback);

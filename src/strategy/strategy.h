@@ -98,8 +98,8 @@ class MeanStrategy : public ProvisioningStrategy {
 /// (Section 5.1).
 class PredictiveStrategy : public ProvisioningStrategy {
  public:
-  /// CHECK-fails unless `vm_startup_ms` >= 0 and `lookback_s` > 0.
-  PredictiveStrategy(SimTimeMs vm_startup_ms, int64_t lookback_s = 300);
+  /// CHECK-fails unless `vm_startup_ms` >= 0.
+  explicit PredictiveStrategy(SimTimeMs vm_startup_ms);
   std::string name() const override { return "predictive"; }
   int64_t Target(const WorkloadHistory& history) override;
   /// Fits the full windows of a few consecutive seconds in one pass over
@@ -108,8 +108,9 @@ class PredictiveStrategy : public ProvisioningStrategy {
       const std::vector<int64_t>& demand) override;
 
  private:
+  /// The trailing window, five minutes.
+  static constexpr int64_t kLookbackS = 300;
   int64_t horizon_s_;
-  int64_t lookback_s_;
 };
 
 /// \brief Percentile strategy (Section 4.4.5): the p-th percentile of the

@@ -31,11 +31,12 @@ bool ParseIntField(std::string_view field, int64_t* out) {
 
 /// Demand bound: WorkloadHistory sums up to 3600 one-second samples.
 constexpr int64_t kMaxDemand = std::numeric_limits<int64_t>::max() / 3600;
+/// Length bound: a longer trace is probably in milliseconds.
+constexpr int64_t kMaxSeconds = 400LL * 24 * 3600;
 
 }  // namespace
 
-StatusOr<std::vector<int64_t>> ParseDemandCsv(const std::string& text,
-                                              const TraceCsvOptions& options) {
+StatusOr<std::vector<int64_t>> ParseDemandCsv(const std::string& text) {
   std::vector<std::pair<int64_t, int64_t>> samples;
   std::istringstream in(text);
   std::string line;
@@ -78,38 +79,26 @@ StatusOr<std::vector<int64_t>> ParseDemandCsv(const std::string& text,
     return Status::InvalidArgument("second " + std::to_string(dup->first) +
                                    " appears twice");
   }
-  const int64_t horizon = samples.back().first + 1;
-  if (horizon > 400LL * 24 * 3600) {
+  if (samples.back().first >= kMaxSeconds) {
     return Status::InvalidArgument("trace longer than 400 days; check units");
   }
-  std::vector<int64_t> series(static_cast<size_t>(horizon), 0);
+  std::vector<int64_t> series;
+  series.reserve(static_cast<size_t>(samples.back().first + 1));
   for (const auto& [second, demand] : samples) {
-    series[static_cast<size_t>(second)] = demand;
-  }
-  if (options.fill_gaps) {
-    int64_t last = 0;
-    std::vector<bool> sampled(static_cast<size_t>(horizon), false);
-    for (const auto& [second, demand] : samples) {
-      sampled[static_cast<size_t>(second)] = true;
-    }
-    for (size_t s = 0; s < series.size(); ++s) {
-      if (sampled[s]) {
-        last = series[s];
-      } else {
-        series[s] = last;
-      }
-    }
+    // Forward-fill the gap up to this sample (zero before the first).
+    series.resize(static_cast<size_t>(second),
+                  series.empty() ? 0 : series.back());
+    series.push_back(demand);
   }
   return series;
 }
 
-StatusOr<std::vector<int64_t>> LoadDemandCsv(const std::string& path,
-                                             const TraceCsvOptions& options) {
+StatusOr<std::vector<int64_t>> LoadDemandCsv(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IoError("cannot open " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return ParseDemandCsv(buffer.str(), options);
+  return ParseDemandCsv(buffer.str());
 }
 
 std::string FormatDemandCsv(const std::vector<int64_t>& series) {

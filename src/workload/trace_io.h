@@ -9,29 +9,25 @@
 
 namespace cackle {
 
-/// \brief CSV import/export for demand traces, so external workloads (a
-/// Redshift console export, a cluster-manager log) can be replayed through
-/// the analytical model the way Section 5.4 replays the startup / Alibaba /
-/// Azure traces.
-///
-/// Format: an optional header line, then `second,demand` rows. Seconds may
-/// be sparse or unordered; gaps are filled with the previous value when
-/// `fill_gaps` is set (cluster exports often sample irregularly), otherwise
-/// with zero. Each field must be a whole decimal integer (blanks around it
-/// are allowed); non-numeric fields, trailing characters, a second listed
-/// twice, negative values and demand above INT64_MAX / 3600 (which would
-/// overflow a one-hour window sum) are rejected.
-struct TraceCsvOptions {
-  bool fill_gaps = true;
-};
+// CSV import/export for demand traces, so external workloads (a Redshift
+// console export, a cluster-manager log) can be replayed through the
+// analytical model the way Section 5.4 replays the startup / Alibaba /
+// Azure traces.
 
-/// Parses CSV text into a per-second demand series.
+/// Parses CSV text into a per-second demand series. Format: an optional
+/// header line, then `second,demand` rows. Seconds may be sparse or
+/// unordered; a gap repeats the previous value (cluster exports often
+/// sample irregularly), and seconds before the first sample are zero. Each
+/// field must be a whole decimal integer (blanks around it are allowed);
+/// non-numeric fields, trailing characters, a second listed twice, negative
+/// values, seconds beyond 400 days and demand above INT64_MAX / 3600 (which
+/// would overflow a one-hour window sum) are rejected.
 [[nodiscard]] StatusOr<std::vector<int64_t>> ParseDemandCsv(
-    const std::string& text, const TraceCsvOptions& options = {});
+    const std::string& text);
 
 /// Loads from a file path.
 [[nodiscard]] StatusOr<std::vector<int64_t>> LoadDemandCsv(
-    const std::string& path, const TraceCsvOptions& options = {});
+    const std::string& path);
 
 /// Renders a series as `second,demand` CSV text (with header).
 std::string FormatDemandCsv(const std::vector<int64_t>& series);

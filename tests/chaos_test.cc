@@ -65,8 +65,9 @@ void ExpectIdenticalResults(const EngineResult& a, const EngineResult& b) {
 
 // The contract the whole chaos substrate is built around: with every fault
 // rate at zero, the machinery must be invisible. Knobs that only matter
-// under faults (retry backoff shape, straggler timeout) must not perturb a
-// fault-free run, and every chaos counter must stay zero.
+// under faults (straggler timeout, retry budget, breaker, hedging,
+// admission) must not perturb a fault-free run, and every chaos counter
+// must stay zero.
 TEST(ChaosTest, ZeroFaultProfileIsBitIdentical) {
   ProfileLibrary lib = ProfileLibrary::BuiltinTpch();
   const auto arrivals = MakeWorkload(lib, 80, kMillisPerHour / 4, 101);
@@ -77,14 +78,11 @@ TEST(ChaosTest, ZeroFaultProfileIsBitIdentical) {
   EngineOptions perturbed;
   perturbed.faults = FaultProfile::None();
   perturbed.straggler_timeout_multiplier = 0.0;  // speculation fully off
-  perturbed.elastic_retry.initial_backoff_ms = 1;
-  perturbed.elastic_retry.jitter = 0.9;
-  perturbed.elastic_retry.max_backoff_ms = 50;
   // Degradation machinery that must be inert on a healthy substrate: a
   // retry budget nothing exhausts, a breaker nothing trips, a hedge delay
   // no read ever exceeds (fault-free store reads are synchronous), and an
   // admission threshold the workload never reaches.
-  perturbed.elastic_retry.max_elapsed_ms = 5'000;
+  perturbed.elastic_retry_budget_ms = 5'000;
   perturbed.store_breaker.failure_threshold = 3;
   perturbed.store_breaker.open_ms = 10'000;
   perturbed.hedge_after_ms = 1;
@@ -283,7 +281,6 @@ TEST(ChaosTest, SpotInterruptionsWithQueuedBatchWorkStillDrain) {
   opts.use_dynamic = false;
   opts.fixed_target = 10;  // small fleet: batch work queues behind it
   opts.spot_mean_lifetime_hours = 0.05;  // reclaim every ~3 minutes
-  opts.max_batch_delay_ms = 2 * kMillisPerMinute;
   CackleEngine engine(&cost, opts);
   const EngineResult r = engine.Run(arrivals, lib);
   EXPECT_EQ(r.queries_completed, 40);
@@ -294,7 +291,7 @@ TEST(ChaosTest, SpotInterruptionsWithQueuedBatchWorkStillDrain) {
   // must have kicked in rather than batch work waiting forever.
   EXPECT_GT(r.batch_tasks_escalated, 0);
   // Batch p99 is bounded by queueing + SLA, not unbounded starvation:
-  // every task waits at most max_batch_delay before running somewhere.
+  // every task waits at most kMaxBatchDelayMs before running somewhere.
   EXPECT_GT(r.batch_latencies_s.Percentile(99),
             r.batch_latencies_s.Percentile(10));
 }
@@ -473,7 +470,7 @@ TEST(ScenarioTest, FaultFreeOptionsDisableEveryDegradationKnob) {
   EXPECT_FALSE(base.admission.enabled());
   EXPECT_EQ(base.store_breaker.failure_threshold, 0);
   EXPECT_EQ(base.hedge_after_ms, 0);
-  EXPECT_EQ(base.elastic_retry.max_elapsed_ms, 0);
+  EXPECT_EQ(base.elastic_retry_budget_ms, 0);
   // The seed survives, so the baseline is the same run minus the faults.
   EXPECT_EQ(base.seed, loaded.value().seed);
 }

@@ -34,6 +34,20 @@ foreach(arg
   expect_rejected("invalid flag ${escaped}: want" "${CACKLE_SIM}" "${arg}")
 endforeach()
 
+# Trace files that fail to load: a missing file, a malformed row, and a
+# second so large that adding one to it would overflow.
+set(trace_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_bad_args_traces")
+file(MAKE_DIRECTORY "${trace_dir}")
+file(WRITE "${trace_dir}/malformed.csv" "second,demand\n0,5\n1,abc\n")
+file(WRITE "${trace_dir}/huge_second.csv" "9223372036854775807,5\n")
+expect_rejected("invalid flag --trace=.*: IoError: cannot open" "${CACKLE_SIM}"
+    "--trace=${trace_dir}/missing.csv")
+expect_rejected("invalid flag --trace=.*: .*line 3: bad demand value"
+    "${CACKLE_SIM}" "--trace=${trace_dir}/malformed.csv")
+expect_rejected("invalid flag --trace=.*: .*longer than 400 days"
+    "${CACKLE_SIM}" "--trace=${trace_dir}/huge_second.csv")
+file(REMOVE_RECURSE "${trace_dir}")
+
 foreach(args "0" "26" "-1" "abc" "1;0" "1;-0.5" "1;nan" "1;0.01;0"
     "1;0.01;-2" "1;0.01;x")
   expect_rejected("usage: run_tpch_query" "${RUN_TPCH_QUERY}" ${args})

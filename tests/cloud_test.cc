@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cloud/billing.h"
@@ -438,6 +440,52 @@ TEST(ObjectStoreTest, InjectedErrorsAreBilledAndRetried) {
               static_cast<double>(store.num_puts()) *
                   cost.object_store_put_cost,
               1e-12);
+}
+
+// Put and Get run one retry loop, with the breaker gate applied only when a
+// breaker is configured: a breaker that can never trip leaves every request,
+// retry and dollar as they are without one.
+TEST(ObjectStoreTest, UntrippedBreakerLeavesTheRetryLoopUnchanged) {
+  CostModel cost;
+  FaultProfile profile;
+  profile.store_error_rate = 0.5;
+  struct Run {
+    int64_t retries, puts, gets;
+    double dollars;
+  };
+  const auto run = [&](bool breaker) {
+    BillingMeter meter;
+    ObjectStore store(&cost, &meter);
+    FaultInjector injector(profile, 91);
+    store.SetFaultInjector(&injector);
+    if (breaker) {
+      // Above the store's 100-attempt bound: a streak of failures always
+      // ends in a success before it reaches the threshold.
+      CircuitBreakerOptions options;
+      options.failure_threshold = 101;
+      store.EnableCircuitBreaker(options);
+    }
+    for (int i = 0; i < 40; ++i) {
+      std::string key = "k";
+      key += std::to_string(i % 10);
+      store.Put(key, 100 + i);
+      EXPECT_EQ(store.Get(key), 100 + i);
+      EXPECT_EQ(store.Get("missing"), std::nullopt);
+    }
+    if (breaker) {
+      EXPECT_EQ(store.circuit_breaker()->trips(), 0);
+      EXPECT_EQ(store.circuit_breaker()->rejections(), 0);
+    }
+    return Run{store.num_retries(), store.num_puts(), store.num_gets(),
+               meter.TotalDollars()};
+  };
+  const Run plain = run(false);
+  const Run gated = run(true);
+  EXPECT_GT(plain.retries, 0);
+  EXPECT_EQ(gated.retries, plain.retries);
+  EXPECT_EQ(gated.puts, plain.puts);
+  EXPECT_EQ(gated.gets, plain.gets);
+  EXPECT_EQ(gated.dollars, plain.dollars);
 }
 
 TEST(ObjectStoreTest, TryPutSurfacesInjectedErrorWithoutStoring) {

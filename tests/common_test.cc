@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "common/circuit_breaker.h"
@@ -194,42 +195,59 @@ TEST(FormatDoubleTest, FixedDecimals) {
 TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndCaps) {
   RetryPolicyOptions opts;
   opts.initial_backoff_ms = 100;
-  opts.multiplier = 2.0;
-  opts.max_backoff_ms = 1000;
   opts.jitter = 0.0;
   RetryPolicy policy(opts);
   EXPECT_EQ(policy.BackoffMs(1), 100);
   EXPECT_EQ(policy.BackoffMs(2), 200);
   EXPECT_EQ(policy.BackoffMs(3), 400);
   EXPECT_EQ(policy.BackoffMs(4), 800);
-  EXPECT_EQ(policy.BackoffMs(5), 1000);  // capped
-  EXPECT_EQ(policy.BackoffMs(20), 1000);
+  EXPECT_EQ(policy.BackoffMs(7), 6400);
+  EXPECT_EQ(policy.BackoffMs(8), 10'000);  // capped
+  EXPECT_EQ(policy.BackoffMs(20), 10'000);
 }
 
 TEST(RetryPolicyTest, JitterStaysWithinBoundsAndIsDeterministic) {
   RetryPolicyOptions opts;
   opts.initial_backoff_ms = 1000;
-  opts.multiplier = 1.0;
   opts.jitter = 0.25;
   Rng rng1(7), rng2(7);
   RetryPolicy p1(opts, &rng1);
   RetryPolicy p2(opts, &rng2);
   for (int i = 1; i <= 50; ++i) {
-    const int64_t b1 = p1.BackoffMs(i);
+    // Every first backoff is nominally 1000 ms; each call draws anew.
+    const int64_t b1 = p1.BackoffMs(1);
     EXPECT_GE(b1, 750);
     EXPECT_LE(b1, 1250);
-    EXPECT_EQ(b1, p2.BackoffMs(i));  // same seed => same jitter sequence
+    EXPECT_EQ(b1, p2.BackoffMs(1));  // same seed => same jitter sequence
   }
 }
 
-TEST(RetryPolicyTest, ExecuteRetriesUntilSuccess) {
+/// The loop a caller runs around the policy: try `op`, and after each
+/// failure add the backoff to a virtual clock and ask whether to go on.
+/// Returns the final status; `attempts` receives the attempts made.
+Status RunRetryLoop(RetryPolicy* policy, const std::function<Status()>& op,
+                    int* attempts) {
+  int64_t elapsed_ms = 0;
+  Status status;
+  *attempts = 0;
+  do {
+    ++*attempts;
+    status = op();
+    if (status.ok()) break;
+    elapsed_ms += policy->BackoffMs(*attempts);
+  } while (policy->ShouldRetry(*attempts, elapsed_ms));
+  return status;
+}
+
+TEST(RetryPolicyTest, LoopRetriesUntilSuccess) {
   RetryPolicyOptions opts;
   opts.max_attempts = 10;
   opts.jitter = 0.0;
   RetryPolicy policy(opts);
   int calls = 0;
   int attempts = 0;
-  const Status s = policy.Execute(
+  const Status s = RunRetryLoop(
+      &policy,
       [&] {
         ++calls;
         return calls < 4 ? Status::IoError("transient") : Status::OK();
@@ -240,79 +258,66 @@ TEST(RetryPolicyTest, ExecuteRetriesUntilSuccess) {
   EXPECT_EQ(attempts, 4);
 }
 
-TEST(RetryPolicyTest, ExecuteStopsAtMaxAttempts) {
+TEST(RetryPolicyTest, LoopStopsAtMaxAttempts) {
   RetryPolicyOptions opts;
   opts.max_attempts = 3;
   opts.jitter = 0.0;
   RetryPolicy policy(opts);
   int calls = 0;
-  const Status s =
-      policy.Execute([&] { ++calls; return Status::IoError("nope"); });
+  int attempts = 0;
+  const Status s = RunRetryLoop(
+      &policy, [&] { ++calls; return Status::IoError("nope"); }, &attempts);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kIoError);
   EXPECT_EQ(calls, 3);
 }
 
-TEST(RetryPolicyTest, DeadlineBoundsVirtualBackoffTime) {
-  RetryPolicyOptions opts;
-  opts.max_attempts = 0;  // unlimited attempts: only the deadline stops it
-  opts.initial_backoff_ms = 100;
-  opts.multiplier = 1.0;
-  opts.jitter = 0.0;
-  opts.deadline_ms = 450;  // allows 4 backoffs of 100 ms
-  RetryPolicy policy(opts);
-  int calls = 0;
-  const Status s =
-      policy.Execute([&] { ++calls; return Status::IoError("nope"); });
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(calls, 5);  // initial try + 4 retries within the deadline
-}
-
 TEST(RetryPolicyTest, ShouldRetryRespectsBothLimits) {
   RetryPolicyOptions opts;
   opts.max_attempts = 3;
-  opts.deadline_ms = 1000;
+  opts.max_elapsed_ms = 1000;
   RetryPolicy policy(opts);
   EXPECT_TRUE(policy.ShouldRetry(1, 0));
   EXPECT_TRUE(policy.ShouldRetry(2, 999));
   EXPECT_FALSE(policy.ShouldRetry(3, 0));     // attempts exhausted
-  EXPECT_FALSE(policy.ShouldRetry(1, 1000));  // deadline exhausted
+  EXPECT_FALSE(policy.ShouldRetry(1, 1000));  // budget exhausted
 }
 
 TEST(RetryPolicyTest, MaxElapsedBudgetExhaustsRetries) {
   RetryPolicyOptions opts;
   opts.max_attempts = 0;  // unlimited attempts: only the budget stops it
   opts.initial_backoff_ms = 100;
-  opts.multiplier = 1.0;
   opts.jitter = 0.0;
-  opts.max_elapsed_ms = 350;  // allows 3 backoffs of 100 ms
+  opts.max_elapsed_ms = 750;  // allows backoffs of 100, 200 and 400 ms
   RetryPolicy policy(opts);
   int calls = 0;
-  const Status s =
-      policy.Execute([&] { ++calls; return Status::IoError("nope"); });
+  int attempts = 0;
+  const Status s = RunRetryLoop(
+      &policy, [&] { ++calls; return Status::IoError("nope"); }, &attempts);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(calls, 4);  // initial try + 3 retries inside the budget
 
-  // Unlike deadline_ms, the budget caps whatever elapsed time the caller
-  // reports — simulated wall time in the engine — not just policy backoffs.
-  EXPECT_TRUE(policy.ShouldRetry(1, 349));
-  EXPECT_FALSE(policy.ShouldRetry(1, 350));
+  // The budget caps whatever elapsed time the caller reports — simulated
+  // wall time in the engine — not just policy backoffs.
+  EXPECT_TRUE(policy.ShouldRetry(1, 749));
+  EXPECT_FALSE(policy.ShouldRetry(1, 750));
 }
 
 TEST(RetryPolicyTest, MaxElapsedBudgetIsDeterministicUnderJitter) {
   RetryPolicyOptions opts;
   opts.max_attempts = 0;
   opts.initial_backoff_ms = 100;
-  opts.multiplier = 2.0;
-  opts.max_backoff_ms = 400;
   opts.jitter = 0.5;
   opts.max_elapsed_ms = 2000;
   Rng rng1(11), rng2(11);
   RetryPolicy p1(opts, &rng1);
   RetryPolicy p2(opts, &rng2);
   int c1 = 0, c2 = 0;
-  const Status s1 = p1.Execute([&] { ++c1; return Status::IoError("x"); });
-  const Status s2 = p2.Execute([&] { ++c2; return Status::IoError("x"); });
+  int attempts = 0;
+  const Status s1 = RunRetryLoop(
+      &p1, [&] { ++c1; return Status::IoError("x"); }, &attempts);
+  const Status s2 = RunRetryLoop(
+      &p2, [&] { ++c2; return Status::IoError("x"); }, &attempts);
   EXPECT_FALSE(s1.ok());
   EXPECT_FALSE(s2.ok());
   EXPECT_EQ(c1, c2);  // same seed => same jittered exhaustion point
@@ -321,15 +326,15 @@ TEST(RetryPolicyTest, MaxElapsedBudgetIsDeterministicUnderJitter) {
 
 TEST(RetryPolicyTest, JitterNeverExceedsBackoffCap) {
   RetryPolicyOptions opts;
-  opts.initial_backoff_ms = 1000;
-  opts.multiplier = 1.0;
-  opts.max_backoff_ms = 1000;  // nominal == cap: jitter has no headroom up
+  // Nominal == cap: jitter has no headroom up.
+  opts.initial_backoff_ms = RetryPolicy::kMaxBackoffMs;
   opts.jitter = 0.9;
   Rng rng(123);
   RetryPolicy policy(opts, &rng);
   for (int i = 1; i <= 200; ++i) {
     const int64_t backoff = policy.BackoffMs(i);
-    EXPECT_LE(backoff, 1000);  // the cap is hard, even post-jitter
+    // The cap is hard, even post-jitter.
+    EXPECT_LE(backoff, RetryPolicy::kMaxBackoffMs);
     EXPECT_GE(backoff, 1);
   }
 }

@@ -298,7 +298,6 @@ TEST(CackleEngineTest, OverdueBatchTasksEscalateToElasticPool) {
   opts.enable_shuffle = false;
   opts.use_dynamic = false;
   opts.fixed_target = 0;  // no VMs, ever
-  opts.max_batch_delay_ms = 2 * kMillisPerMinute;
   CackleEngine engine(&cost, opts);
   const EngineResult r = engine.Run(arrivals, lib);
   // With no provisioned capacity, the SLA forces every task to the pool.

@@ -147,7 +147,7 @@ TEST(SimDifferentialTest, MultiTenantAdmissionAndDeferralIsPinned) {
   EngineOptions opts;
   opts.admission.max_outstanding_tasks = 40;
   opts.admission.shed_after_ms = 5 * kMillisPerMinute;
-  opts.elastic_retry.max_elapsed_ms = 2'000;  // retry budget -> deferrals
+  opts.elastic_retry_budget_ms = 2'000;  // retry budget -> deferrals
   opts.faults.elastic_concurrency_limit = 48;
 
   const EngineResult result = RunEngine(opts, arrivals, lib, cost);

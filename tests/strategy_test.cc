@@ -204,7 +204,7 @@ TEST(StrategyTest, PercentileStrategyNameAndTarget) {
 
 TEST(StrategyTest, PredictiveExtrapolatesRisingLoad) {
   CostModel cost;
-  PredictiveStrategy s(cost.vm_startup_ms, 300);
+  PredictiveStrategy s(cost.vm_startup_ms);
   WorkloadHistory history;
   for (int i = 0; i < 100; ++i) history.Append(10 * i);  // slope 10/s
   // Prediction at now ~ 990; at now + 180 s, ~ 990 + 1800.
@@ -214,7 +214,7 @@ TEST(StrategyTest, PredictiveExtrapolatesRisingLoad) {
 
 TEST(StrategyTest, PredictiveFallingLoadUsesCurrent) {
   CostModel cost;
-  PredictiveStrategy s(cost.vm_startup_ms, 300);
+  PredictiveStrategy s(cost.vm_startup_ms);
   WorkloadHistory history;
   for (int i = 100; i > 0; --i) history.Append(10 * i);
   const int64_t target = s.Target(history);
@@ -247,7 +247,7 @@ TEST(StrategyTest, PredictiveMatchesFitLineExactly) {
   // Small demand, demand whose window sums pass 2^53 (the in-place fit
   // then sums as doubles, like FitLine) and demand in between.
   CostModel cost;
-  PredictiveStrategy predictive(cost.vm_startup_ms, 300);
+  PredictiveStrategy predictive(cost.vm_startup_ms);
   Rng rng(17);
   for (const int64_t scale :
        {int64_t{1000}, int64_t{1} << 44, int64_t{1} << 50}) {
@@ -270,44 +270,41 @@ TEST(StrategyTest, PredictiveMatchesFitLineExactly) {
 /// across it.
 TEST(StrategyTest, PredictiveTargetSeriesMatchesPerSecondReplay) {
   CostModel cost;
-  for (const int64_t lookback : {1, 2, 7, 300}) {
-    PredictiveStrategy predictive(cost.vm_startup_ms, lookback);
-    for (const int64_t scale :
-         {int64_t{1000}, int64_t{1} << 44, int64_t{1} << 50}) {
-      for (const int64_t length :
-           {int64_t{0}, int64_t{1}, lookback - 1, lookback, lookback + 1,
-            lookback + 3, lookback + 4, lookback + 5, 4 * lookback + 50}) {
-        Rng rng(static_cast<uint64_t>(lookback * 1009 + length));
-        // A random walk; then small demand with nine seconds at the scale
-        // in its middle and nine at its end, so that at 2^50 the window
-        // sums pass 2^53 and fall back, part-way through a block.
-        std::vector<int64_t> walk;
-        std::vector<int64_t> jump;
-        int64_t level = scale / 2;
-        for (int64_t s = 0; s < length; ++s) {
-          level = std::clamp<int64_t>(
-              level + rng.NextInt(-scale / 20, scale / 20), 0, scale);
-          walk.push_back(level);
-          const bool high =
-              s >= length - 9 || (s >= length / 2 && s < length / 2 + 9);
-          jump.push_back(high ? scale - rng.NextInt(0, scale / 100)
-                              : rng.NextInt(0, 1000));
-        }
-        for (const std::vector<int64_t>* demand : {&walk, &jump}) {
-          ASSERT_EQ(predictive.TargetSeries(*demand),
-                    predictive.ProvisioningStrategy::TargetSeries(*demand))
-              << "lookback " << lookback << " scale " << scale << " length "
-              << length << (demand == &jump ? " jump" : " walk");
-        }
+  constexpr int64_t lookback = 300;  // the strategy's window
+  PredictiveStrategy predictive(cost.vm_startup_ms);
+  for (const int64_t scale :
+       {int64_t{1000}, int64_t{1} << 44, int64_t{1} << 50}) {
+    for (const int64_t length :
+         {int64_t{0}, int64_t{1}, lookback - 1, lookback, lookback + 1,
+          lookback + 3, lookback + 4, lookback + 5, 4 * lookback + 50}) {
+      Rng rng(static_cast<uint64_t>(lookback * 1009 + length));
+      // A random walk; then small demand with nine seconds at the scale
+      // in its middle and nine at its end, so that at 2^50 the window
+      // sums pass 2^53 and fall back, part-way through a block.
+      std::vector<int64_t> walk;
+      std::vector<int64_t> jump;
+      int64_t level = scale / 2;
+      for (int64_t s = 0; s < length; ++s) {
+        level = std::clamp<int64_t>(
+            level + rng.NextInt(-scale / 20, scale / 20), 0, scale);
+        walk.push_back(level);
+        const bool high =
+            s >= length - 9 || (s >= length / 2 && s < length / 2 + 9);
+        jump.push_back(high ? scale - rng.NextInt(0, scale / 100)
+                            : rng.NextInt(0, 1000));
+      }
+      for (const std::vector<int64_t>* demand : {&walk, &jump}) {
+        ASSERT_EQ(predictive.TargetSeries(*demand),
+                  predictive.ProvisioningStrategy::TargetSeries(*demand))
+            << "scale " << scale << " length " << length
+            << (demand == &jump ? " jump" : " walk");
       }
     }
   }
 }
 
-TEST(StrategyDeathTest, PredictiveRejectsBadLookbackOrStartup) {
-  EXPECT_DEATH(PredictiveStrategy(180000, 0), "lookback_s");
-  EXPECT_DEATH(PredictiveStrategy(180000, -5), "lookback_s");
-  EXPECT_DEATH(PredictiveStrategy(-1000, 300), "vm_startup_ms");
+TEST(StrategyDeathTest, PredictiveRejectsNegativeStartup) {
+  EXPECT_DEATH(PredictiveStrategy(-1000), "vm_startup_ms");
 }
 
 TEST(StrategyDeathTest, PredictiveTargetSeriesRejectsWhatAHistoryRejects) {
@@ -1779,14 +1776,15 @@ TEST(ShuffleProvisionerTest, FloorAlwaysProvisioned) {
 
 TEST(ShuffleProvisionerTest, TracksWindowMax) {
   CostModel cost;
-  ShuffleProvisioner prov(&cost, /*lookback_s=*/5, /*floor_bytes=*/0);
+  ShuffleProvisioner prov(&cost);
   const int64_t gb = 1LL << 30;
   EXPECT_EQ(prov.Step(40 * gb), 5);  // ceil(40/8)
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(prov.Step(1 * gb), 5);  // 40 GB still inside the window
+  for (int i = 0; i < 20 * 60 - 1; ++i) {
+    ASSERT_EQ(prov.Step(1 * gb), 5);  // 40 GB still inside the window
   }
-  // The 40 GB sample has now fallen out of the 5 s window.
-  EXPECT_EQ(prov.Step(1 * gb), 1);
+  // The 40 GB sample has now fallen out of the 20 min window, and the
+  // 16 GB floor holds two nodes.
+  EXPECT_EQ(prov.Step(1 * gb), 2);
 }
 
 }  // namespace

@@ -312,11 +312,10 @@ TEST(TraceIoTest, FillsGapsWithPreviousValue) {
   auto series = ParseDemandCsv("0,10\n5,20\n");
   ASSERT_TRUE(series.ok());
   EXPECT_EQ(*series, (std::vector<int64_t>{10, 10, 10, 10, 10, 20}));
-  TraceCsvOptions no_fill;
-  no_fill.fill_gaps = false;
-  auto sparse = ParseDemandCsv("0,10\n5,20\n", no_fill);
-  ASSERT_TRUE(sparse.ok());
-  EXPECT_EQ(*sparse, (std::vector<int64_t>{10, 0, 0, 0, 0, 20}));
+  // Seconds before the first sample are zero.
+  auto late = ParseDemandCsv("2,10\n4,20\n");
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(*late, (std::vector<int64_t>{0, 0, 10, 10, 20}));
 }
 
 TEST(TraceIoTest, HandlesUnorderedAndCrlf) {
@@ -332,6 +331,11 @@ TEST(TraceIoTest, RejectsBadInput) {
   EXPECT_FALSE(ParseDemandCsv("-1,5\n").ok());
   // Absurd horizon (seconds column probably in milliseconds).
   EXPECT_FALSE(ParseDemandCsv("99999999999,1\n").ok());
+  EXPECT_FALSE(ParseDemandCsv("34560000,1\n").ok());  // day 400 exactly
+  // The largest second: the bound is checked before adding one to it.
+  const auto huge = ParseDemandCsv("9223372036854775807,5\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_NE(huge.status().ToString().find("400 days"), std::string::npos);
 }
 
 TEST(TraceIoTest, RejectsNonNumericFields) {
